@@ -1,16 +1,18 @@
 GO ?= go
 
 # BENCH is the checked-in benchmark-baseline document; override to cut or
-# gate against a different one (make bench BENCH=BENCH_4.json).
-BENCH ?= BENCH_3.json
+# gate against a different one (make bench BENCH=BENCH_14.json).
+BENCH ?= BENCH_13.json
 
 .PHONY: build test fmt vet race race-short chaos cluster cluster-chaos fsck-drill verify report bench bench-baseline trace fleet-trace
 
 build:
 	$(GO) build ./...
 
+# test also runs the benchmark driver's own module (perfbench/, ~6 s).
 test:
 	$(GO) test ./...
+	cd perfbench && $(GO) test ./...
 
 # fmt fails when any file needs gofmt.
 fmt:
@@ -98,4 +100,4 @@ bench:
 # performance change (run on a quiet machine, then commit $(BENCH)).
 bench-baseline:
 	$(GO) run ./cmd/tlsbench -baseline $(BENCH) -out \
-		-note "PR 3 baseline after the hot-path allocation overhaul; seed (pre-overhaul) reference: event/schedule-fire 59.5 ns/op 1 alloc/op, directory/record-write-read 228.6 ns/op 2 allocs/op, sim/full-run 238.5 ms/op 130875 allocs/op"
+		-note "baseline after sort-free task-stream generation and the paged version-directory index; previous baseline BENCH_3.json (sim/full-run 145 ms/op 37.6k allocs/op at the hot-path allocation overhaul)"

@@ -11,7 +11,7 @@
 //	tlsbench -compare                 # run and gate against the baseline
 //	tlsbench -baseline BENCH_4.json -out   # cut the next baseline
 //
-// The baseline lives at -baseline (default BENCH_3.json, the checked-in
+// The baseline lives at -baseline (default BENCH_13.json, the checked-in
 // document); -out and -compare write and read that path, so cutting a new
 // baseline is a flag change, not a code edit.
 //
@@ -41,6 +41,7 @@ import (
 	"repro/internal/memsys"
 	"repro/internal/profiling"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // Measurement is one benchmark's result in the baseline file.
@@ -68,6 +69,8 @@ var suite = []struct {
 	{"event/cancel-compact", benchEventCancelCompact},
 	{"directory/record-write-read", benchDirRecordWriteRead},
 	{"directory/version-for", benchDirVersionFor},
+	{"directory/footprint", benchDirFootprint},
+	{"workload/task-gen", benchTaskGen},
 	{"cache/probe-hit", benchCacheProbeHit},
 	{"cache/insert-evict", benchCacheInsertEvict},
 	{"sim/full-run", benchFullRun},
@@ -121,6 +124,43 @@ func benchDirVersionFor(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d.VersionFor(4, ids.TaskID(9))
+	}
+}
+
+// benchDirFootprint runs one task's directory traffic per op over the
+// generator's address layout: 32 reads scattered over the 16K-word shared
+// region, 32 writes into the task's pooled UniqueBase region, then commit.
+// Regions recur every 96 tasks, so commits prune and the directory stays
+// bounded.
+func benchDirFootprint(b *testing.B) {
+	const (
+		sharedWords  = 1 << 14
+		regions      = 96
+		regionStride = 1<<16 + 528 // the generator's task-private region size
+	)
+	b.ReportAllocs()
+	d := coherence.NewDirectory()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t := ids.TaskID(i + 1)
+		region := workload.UniqueBase + memsys.Addr(i%regions)*regionStride
+		for k := 0; k < 32; k++ {
+			d.RecordRead(workload.SharedBase+memsys.Addr((i*32+k)*4099%sharedWords), t)
+			d.RecordWrite(region+memsys.Addr(k*memsys.WordsPerLine), t)
+		}
+		d.Commit(t)
+	}
+}
+
+// benchTaskGen generates one full-size Bdna task stream per op into a
+// reused buffer.
+func benchTaskGen(b *testing.B) {
+	b.ReportAllocs()
+	g := workload.NewGenerator(repro.Bdna(), 1)
+	var buf []workload.Op
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf, _ = g.Task(i%g.NumTasks(), buf)
 	}
 }
 
@@ -376,7 +416,7 @@ func compare(baseline Baseline, cur []Measurement, band float64) int {
 
 func main() {
 	var (
-		basePath = flag.String("baseline", "BENCH_3.json", "path of the JSON benchmark baseline (-out writes it, -compare reads it)")
+		basePath = flag.String("baseline", "BENCH_13.json", "path of the JSON benchmark baseline (-out writes it, -compare reads it)")
 		out      = flag.Bool("out", false, "write measurements to the -baseline file")
 		against  = flag.Bool("compare", false, "compare against the -baseline file; exit 1 outside the band")
 		band     = flag.Float64("band", 0.30, "guard band for the allocs/op comparison")

@@ -12,8 +12,9 @@
 // a reader observe, and does a write violate a recorded read.
 //
 // The bookkeeping is arena-backed and allocation-free in steady state: word
-// entries live in one slice and are recycled through a free list (their
-// version and reader slices keep their capacity), per-task footprint marks
+// entries live in one slice, are found through a paged address index
+// (index.go), and are recycled through a free list (their version and
+// reader slices keep their capacity), per-task footprint marks
 // are recycled through a ring keyed by task ID, and the hot paths
 // (RecordRead, RecordWrite, VersionFor, Squash, Commit) use manual binary
 // searches and insertion sorts instead of the closure-allocating sort
@@ -65,8 +66,8 @@ type taskSlot struct {
 
 // Directory is the global version directory of one speculative section.
 type Directory struct {
-	// words maps a word address to its entry's index in states.
-	words  map[memsys.Addr]int32
+	// words maps a word address to its entry's index in states, plus one.
+	words  wordIndex
 	states []wordState
 	// freeWords indexes recycled (emptied) entries of states.
 	freeWords []int32
@@ -101,9 +102,7 @@ type Directory struct {
 
 // NewDirectory returns an empty directory.
 func NewDirectory() *Directory {
-	return &Directory{
-		words: make(map[memsys.Addr]int32),
-	}
+	return &Directory{}
 }
 
 // lowerBound returns the first index i with !v[i].Before(t) (i.e. v[i] >= t)
@@ -139,8 +138,8 @@ func upperBound(v []ids.TaskID, t ids.TaskID) int {
 // wordFor returns the entry for word a, creating it (from the free list
 // when possible) on first touch.
 func (d *Directory) wordFor(a memsys.Addr) *wordState {
-	if i, ok := d.words[a]; ok {
-		return &d.states[i]
+	if e := d.words.get(a); e != 0 {
+		return &d.states[e-1]
 	}
 	var i int32
 	if n := len(d.freeWords); n > 0 {
@@ -150,7 +149,7 @@ func (d *Directory) wordFor(a memsys.Addr) *wordState {
 		d.states = append(d.states, wordState{})
 		i = int32(len(d.states) - 1)
 	}
-	d.words[a] = i
+	d.words.set(a, i+1)
 	return &d.states[i]
 }
 
@@ -160,7 +159,7 @@ func (d *Directory) releaseWord(a memsys.Addr, i int32) {
 	w := &d.states[i]
 	w.versions = w.versions[:0]
 	w.readers = w.readers[:0]
-	delete(d.words, a)
+	d.words.del(a)
 	d.freeWords = append(d.freeWords, i)
 }
 
@@ -243,11 +242,15 @@ func (d *Directory) releaseMarks(t ids.TaskID) {
 // observe: the highest-ID producer at or before reader. None means the
 // architectural (pre-section) value.
 func (d *Directory) VersionFor(a memsys.Addr, reader ids.TaskID) ids.TaskID {
-	i, ok := d.words[a]
-	if !ok {
+	e := d.words.get(a)
+	if e == 0 {
 		return ids.None
 	}
-	v := d.states[i].versions
+	return versionFor(d.states[e-1].versions, reader)
+}
+
+// versionFor is VersionFor over one word's ascending version list.
+func versionFor(v []ids.TaskID, reader ids.TaskID) ids.TaskID {
 	// First version strictly after reader; the one before it is the answer.
 	j := upperBound(v, reader)
 	if j == 0 {
@@ -262,8 +265,8 @@ func (d *Directory) VersionFor(a memsys.Addr, reader ids.TaskID) ids.TaskID {
 func (d *Directory) RecordRead(a memsys.Addr, reader ids.TaskID) ids.TaskID {
 	d.reads++
 	d.obsReads.Inc()
-	producer := d.VersionFor(a, reader)
 	w := d.wordFor(a)
+	producer := versionFor(w.versions, reader)
 	for i := range w.readers {
 		if w.readers[i].reader == reader {
 			if producer.Before(w.readers[i].consumed) {
@@ -378,10 +381,11 @@ func (d *Directory) Squash(t ids.TaskID) {
 		return
 	}
 	for _, a := range m.writes {
-		i, ok := d.words[a]
-		if !ok {
+		e := d.words.get(a)
+		if e == 0 {
 			continue
 		}
+		i := e - 1
 		w := &d.states[i]
 		j := lowerBound(w.versions, t)
 		if j < len(w.versions) && w.versions[j] == t {
@@ -392,10 +396,11 @@ func (d *Directory) Squash(t ids.TaskID) {
 		}
 	}
 	for _, a := range m.reads {
-		i, ok := d.words[a]
-		if !ok {
+		e := d.words.get(a)
+		if e == 0 {
 			continue
 		}
+		i := e - 1
 		w := &d.states[i]
 		removeReader(w, t)
 		if len(w.versions) == 0 && len(w.readers) == 0 {
@@ -418,10 +423,11 @@ func (d *Directory) Commit(t ids.TaskID) []PrunedVersion {
 	}
 	pruned := d.prunedBuf[:0]
 	for _, a := range m.reads {
-		i, ok := d.words[a]
-		if !ok {
+		e := d.words.get(a)
+		if e == 0 {
 			continue
 		}
+		i := e - 1
 		w := &d.states[i]
 		removeReader(w, t)
 		if len(w.versions) == 0 && len(w.readers) == 0 {
@@ -429,10 +435,11 @@ func (d *Directory) Commit(t ids.TaskID) []PrunedVersion {
 		}
 	}
 	for _, a := range m.writes {
-		i, ok := d.words[a]
-		if !ok {
+		e := d.words.get(a)
+		if e == 0 {
 			continue
 		}
+		i := e - 1
 		w := &d.states[i]
 		j := lowerBound(w.versions, t)
 		for _, old := range w.versions[:j] {
@@ -479,7 +486,7 @@ func (d *Directory) WrittenAddrs(t ids.TaskID) []memsys.Addr {
 // LiveWords returns the number of directory entries (for memory-bound
 // tests). Entries emptied by squash or commit cleanup are deleted, so this
 // shrinks when words stop being live.
-func (d *Directory) LiveWords() int { return len(d.words) }
+func (d *Directory) LiveWords() int { return d.words.live }
 
 // LiveTasks returns the number of tasks with live footprint marks.
 func (d *Directory) LiveTasks() int {
@@ -494,8 +501,8 @@ func (d *Directory) LiveTasks() int {
 
 // VersionCount returns the number of live versions of word a.
 func (d *Directory) VersionCount(a memsys.Addr) int {
-	if i, ok := d.words[a]; ok {
-		return len(d.states[i].versions)
+	if e := d.words.get(a); e != 0 {
+		return len(d.states[e-1].versions)
 	}
 	return 0
 }

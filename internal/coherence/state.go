@@ -52,18 +52,22 @@ func (d *Directory) State() DirectoryState {
 		Reads: d.reads, Writes: d.writes,
 		Violations: d.violations, Injected: d.injected,
 	}
-	for a, i := range d.words {
-		w := &d.states[i]
-		ws := WordStateState{
-			Addr:     a,
-			Versions: append([]ids.TaskID(nil), w.versions...),
+	for _, p := range d.words.pages() {
+		for off, e := range p.slots {
+			if e == 0 {
+				continue
+			}
+			w := &d.states[e-1]
+			ws := WordStateState{
+				Addr:     memsys.Addr(p.num<<pageShift | uint64(off)),
+				Versions: append([]ids.TaskID(nil), w.versions...),
+			}
+			for _, rm := range w.readers {
+				ws.Readers = append(ws.Readers, ReaderMarkState{Reader: rm.reader, Consumed: rm.consumed})
+			}
+			s.Words = append(s.Words, ws)
 		}
-		for _, rm := range w.readers {
-			ws.Readers = append(ws.Readers, ReaderMarkState{Reader: rm.reader, Consumed: rm.consumed})
-		}
-		s.Words = append(s.Words, ws)
 	}
-	sort.Slice(s.Words, func(i, j int) bool { return s.Words[i].Addr < s.Words[j].Addr })
 	for _, slot := range d.slots {
 		if slot.m == nil {
 			continue
@@ -82,7 +86,7 @@ func (d *Directory) State() DirectoryState {
 // existing contents with a freshly built arena. The injection hook is left
 // as installed on d (the caller re-installs fault plumbing separately).
 func (d *Directory) RestoreState(s DirectoryState) {
-	d.words = make(map[memsys.Addr]int32, len(s.Words))
+	d.words = wordIndex{}
 	d.states = make([]wordState, 0, len(s.Words))
 	d.freeWords = nil
 	d.slots = nil
@@ -90,8 +94,8 @@ func (d *Directory) RestoreState(s DirectoryState) {
 	d.scratch = nil
 	d.prunedBuf = nil
 	for _, ws := range s.Words {
-		d.words[ws.Addr] = int32(len(d.states))
 		d.states = append(d.states, wordStateFrom(ws))
+		d.words.set(ws.Addr, int32(len(d.states)))
 	}
 	for _, ts := range s.Tasks {
 		m := d.marks(ts.Task)

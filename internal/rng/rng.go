@@ -31,6 +31,13 @@ func splitmix64(state *uint64) uint64 {
 // streams for any practical purpose.
 func New(seed uint64) *Source {
 	var r Source
+	r.Seed(seed)
+	return &r
+}
+
+// Seed resets r to the stream New(seed) returns. It lets hot callers keep a
+// Source on the stack instead of allocating one per stream.
+func (r *Source) Seed(seed uint64) {
 	st := seed
 	for i := range r.s {
 		r.s[i] = splitmix64(&st)
@@ -42,7 +49,6 @@ func New(seed uint64) *Source {
 	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
 		r.s[0] = 0x9e3779b97f4a7c15
 	}
-	return &r
 }
 
 // Split derives a new independent Source from r. The derived stream is a

@@ -1,7 +1,7 @@
 package workload
 
 import (
-	"slices"
+	"sync"
 
 	"repro/internal/memsys"
 	"repro/internal/rng"
@@ -127,18 +127,32 @@ func (g *Generator) channelAddr(index int) memsys.Addr {
 	return CommBase + memsys.Addr(index%commChannels)*memsys.WordsPerLine
 }
 
-// timed pairs an operation with its fractional position in the task.
+// timed pairs an operation with its fractional position in the task. Its
+// index in the construction sequence (seq) is implicit: ops are appended in
+// seq order and every reordering pass below is stable.
 type timed struct {
 	pos  float64
-	seq  int
 	kind OpKind
 	addr memsys.Addr
 }
 
+// taskScratch is the per-call working memory of Task, recycled through
+// scratchPool so that concurrent callers (the parallel core's prefetch
+// workers) never share it and the Generator stays immutable.
+type taskScratch struct {
+	mem     []timed
+	sorted  []timed
+	written []memsys.Addr
+	counts  []int32
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(taskScratch) }}
+
 // LengthMultiplier returns the deterministic task-length multiplier of task
 // index (mean ~1). It is exposed so tests can verify the imbalance model.
 func (g *Generator) LengthMultiplier(index int) float64 {
-	r := rng.New(g.seed ^ 0x1eaf<<32 ^ uint64(index)*0x9e3779b97f4a7c15)
+	var r rng.Source
+	r.Seed(g.seed ^ 0x1eaf<<32 ^ uint64(index)*0x9e3779b97f4a7c15)
 	if g.prof.HeavyTailFrac > 0 && r.Bool(g.prof.HeavyTailFrac) {
 		return r.Pareto(g.prof.HeavyTailMax/4, g.prof.HeavyTailMax, 1.2)
 	}
@@ -155,8 +169,22 @@ func (g *Generator) LengthMultiplier(index int) float64 {
 // lines), re-reads of own data, scattered shared reads, and occasional
 // cross-task communication.
 func (g *Generator) Task(index int, buf []Op) (ops []Op, instr int) {
+	sc := scratchPool.Get().(*taskScratch)
+	defer scratchPool.Put(sc)
+	instr = g.timedOps(index, sc)
+	// Order by (pos, seq) and interleave compute chunks proportional to the
+	// gaps. seq is unique, so the order is total and any correct sort yields
+	// the same stream; bucketing on pos avoids a comparison sort on what
+	// profiling shows is the hottest single call in a full run.
+	return emit(sc.orderByPos(), instr, buf), instr
+}
+
+// timedOps generates the memory operations of task index into sc.mem, in
+// construction (seq) order, and returns the task's instruction count.
+func (g *Generator) timedOps(index int, sc *taskScratch) (instr int) {
 	p := &g.prof
-	r := rng.New(g.seed ^ uint64(index)*0x9e3779b97f4a7c15)
+	var r rng.Source
+	r.Seed(g.seed ^ uint64(index)*0x9e3779b97f4a7c15)
 	mul := g.LengthMultiplier(index)
 	instr = int(float64(p.InstrPerTask) * mul)
 	if instr < 1 {
@@ -164,9 +192,9 @@ func (g *Generator) Task(index int, buf []Op) (ops []Op, instr int) {
 	}
 
 	density := p.WriteDensity
-	var mem []timed
+	mem := sc.mem[:0]
 	add := func(pos float64, kind OpKind, addr memsys.Addr) {
-		mem = append(mem, timed{pos: pos, seq: len(mem), kind: kind, addr: addr})
+		mem = append(mem, timed{pos: pos, kind: kind, addr: addr})
 	}
 
 	// Writes, spread over the first WritePhase of the task. Privatized lines
@@ -180,7 +208,7 @@ func (g *Generator) Task(index int, buf []Op) (ops []Op, instr int) {
 	}
 	uniqueLines := g.privLines + g.uniqueLines - privLines
 	region := memsys.Addr(index%regionPool) * regionStride
-	var written []memsys.Addr
+	written := sc.written[:0]
 	writeLine := func(base memsys.Addr, line, k int) {
 		la := (base + memsys.Addr(line*memsys.WordsPerLine)).Line()
 		for w := 0; w < density; w++ {
@@ -229,24 +257,14 @@ func (g *Generator) Task(index int, buf []Op) (ops []Op, instr int) {
 		add(0.03, OpRead, g.channelAddr(index-delta))
 	}
 
-	// Sort by position (stable by construction sequence) and interleave
-	// compute chunks proportional to the gaps. (pos, seq) is a strict total
-	// order — seq is unique — so the unstable slices sort produces the exact
-	// sequence the reflection-based sort.Slice did, without its closure and
-	// interface costs on what profiling shows is the hottest single call in
-	// a full run.
-	slices.SortFunc(mem, func(a, b timed) int {
-		switch {
-		case a.pos < b.pos:
-			return -1
-		case a.pos > b.pos:
-			return 1
-		default:
-			return a.seq - b.seq
-		}
-	})
+	sc.mem, sc.written = mem, written
+	return instr
+}
 
-	ops = buf[:0]
+// emit interleaves the ordered memory operations with compute chunks
+// proportional to the gaps between their positions, appending into buf.
+func emit(mem []timed, instr int, buf []Op) []Op {
+	ops := buf[:0]
 	emitted := 0
 	prev := 0.0
 	for _, m := range mem {
@@ -261,7 +279,56 @@ func (g *Generator) Task(index int, buf []Op) (ops []Op, instr int) {
 	if rest := instr - emitted; rest > 0 {
 		ops = append(ops, Op{Kind: OpCompute, Instr: rest})
 	}
-	return ops, instr
+	return ops
+}
+
+// orderByPos returns sc.mem ordered by (pos, seq), in sc.sorted. Every pos
+// lies in [0, 1], so a counting pass over n buckets keyed on floor(pos·n)
+// (clamped to n-1: a float sum can round up to 1.0) scatters the ops,
+// keeping seq order inside each bucket. Bucket keys are monotone in pos, so
+// the closing stable insertion pass never moves an op across a bucket
+// boundary and costs no more than the small buckets' squared sizes: it only
+// orders ops sharing a key by pos, and equal pos keeps seq order.
+func (sc *taskScratch) orderByPos() []timed {
+	mem := sc.mem
+	n := len(mem)
+	if cap(sc.counts) < n+1 {
+		sc.counts = make([]int32, n+1)
+	}
+	counts := sc.counts[:n+1]
+	clear(counts)
+	key := func(pos float64) int {
+		k := int(pos * float64(n))
+		if k >= n {
+			k = n - 1
+		}
+		return k
+	}
+	for i := range mem {
+		counts[key(mem[i].pos)+1]++
+	}
+	for k := 1; k <= n; k++ {
+		counts[k] += counts[k-1]
+	}
+	if cap(sc.sorted) < n {
+		sc.sorted = make([]timed, n)
+	}
+	out := sc.sorted[:n]
+	for i := range mem {
+		k := key(mem[i].pos)
+		out[counts[k]] = mem[i]
+		counts[k]++
+	}
+	for i := 1; i < n; i++ {
+		m := out[i]
+		j := i
+		for j > 0 && m.pos < out[j-1].pos {
+			out[j] = out[j-1]
+			j--
+		}
+		out[j] = m
+	}
+	return out
 }
 
 // SequentialOrderOracle returns, for testing, the producer task index that

@@ -1,0 +1,7 @@
+//go:build race
+
+package workload
+
+// raceEnabled reports a -race build, where sync.Pool drops items at random
+// and allocation counts of pooled paths mean nothing.
+const raceEnabled = true
