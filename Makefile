@@ -1,8 +1,8 @@
 GO ?= go
 
 # BENCH is the checked-in benchmark-baseline document; override to cut or
-# gate against a different one (make bench BENCH=BENCH_14.json).
-BENCH ?= BENCH_13.json
+# gate against a different one (make bench BENCH=BENCH_15.json).
+BENCH ?= BENCH_14.json
 
 .PHONY: build test fmt vet race race-short chaos cluster cluster-chaos fsck-drill verify report bench bench-baseline trace fleet-trace
 
@@ -29,8 +29,9 @@ race:
 	$(GO) test -race ./internal/exp ./internal/report ./internal/sim
 
 # race-short runs the whole module under the race detector in short mode —
-# the CI job that guards the parallel simulation core (sharded queue,
-# prefetch workers, cluster sleep seams) without full-grid runtimes.
+# the CI job that guards the parallel simulation core (prefetch workers and
+# their recycled stream buffers) and the cluster sleep seams without
+# full-grid runtimes.
 race-short:
 	$(GO) test -race -short ./...
 
@@ -100,4 +101,4 @@ bench:
 # performance change (run on a quiet machine, then commit $(BENCH)).
 bench-baseline:
 	$(GO) run ./cmd/tlsbench -baseline $(BENCH) -out \
-		-note "baseline after sort-free task-stream generation and the paged version-directory index; previous baseline BENCH_3.json (sim/full-run 145 ms/op 37.6k allocs/op at the hot-path allocation overhaul)"
+		-note "baseline after parallel mode became the serial event heap plus a prefetcher that recycles its stream buffers; sim/full-run-parallel fell from 72.0 MB/op to 32.1 MB/op; previous baseline BENCH_13.json"

@@ -11,7 +11,7 @@
 //	tlsbench -compare                 # run and gate against the baseline
 //	tlsbench -baseline BENCH_4.json -out   # cut the next baseline
 //
-// The baseline lives at -baseline (default BENCH_13.json, the checked-in
+// The baseline lives at -baseline (default BENCH_14.json, the checked-in
 // document); -out and -compare write and read that path, so cutting a new
 // baseline is a flag change, not a code edit.
 //
@@ -265,11 +265,11 @@ func printParallelSpeedup(ms []Measurement) {
 	}
 }
 
-// parallelLaneStats runs the parallel benchmark workload once outside the
-// timing harness and returns the PDES diagnostic counters, so a parallel
-// slowdown in the numbers above is localizable (stalling windows vs. lane
-// imbalance vs. prefetch misses) straight from tlsbench output.
-func parallelLaneStats() sim.ParallelStats {
+// parallelPrefetchStats runs the parallel benchmark workload once outside
+// the timing harness and returns the prefetcher's counters, so a parallel
+// slowdown in the numbers above is attributable to prefetch misses (or
+// not) straight from tlsbench output.
+func parallelPrefetchStats() sim.ParallelStats {
 	prof := repro.Bdna().Scale(0.25, 0.25, 0.25)
 	s := repro.NewSimulator(repro.NUMA16(), repro.MultiTMVLazy, prof, 1)
 	s.SetParallel(runtime.GOMAXPROCS(0))
@@ -277,45 +277,25 @@ func parallelLaneStats() sim.ParallelStats {
 	return s.ParallelStats()
 }
 
-func printLaneStats(st sim.ParallelStats) {
-	if st.Windows == 0 {
+func printPrefetchStats(st sim.ParallelStats) {
+	taken := st.PrefetchHits + st.PrefetchMisses
+	if taken == 0 {
 		return
 	}
-	minF, maxF := st.LaneFired[0], st.LaneFired[0]
-	maxHi := 0
-	for i := range st.LaneFired {
-		if st.LaneFired[i] < minF {
-			minF = st.LaneFired[i]
-		}
-		if st.LaneFired[i] > maxF {
-			maxF = st.LaneFired[i]
-		}
-		if st.LaneHighWater[i] > maxHi {
-			maxHi = st.LaneHighWater[i]
-		}
-	}
-	hitRate := 0.0
-	if st.PrefetchHits+st.PrefetchMisses > 0 {
-		hitRate = 100 * float64(st.PrefetchHits) / float64(st.PrefetchHits+st.PrefetchMisses)
-	}
-	fmt.Printf("pdes lanes: %d lanes, window %d cycles, %d windows (%.1f%% stalled ≤1 event)\n",
-		len(st.LaneFired), st.WindowWidth, st.Windows,
-		100*float64(st.StallWindows)/float64(st.Windows))
-	fmt.Printf("pdes lanes: fired min %d / max %d per lane, peak lane occupancy %d, %d compactions\n",
-		minF, maxF, maxHi, st.Compactions)
-	fmt.Printf("pdes prefetch: %.1f%% hit (%d hit / %d miss), peak queue depth %d\n",
-		hitRate, st.PrefetchHits, st.PrefetchMisses, st.PrefetchDepthHighWater)
+	fmt.Printf("prefetch: %.1f%% hit (%d hit / %d miss), peak depth %d\n",
+		100*float64(st.PrefetchHits)/float64(taken), st.PrefetchHits, st.PrefetchMisses,
+		st.PrefetchDepthHighWater)
 }
 
 // HistoryRecord is one tlsbench run appended to the -history JSONL trend
 // file: everything a later plot needs to chart this host's performance over
-// time, including the PDES lane diagnostics of the parallel core.
+// time, including the prefetcher counters of the parallel core.
 type HistoryRecord struct {
 	Unix       int64             `json:"unix"`
 	Go         string            `json:"go"`
 	MaxProcs   int               `json:"maxprocs"`
 	Benchmarks []Measurement     `json:"benchmarks"`
-	PDES       sim.ParallelStats `json:"pdes"`
+	Prefetch   sim.ParallelStats `json:"prefetch"`
 }
 
 // appendHistory appends rec as one JSONL line through the iofault
@@ -416,12 +396,12 @@ func compare(baseline Baseline, cur []Measurement, band float64) int {
 
 func main() {
 	var (
-		basePath = flag.String("baseline", "BENCH_13.json", "path of the JSON benchmark baseline (-out writes it, -compare reads it)")
+		basePath = flag.String("baseline", "BENCH_14.json", "path of the JSON benchmark baseline (-out writes it, -compare reads it)")
 		out      = flag.Bool("out", false, "write measurements to the -baseline file")
 		against  = flag.Bool("compare", false, "compare against the -baseline file; exit 1 outside the band")
 		band     = flag.Float64("band", 0.30, "guard band for the allocs/op comparison")
 		note     = flag.String("note", "", "note stored in the baseline file")
-		history  = flag.String("history", "", "append this run (timestamped, with PDES lane stats) to this JSONL trend file")
+		history  = flag.String("history", "", "append this run (timestamped, with the parallel-core prefetch stats) to this JSONL trend file")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the benchmark run to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file at exit")
 	)
@@ -435,8 +415,8 @@ func main() {
 	defer stopProf()
 
 	cur := measure()
-	lanes := parallelLaneStats()
-	printLaneStats(lanes)
+	prefetch := parallelPrefetchStats()
+	printPrefetchStats(prefetch)
 
 	// Trend line: printed whenever the baseline is readable, gating or not.
 	if data, err := os.ReadFile(*basePath); err == nil {
@@ -452,7 +432,7 @@ func main() {
 			Go:         runtime.Version(),
 			MaxProcs:   runtime.GOMAXPROCS(0),
 			Benchmarks: cur,
-			PDES:       lanes,
+			Prefetch:   prefetch,
 		}
 		if err := appendHistory(*history, rec); err != nil {
 			fmt.Fprintf(os.Stderr, "tlsbench: history: %v\n", err)

@@ -37,8 +37,7 @@ const compactMinHeap = 64
 type Event struct {
 	when     Time
 	seq      uint64
-	index    int   // heap index; -1 when not queued
-	lane     int32 // owning shard of a ShardedQueue; always 0 in a Queue
+	index    int // heap index; -1 when not queued
 	canceled bool
 	fn       func(now Time)
 	next     *Event // free-list link while recycled

@@ -94,28 +94,7 @@ func (c *Config) Topology() interconnect.Topology { return c.topo }
 
 // NewNetwork instantiates a fresh contention model for one simulation run.
 func (c *Config) NewNetwork() *interconnect.Network {
-	n := interconnect.NewNetwork(c.topo, c.Banks, c.MsgOccupancy, c.BankOccupancy)
-	n.SetLookahead(c.Lookahead())
-	return n
-}
-
-// Lookahead returns the machine's conservative-PDES lookahead: the minimum
-// positive latency of any interaction that crosses nodes (commit-token
-// passes, squash notifications, remote cache and memory round trips). No
-// processor can be affected by another sooner than this, so a parallel
-// simulator may advance a synchronization window of this width safely. The
-// floor of 1 keeps degenerate configs (everything zero) progressing.
-func (c *Config) Lookahead() event.Time {
-	min := event.Time(0)
-	for _, d := range []event.Time{c.TokenPass, c.SquashMsg, c.LatCacheRemote, c.LatMemRemote} {
-		if d > 0 && (min == 0 || d < min) {
-			min = d
-		}
-	}
-	if min == 0 {
-		return 1
-	}
-	return min
+	return interconnect.NewNetwork(c.topo, c.Banks, c.MsgOccupancy, c.BankOccupancy)
 }
 
 // LatMemory returns the round-trip latency for node proc reaching the

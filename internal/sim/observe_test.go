@@ -98,17 +98,21 @@ func TestObserverEffectFreedomParallel(t *testing.T) {
 					t.Errorf("%s/%v -parallel %d: observed+traced parallel run diverged from obs-off serial run",
 						prof.Name, scheme, workers)
 				}
+				// Every dispatch and re-dispatch takes its stream from the
+				// prefetcher exactly once, and each one is a TraceStart.
 				st := parSim.ParallelStats()
-				if st.Windows == 0 {
-					t.Errorf("%s/%v -parallel %d: no conservative windows counted", prof.Name, scheme, workers)
+				var starts uint64
+				for _, e := range got.Trace {
+					if e.Kind == TraceStart {
+						starts++
+					}
 				}
-				var laneTotal uint64
-				for _, n := range st.LaneFired {
-					laneTotal += n
+				if taken := st.PrefetchHits + st.PrefetchMisses; taken != starts {
+					t.Errorf("%s/%v -parallel %d: prefetcher served %d streams, trace has %d task starts",
+						prof.Name, scheme, workers, taken, starts)
 				}
-				if laneTotal != got.Events {
-					t.Errorf("%s/%v -parallel %d: lanes fired %d events, result says %d",
-						prof.Name, scheme, workers, laneTotal, got.Events)
+				if st.PrefetchHits == 0 {
+					t.Errorf("%s/%v -parallel %d: no prefetch hits", prof.Name, scheme, workers)
 				}
 			}
 		}

@@ -3,220 +3,93 @@ package sim
 import (
 	"sync"
 
-	"repro/internal/event"
-	"repro/internal/ids"
 	"repro/internal/workload"
 )
 
 // Parallel simulation mode (DESIGN.md §15).
 //
-// The pending event set is sharded into per-node lanes (event.ShardedQueue,
-// one lane per simulated processor: continuations live on their processor's
-// lane, the commit-done event on the committing task's lane) and the run
-// advances in conservative synchronization windows whose width is the
-// machine's interconnect lookahead — the minimum latency of any cross-node
-// interaction. Within a window, events are applied in the same canonical
-// (cycle, seq) order as the serial loop: the model's zero-lookahead
-// couplings (a squash rolls back every successor processor at the same
-// cycle; directory words, bank occupancies and the dispatch cursor are
-// shared) make concurrent event-callback execution impossible to keep
-// bit-identical, so determinism is preserved by construction and the
-// parallelism is extracted from the run's dominant pure computation
-// instead: workload stream generation (~a third of a full run's CPU), which
-// the prefetcher below pipelines onto N worker goroutines ahead of the
-// dispatch cursor. Results are reflect.DeepEqual-identical to the serial
-// loop for every workload, scheme, and fault plan.
+// Parallel mode runs the same serial event queue as the default mode: the
+// model's zero-lookahead couplings (a squash rolls back every successor
+// processor at the same cycle; directory words, bank occupancies and the
+// dispatch cursor are shared) make concurrent event-callback execution
+// impossible to keep bit-identical, so every callback applies on the
+// simulation goroutine in canonical (cycle, seq) order. The parallelism is
+// extracted from the run's dominant pure computation instead: workload
+// stream generation, which the prefetcher below pipelines onto N worker
+// goroutines ahead of the dispatch cursor. Results are
+// reflect.DeepEqual-identical to the serial loop for every workload,
+// scheme, and fault plan.
 
 // ConcurrentWorkload is implemented by workloads whose Task method is safe
 // to call from multiple goroutines at once. Both workload.Generator and
 // workload.Trace qualify; the prefetcher stays off for workloads that
-// don't, and parallel mode then degrades to the sharded-merge loop alone.
+// don't, and parallel mode then runs exactly like the serial loop.
 type ConcurrentWorkload interface {
 	ConcurrentTaskSafe() bool
 }
 
-// SetParallel selects the parallel simulation mode with n worker
-// goroutines. n <= 1 selects the serial loop (the default). It must be
-// called before Run and before Restore: the mode decides which queue the
-// restored events land in.
+// SetParallel selects the parallel simulation mode with n prefetch
+// workers. n <= 1 selects the serial loop (the default). It must be called
+// before Run and before Restore. The workers live only for the duration of
+// Run.
 func (s *Simulator) SetParallel(n int) {
 	if s.started {
 		panic("sim: SetParallel after Run or Restore")
 	}
 	if n <= 1 {
-		s.sq = nil
-		s.pf = nil
-		s.parN = 0
-		return
+		n = 0
 	}
 	s.parN = n
-	s.sq = event.NewSharded(s.cfg.Procs)
-	s.window = s.net.Lookahead()
-	if s.window < 1 {
-		s.window = 1
-	}
-	if cw, ok := s.gen.(ConcurrentWorkload); ok && cw.ConcurrentTaskSafe() {
-		s.pf = newPrefetcher(s.gen, n, s.total)
-	}
 }
 
 // Parallel returns the worker count selected by SetParallel (0 = serial).
 func (s *Simulator) Parallel() int { return s.parN }
 
-// runParallel is the parallel-mode counterpart of the serial
-// s.q.Run(eventLimit): it advances the sharded queue window by window. Each
-// iteration reads the global safe floor (the earliest pending event on any
-// lane), points the prefetcher at the dispatch cursor so streams for
-// soon-to-start tasks are being generated while this window's events apply,
-// and fires everything within one lookahead of the floor. Like the serial
-// loop it drains the queue completely — post-completion no-op continuations
-// count in Result.Events in both modes.
-func (s *Simulator) runParallel() uint64 {
-	if s.pf != nil {
-		defer s.pf.close()
+// startPrefetch starts the prefetch workers for one Run when parallel mode
+// is on and the workload allows concurrent Task calls, aimed at the
+// dispatch cursor. The caller closes s.pf when Run ends.
+func (s *Simulator) startPrefetch() bool {
+	if s.parN == 0 {
+		return false
 	}
-	var fired uint64
-	for fired < eventLimit {
-		head, ok := s.sq.MinFrontier()
-		if !ok {
-			break
-		}
-		if s.pf != nil && !s.done {
-			s.pf.aim(s.next)
-		}
-		n := s.sq.RunWindow(head+s.window, eventLimit-fired)
-		fired += n
-		s.parWindows++
-		if n <= 1 {
-			// A window that fires at most one event paid a full merge-loop
-			// round (frontier scan + window setup) for no batching: the
-			// conservative window stalled on the lookahead bound.
-			s.parStalls++
-		}
+	if cw, ok := s.gen.(ConcurrentWorkload); !ok || !cw.ConcurrentTaskSafe() {
+		return false
 	}
-	return fired
+	s.pf = newPrefetcher(s.gen, s.parN, s.total)
+	s.pf.aim(s.next)
+	return true
 }
 
-// ParallelStats is the diagnostic counter set of one parallel-mode run: how
-// the conservative windows batched, how evenly the lanes fired, and how the
-// workload prefetcher kept ahead of the dispatch cursor. It is pure
-// observability — none of these counters feed back into the simulation, and
-// none are part of Result — surfaced so tlsbench output can localize a
-// parallel-mode slowdown (stalling windows vs. lane imbalance vs. prefetch
-// misses) without a profiler. Zero-valued for serial runs.
+// ParallelStats is the diagnostic counter set of one parallel-mode run:
+// how the workload prefetcher kept ahead of the dispatch cursor. It is pure
+// observability — none of these counters feed back into the simulation,
+// and none are part of Result. Zero-valued for serial runs.
 type ParallelStats struct {
-	Workers     int        `json:"workers"`
-	WindowWidth event.Time `json:"window_width"`
-	// Windows is the number of conservative synchronization windows the
-	// merge loop ran; StallWindows counts those that fired ≤1 event — rounds
-	// whose frontier-scan overhead bought no batching.
-	Windows      uint64 `json:"windows"`
-	StallWindows uint64 `json:"stall_windows"`
-	// LaneFired and LaneHighWater are per-lane (per simulated processor)
-	// totals: events fired from the lane and its peak pending occupancy.
-	LaneFired     []uint64 `json:"lane_fired,omitempty"`
-	LaneHighWater []int    `json:"lane_high_water,omitempty"`
-	Compactions   uint64   `json:"compactions"`
+	Workers int `json:"workers"`
 	// Prefetcher effectiveness: a hit is a dispatch whose stream a worker
-	// pregenerated, a miss computed inline on the merge goroutine.
+	// pregenerated, a miss computed inline on the simulation goroutine.
+	// Every dispatch and re-dispatch counts exactly once.
 	PrefetchHits           uint64 `json:"prefetch_hits"`
 	PrefetchMisses         uint64 `json:"prefetch_misses"`
 	PrefetchDepthHighWater int    `json:"prefetch_depth_high_water"`
+	// Windows and StallWindows are always zero. They counted the
+	// synchronization windows of an event loop that no longer exists and
+	// stay only so existing readers of these fields keep compiling.
+	Windows      uint64 `json:"windows"`
+	StallWindows uint64 `json:"stall_windows"`
 }
 
 // ParallelStats snapshots the parallel-mode counters. Call after Run; the
 // zero value is returned for serial runs.
 func (s *Simulator) ParallelStats() ParallelStats {
-	if s.parN == 0 || s.sq == nil {
+	if s.parN == 0 {
 		return ParallelStats{}
 	}
-	st := ParallelStats{
-		Workers:      s.parN,
-		WindowWidth:  s.window,
-		Windows:      s.parWindows,
-		StallWindows: s.parStalls,
-		Compactions:  s.sq.Compactions(),
-	}
-	st.LaneFired = make([]uint64, s.sq.Domains())
-	st.LaneHighWater = make([]int, s.sq.Domains())
-	for i := 0; i < s.sq.Domains(); i++ {
-		st.LaneFired[i] = s.sq.LaneFired(i)
-		st.LaneHighWater[i] = s.sq.LaneHighWater(i)
-	}
+	st := ParallelStats{Workers: s.parN}
 	if s.pf != nil {
 		st.PrefetchHits, st.PrefetchMisses, st.PrefetchDepthHighWater = s.pf.stats()
 	}
 	return st
-}
-
-// The q* helpers below are the queue facade: every scheduling and
-// bookkeeping touch of the event queue goes through them, branching on the
-// mode. The domain argument is the processor whose lane owns the event;
-// the serial queue ignores it.
-
-func (s *Simulator) qAt(domain ids.ProcID, at event.Time, fn func(event.Time)) event.Handle {
-	if s.sq != nil {
-		return s.sq.At(int(domain), at, fn)
-	}
-	return s.q.At(at, fn)
-}
-
-func (s *Simulator) qScheduleAt(domain ids.ProcID, when event.Time, seq uint64, fn func(event.Time)) event.Handle {
-	if s.sq != nil {
-		return s.sq.ScheduleAt(int(domain), when, seq, fn)
-	}
-	return s.q.ScheduleAt(when, seq, fn)
-}
-
-func (s *Simulator) qNow() event.Time {
-	if s.sq != nil {
-		return s.sq.Now()
-	}
-	return s.q.Now()
-}
-
-func (s *Simulator) qLen() int {
-	if s.sq != nil {
-		return s.sq.Len()
-	}
-	return s.q.Len()
-}
-
-func (s *Simulator) qFired() uint64 {
-	if s.sq != nil {
-		return s.sq.Fired()
-	}
-	return s.q.Fired()
-}
-
-func (s *Simulator) qNextSeq() uint64 {
-	if s.sq != nil {
-		return s.sq.NextSeq()
-	}
-	return s.q.NextSeq()
-}
-
-func (s *Simulator) qCompactions() uint64 {
-	if s.sq != nil {
-		return s.sq.Compactions()
-	}
-	return s.q.Compactions()
-}
-
-func (s *Simulator) qHalt() {
-	if s.sq != nil {
-		s.sq.Halt()
-		return
-	}
-	s.q.Halt()
-}
-
-func (s *Simulator) qRestoreClock(now event.Time, nextSq, fired, compactions uint64) {
-	if s.sq != nil {
-		s.sq.RestoreClock(now, nextSq, fired, compactions)
-		return
-	}
-	s.q.RestoreClock(now, nextSq, fired, compactions)
 }
 
 // prefetcher pregenerates workload operation streams on worker goroutines.
@@ -226,6 +99,11 @@ func (s *Simulator) qRestoreClock(now event.Time, nextSq, fired, compactions uin
 // the entry if the worker hasn't finished, or computing inline on a miss.
 // The prefetcher can only change WHERE a stream is computed, never what it
 // contains, so parallel results stay identical to serial.
+//
+// Stream buffers are recycled like the serial loop's per-processor buffer:
+// take receives the dispatching processor's previous stream, whose task
+// no longer runs, and parks it on the free list, from which the next Task
+// call — on a worker or inline — draws its buf.
 type prefetcher struct {
 	gen   Workload
 	total int
@@ -233,6 +111,7 @@ type prefetcher struct {
 
 	mu      sync.Mutex
 	entries map[int]*pfEntry // in-flight and ready streams, by task index
+	free    [][]workload.Op  // recycled stream buffers
 	closed  bool
 
 	// Diagnostic counters for ParallelStats: hits/misses tally take()
@@ -279,9 +158,24 @@ func newPrefetcher(gen Workload, workers, total int) *prefetcher {
 func (pf *prefetcher) worker() {
 	defer pf.wg.Done()
 	for it := range pf.work {
-		it.e.ops, _ = pf.gen.Task(it.idx, nil)
+		it.e.ops = pf.generate(it.idx)
 		close(it.e.done)
 	}
+}
+
+// generate computes task idx's stream into a buffer from the free list (a
+// fresh allocation when the list is empty).
+func (pf *prefetcher) generate(idx int) []workload.Op {
+	var buf []workload.Op
+	pf.mu.Lock()
+	if n := len(pf.free); n > 0 {
+		buf = pf.free[n-1]
+		pf.free[n-1] = nil
+		pf.free = pf.free[:n-1]
+	}
+	pf.mu.Unlock()
+	ops, _ := pf.gen.Task(idx, buf)
+	return ops
 }
 
 // aim requests the streams of the next tasks the dispatcher will hand out:
@@ -338,22 +232,24 @@ func (pf *prefetcher) enqueueLocked(idx int) bool {
 
 // take returns task idx's operation stream, waiting for the worker if the
 // pregeneration is still in flight and computing inline when the index was
-// never requested. Called only from the simulation goroutine.
-func (pf *prefetcher) take(idx int) []workload.Op {
+// never requested. prev is the dispatching processor's previous stream,
+// which no running task uses any more; it goes on the free list. Called
+// only from the simulation goroutine.
+func (pf *prefetcher) take(idx int, prev []workload.Op) []workload.Op {
 	pf.mu.Lock()
+	if cap(prev) > 0 {
+		pf.free = append(pf.free, prev[:0])
+	}
 	e := pf.entries[idx]
 	if e != nil {
 		delete(pf.entries, idx)
-	}
-	if e == nil {
-		pf.misses++
-	} else {
 		pf.hits++
+	} else {
+		pf.misses++
 	}
 	pf.mu.Unlock()
 	if e == nil {
-		ops, _ := pf.gen.Task(idx, nil)
-		return ops
+		return pf.generate(idx)
 	}
 	<-e.done
 	return e.ops

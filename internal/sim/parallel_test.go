@@ -7,11 +7,12 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/machine"
+	"repro/internal/memsys"
 	"repro/internal/workload"
 )
 
-// runParallelN builds and runs one simulation in parallel mode.
-func runParallelN(mach *machine.Config, sch core.Scheme, p workload.Profile, seed uint64, n int) Result {
+// runWithWorkers builds and runs one simulation in parallel mode.
+func runWithWorkers(mach *machine.Config, sch core.Scheme, p workload.Profile, seed uint64, n int) Result {
 	s := New(mach, sch, workload.NewGenerator(p, seed))
 	s.SetParallel(n)
 	return s.Run()
@@ -20,7 +21,7 @@ func runParallelN(mach *machine.Config, sch core.Scheme, p workload.Profile, see
 // The tentpole acceptance test: for every app × scheme, the parallel loop
 // at every worker count — including 1, which must select the serial code
 // path — produces a Result deeply identical to the serial loop, on both
-// machine families (different topologies, hence different lookaheads).
+// machine families.
 func TestParallelMatchesSerialGrid(t *testing.T) {
 	machines := []*machine.Config{machine.NUMA16(), machine.CMP8()}
 	apps := workload.Apps()
@@ -36,7 +37,7 @@ func TestParallelMatchesSerialGrid(t *testing.T) {
 			for _, sch := range schemes {
 				serial := Run(mach, sch, p, 99)
 				for _, n := range []int{1, 2, 8} {
-					got := runParallelN(mach, sch, p, 99, n)
+					got := runWithWorkers(mach, sch, p, 99, n)
 					if !reflect.DeepEqual(serial, got) {
 						t.Errorf("%s/%v/%s parallel=%d: result differs from serial (%d vs %d cycles, %d vs %d events)",
 							mach.Name, sch, p.Name, n, got.ExecCycles, serial.ExecCycles, got.Events, serial.Events)
@@ -112,8 +113,8 @@ func TestParallelCheckpointCrossModeRestore(t *testing.T) {
 	}
 }
 
-// The sequential baseline (one processor, one lane) runs in parallel mode
-// too — the degenerate machine must not trip the sharded loop.
+// The sequential baseline (one processor) runs in parallel mode too — the
+// degenerate machine must not trip the prefetcher.
 func TestParallelSequentialBaseline(t *testing.T) {
 	mach := machine.NUMA16()
 	p := workload.Tree().Scale(0.1, 0.1, 0.25)
@@ -159,6 +160,53 @@ func TestParallelInterruptResume(t *testing.T) {
 	}
 	if got := resumed.Run(); !reflect.DeepEqual(golden, got) {
 		t.Errorf("parallel interrupt-resume differs from uninterrupted serial run")
+	}
+}
+
+// A workload.Trace returns streams it owns, so recycling the processors'
+// previous streams through the prefetcher must never write into them: a
+// parallel run of a squashing trace matches the serial run and leaves the
+// stored streams untouched.
+func TestParallelTraceMatchesSerial(t *testing.T) {
+	const n = 64
+	base := memsys.Addr(1 << 16)
+	var streams [][]workload.Op
+	for i := 0; i < n; i++ {
+		var b workload.TraceBuilder
+		if i%4 != 0 {
+			// Task i reads task i-1's word early: out-of-order RAWs squash.
+			b.Read(base + memsys.Addr(i-1)*memsys.WordsPerLine)
+		}
+		b.Compute(500 + 37*(i%7))
+		for k := 0; k < i%5; k++ {
+			b.Read(base + memsys.Addr(n+i*8+k)*memsys.WordsPerLine).Compute(20)
+		}
+		b.Write(base + memsys.Addr(i)*memsys.WordsPerLine)
+		streams = append(streams, b.Ops())
+	}
+	tr := workload.NewTrace("recycle", streams, 0)
+	stored := make([][]workload.Op, n)
+	for i := range stored {
+		ops, _ := tr.Task(i, nil)
+		stored[i] = append([]workload.Op(nil), ops...)
+	}
+	for _, sch := range []core.Scheme{core.MultiTMVLazy, core.MultiTMVFMM, core.SingleTEager} {
+		serial := New(machine.NUMA16(), sch, tr).Run()
+		if serial.SquashEvents == 0 {
+			t.Fatalf("%v: the trace squashed nothing; the test is vacuous", sch)
+		}
+		for _, workers := range []int{2, 8} {
+			s := New(machine.NUMA16(), sch, tr)
+			s.SetParallel(workers)
+			if got := s.Run(); !reflect.DeepEqual(serial, got) {
+				t.Errorf("%v -parallel %d: trace result differs from serial", sch, workers)
+			}
+		}
+	}
+	for i := range stored {
+		if ops, _ := tr.Task(i, nil); !reflect.DeepEqual(stored[i], ops) {
+			t.Fatalf("task %d: the run wrote into the trace's stored stream", i)
+		}
 	}
 }
 

@@ -101,7 +101,7 @@ func (s *Simulator) collect() Result {
 		App:        s.gen.Name(),
 		Scheme:     s.scheme,
 		ExecCycles: s.endTime,
-		Events:     s.qFired(),
+		Events:     s.q.Fired(),
 
 		Tasks:         s.total,
 		Commits:       s.commits,

@@ -38,7 +38,10 @@ type Workload interface {
 	// (0 = a single invocation).
 	TasksPerInvocation() int
 	// Task returns task index's operation stream (appending into buf) and
-	// its total instruction count.
+	// its total instruction count. The simulator passes back as buf a slice
+	// that Task returned earlier, once no task runs on it any more, so a
+	// Task that returns storage it owns must ignore buf (as workload.Trace
+	// does) rather than append into it.
 	Task(index int, buf []workload.Op) (ops []workload.Op, instr int)
 }
 
@@ -58,14 +61,11 @@ type Simulator struct {
 
 	q event.Queue
 
-	// Parallel mode (see parallel.go): when sq is non-nil the run uses the
-	// per-node sharded queue and the conservative-window loop instead of q;
-	// pf pregenerates workload streams on parN worker goroutines; window is
-	// the synchronization horizon (the interconnect lookahead).
-	sq     *event.ShardedQueue
-	pf     *prefetcher
-	window event.Time
-	parN   int
+	// Parallel mode (see parallel.go): parN is the prefetch worker count
+	// (0 = serial); pf, started by Run in parallel mode and closed when Run
+	// returns, pregenerates workload streams ahead of the dispatch cursor.
+	pf   *prefetcher
+	parN int
 
 	dir   *coherence.Directory
 	mem   *memsys.Memory
@@ -126,8 +126,6 @@ type Simulator struct {
 	flight          [flightRingSize]FlightEntry
 	flightNext      int
 	flightSeen      uint64
-	parWindows      uint64
-	parStalls       uint64
 	lineGranularity bool
 	orbCommit       bool
 	forceMTID       bool
@@ -200,7 +198,7 @@ func (s *Simulator) schedule(p *processor, at event.Time) {
 		return
 	}
 	p.scheduled = true
-	p.contHandle = s.qAt(p.id, at, p.cont)
+	p.contHandle = s.q.At(at, p.cont)
 }
 
 // Run executes the section to completion and returns the results. On a
@@ -215,14 +213,12 @@ func (s *Simulator) Run() Result {
 			s.schedule(p, 0)
 		}
 	}
+	if s.startPrefetch() {
+		defer s.pf.close()
+	}
 	// Run(limit) with limit > 0 is a budget: a return value equal to the
 	// limit means the budget was exhausted, not that the queue drained.
-	var fired uint64
-	if s.sq != nil {
-		fired = s.runParallel()
-	} else {
-		fired = s.q.Run(eventLimit)
-	}
+	fired := s.q.Run(eventLimit)
 	if s.halted {
 		return Result{}
 	}
@@ -232,7 +228,7 @@ func (s *Simulator) Run() Result {
 			reason = "hit the event limit (livelock?)"
 		}
 		panic(fmt.Sprintf("sim: %s/%v/%s %s: %d tasks committed of %d, %d events fired",
-			s.cfg.Name, s.scheme, s.gen.Name(), reason, s.commits, s.total, s.qFired()))
+			s.cfg.Name, s.scheme, s.gen.Name(), reason, s.commits, s.total, s.q.Fired()))
 	}
 	return s.collect()
 }
@@ -339,6 +335,9 @@ func (s *Simulator) nextTask(p *processor) bool {
 	}
 	idx := s.next
 	s.next++
+	if s.pf != nil {
+		s.pf.aim(s.next)
+	}
 	t := &task{id: ids.TaskID(idx + 1), index: idx, proc: p.id}
 	s.taskProc[idx] = p.id
 	s.tasks[t.id] = t
@@ -353,15 +352,15 @@ func (s *Simulator) nextTask(p *processor) bool {
 // it, charging the dynamic scheduling overhead.
 func (s *Simulator) startTask(p *processor, t *task, redo bool) {
 	t.reset()
+	// p.opBuf held p's previous stream, whose task no longer runs: the
+	// serial loop regenerates into it, parallel mode recycles it through
+	// the prefetcher's free list.
 	if s.pf != nil {
-		// Parallel mode: the stream was pregenerated by a prefetch worker (or
-		// is computed inline on a miss). Per-processor buffer reuse is off —
-		// the streams live in worker-owned allocations.
-		t.ops = s.pf.take(t.index)
+		t.ops = s.pf.take(t.index, p.opBuf)
 	} else {
 		t.ops, _ = s.gen.Task(t.index, p.opBuf)
-		p.opBuf = t.ops[:0]
 	}
+	p.opBuf = t.ops[:0]
 	t.startedAt = p.lastTime
 	p.cur = t
 	if !redo {

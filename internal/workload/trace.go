@@ -75,9 +75,8 @@ func (t *Trace) Task(index int, buf []Op) ([]Op, int) {
 
 // ConcurrentTaskSafe reports that Task may be called from multiple
 // goroutines at once: the streams are immutable once built and Task only
-// reads them. The returned slices are shared — callers must never recycle
-// them into a scratch buffer — which the parallel simulator respects by
-// disabling per-processor stream-buffer reuse in parallel mode.
+// reads them. The returned slices are shared; the simulator hands them
+// back as buf in both modes, which is safe because Task ignores buf.
 func (t *Trace) ConcurrentTaskSafe() bool { return true }
 
 // TraceBuilder accumulates one task's operations fluently.
