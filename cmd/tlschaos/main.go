@@ -20,29 +20,27 @@
 // <record-file>`) reproduces the run — same injected faults, same invariant
 // report, same cycle count.
 //
-// Long campaigns are crash-safe: with -journal every case is logged to an
-// fsync'd JSONL WAL and in-flight simulations checkpoint on SIGINT/SIGTERM
-// (exit 130); `tlschaos -resume <journal>` skips completed cases and
+// Every case is an exp.Job, run by the same exp.Runner as the other
+// campaign CLIs (or, with -coordinator, by a tlsserve fleet). Long campaigns
+// are therefore crash-safe the same way: with -journal every case is logged
+// to an fsync'd JSONL WAL with its outcome, and in-flight simulations
+// checkpoint on SIGINT/SIGTERM (exit 130); `tlschaos -resume <journal>`
+// serves completed cases from the journal without re-running them and
 // restarts interrupted ones from their latest checkpoint.
 package main
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
-	"path/filepath"
-	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/campaign"
 	"repro/internal/cluster"
 	"repro/internal/cluster/chaosnet"
 	"repro/internal/core"
@@ -51,14 +49,10 @@ import (
 	"repro/internal/iofault"
 	"repro/internal/machine"
 	"repro/internal/obs"
+	"repro/internal/report"
 	"repro/internal/rng"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
-
-// chaosDone / chaosFailed are live campaign counts for the -listen
-// telemetry gauges; runAll's workers bump them as verdicts land.
-var chaosDone, chaosFailed atomic.Int64
 
 // chaosCase is one (seed, scheme) cell of the campaign grid.
 type chaosCase struct {
@@ -123,28 +117,6 @@ type record struct {
 	Replay      string
 }
 
-// campaign bundles the crash-safety machinery threaded through the workers:
-// the cancellation context, the WAL, the checkpoint directory, and the
-// journal-recovered state of a resumed run.
-type campaign struct {
-	ctx     context.Context
-	journal *exp.Journal
-	ckptDir string
-	ckptN   int
-	faults  string             // the -faults selection, part of the case key
-	resume  map[string]string  // case key -> latest checkpoint file
-	done    map[string]outcome // case key -> journaled outcome
-}
-
-// key is the case's stable content hash: the join key between journal
-// records and checkpoint files across processes.
-func (cc *campaign) key(c chaosCase, mach string) string {
-	sum := sha256.Sum256([]byte(fmt.Sprintf("tlschaos|%s|%s|%d|%s", mach, c.Scheme, c.Seed, cc.faults)))
-	return hex.EncodeToString(sum[:])
-}
-
-func caseLabel(c chaosCase) string { return fmt.Sprintf("seed %d %s", c.Seed, c.Scheme) }
-
 func main() {
 	var (
 		seeds    = flag.Uint64("seeds", 50, "campaign seeds (1..N), each crossed with every scheme")
@@ -155,19 +127,11 @@ func main() {
 		faultsF  = flag.String("faults", "recoverable",
 			"comma-separated fault classes: recoverable, spurious-squash, delay-message, force-overflow, stall-commit, flip-tag")
 		timeout  = flag.Duration("case-timeout", 20*time.Second, "per-case watchdog deadline")
-		jobs     = flag.Int("jobs", 0, "parallel cases (0 = GOMAXPROCS)")
 		recordF  = flag.String("record", "tlschaos-failures.json", "write failing cases as JSON here (\"\" disables)")
-		journalF = flag.String("journal", "", "append campaign progress to this JSONL journal (crash recovery via -resume)")
-		resumeF  = flag.String("resume", "", "resume a crashed or interrupted campaign from its journal (implies -journal)")
-		ckptDirF = flag.String("checkpoint-dir", "", "mid-run simulator checkpoint directory (default <journal>.ckpt)")
-		ckptN    = flag.Int("checkpoint-every", 50, "auto-checkpoint cadence in committed tasks (0 = only at interrupts)")
-		listenF  = flag.String("listen", "", "serve live telemetry on this address (/metrics Prometheus text, /progress JSON)")
-		coordF   = flag.String("coordinator", "", "run the campaign on a distributed fleet via this tlsserve URL (journal/checkpoint flags then apply coordinator/worker-side)")
-		rpcT     = flag.Duration("rpc-timeout", 30*time.Second, "total per-RPC deadline against the coordinator")
-		dialT    = flag.Duration("dial-timeout", 5*time.Second, "connection-attempt deadline against the coordinator")
 		chaosNet = flag.String("chaos-net", "", "inject seeded network chaos on the fleet client transport (hostile, campaign, byzantine), composing wire faults with the protocol faults under test")
 		chaosSd  = flag.Uint64("chaos-seed", 1, "seed for the -chaos-net fault plan")
 	)
+	cf := campaign.Register(flag.CommandLine)
 	flag.Parse()
 
 	// -replay takes either a campaign seed or a -record file to re-run.
@@ -198,15 +162,25 @@ func main() {
 	}
 
 	var cases []chaosCase
+	var jobs []exp.Job
 	lo, hi := uint64(1), *seeds
 	if replaySeed != 0 {
 		lo, hi = replaySeed, replaySeed
 	}
 	for seed := lo; seed <= hi; seed++ {
 		for _, sch := range schemes {
-			cases = append(cases, chaosCase{Seed: seed, Scheme: sch})
+			c := chaosCase{Seed: seed, Scheme: sch}
+			cases = append(cases, c)
+			jobs = append(jobs, caseJob(c, cfg, selection))
 		}
 	}
+
+	camp, err := campaign.Open("tlschaos", cf, nil, nil, chaosLog)
+	if err != nil {
+		chaosLog.Error(err.Error())
+		os.Exit(1)
+	}
+	defer camp.Close()
 
 	// Graceful shutdown: first SIGINT/SIGTERM interrupts every in-flight
 	// case (each checkpoints at its next commit and unwinds, exit 130); a
@@ -214,102 +188,56 @@ func main() {
 	sd := exp.NewShutdown(nil)
 	defer sd.Stop()
 
-	if *listenF != "" {
-		// tlschaos runs its own pool (no exp.Runner), so the endpoint is
-		// fed by gauges over the campaign counters.
-		tel := &exp.Telemetry{Name: "tlschaos"}
-		tel.AddGauge("chaos_cases_total", func() float64 { return float64(len(cases)) })
-		tel.AddGauge("chaos_cases_done", func() float64 { return float64(chaosDone.Load()) })
-		tel.AddGauge("chaos_cases_failed", func() float64 { return float64(chaosFailed.Load()) })
-		addr, err := tel.Start(*listenF)
+	// A verdict is final: a case that crashed or hung is reported, never
+	// retried. Completed cases journal their outcome, so a -resume serves
+	// them without re-running.
+	runner := camp.Runner()
+	runner.Retries, runner.JobTimeout = -1, *timeout
+	if camp.Listen != "" {
+		runner.Metrics = new(exp.Metrics)
+		tel, err := camp.Telemetry(runner.Metrics)
 		if err != nil {
-			fatalf("listen: %v", err)
+			chaosLog.Error(err.Error())
+			os.Exit(1)
 		}
 		defer tel.Stop()
-		chaosLog.Info("telemetry serving", "url", "http://"+addr+"/metrics")
-	}
-
-	journalPath := *journalF
-	if *resumeF != "" {
-		journalPath = *resumeF
-	}
-	if *coordF != "" && journalPath != "" {
-		fmt.Fprintln(os.Stderr, "tlschaos: -coordinator set; journaling is coordinator-side, ignoring -journal/-resume")
-		journalPath = ""
-	}
-	var cmp *campaign
-	if journalPath != "" {
-		cmp = &campaign{
-			ctx: sd.Context(), ckptN: *ckptN, faults: *faultsF,
-			resume: make(map[string]string), done: make(map[string]outcome),
-		}
-		if *resumeF != "" {
-			recs, err := exp.ReadJournal(*resumeF)
-			if err != nil {
-				fatalf("resume: %v", err)
-			}
-			for _, rec := range recs {
-				switch rec.T {
-				case exp.RecCheckpoint:
-					if rec.Key != "" && rec.Ckpt != "" {
-						cmp.resume[rec.Key] = rec.Ckpt
-					}
-				case exp.RecJobDone:
-					if rec.Key == "" {
-						break
-					}
-					delete(cmp.resume, rec.Key)
-					var o outcome
-					if len(rec.Data) > 0 && json.Unmarshal(rec.Data, &o) == nil {
-						cmp.done[rec.Key] = o
-					}
+		var done, failed atomic.Int64
+		tel.AddGauge("chaos_cases_total", func() float64 { return float64(len(cases)) })
+		tel.AddGauge("chaos_cases_done", func() float64 { return float64(done.Load()) })
+		tel.AddGauge("chaos_cases_failed", func() float64 { return float64(failed.Load()) })
+		runner.Progress = func(jr exp.JobResult) {
+			tel.ObserveJob(jr)
+			if o := outcomeFrom(chaosCase{}, jr, sd.Interrupted()); !o.Interrupted {
+				done.Add(1)
+				if o.failed(flips) {
+					failed.Add(1)
 				}
 			}
 		}
-		j, err := exp.OpenJournal(journalPath)
-		if err != nil {
-			fatalf("journal: %v", err)
-		}
-		defer j.Close()
-		cmp.journal = j
-		if *resumeF == "" {
-			j.Append(exp.JournalRecord{T: exp.RecCampaign, Name: "tlschaos"})
-		}
-		cmp.ckptDir = *ckptDirF
-		if cmp.ckptDir == "" {
-			cmp.ckptDir = journalPath + ".ckpt"
-		}
-		if err := os.MkdirAll(cmp.ckptDir, 0o755); err != nil {
-			fatalf("checkpoint dir: %v", err)
-		}
 	}
-
-	var outcomes []outcome
-	if *coordF != "" {
-		hc := cluster.HTTPClient(*dialT, *rpcT)
+	var b report.Batcher = runner
+	if camp.Coordinator != "" {
+		// Chaotic jobs bypass the fleet's result cache too; the coordinator
+		// journals their sealed outcomes, so fleet campaigns are exactly as
+		// crash-resumable as local journaled ones.
+		client := camp.Client(runner.Progress)
 		if *chaosNet != "" {
 			ccfg, err := chaosnet.Profile(*chaosNet, *chaosSd)
 			if err != nil {
 				fatalf("-chaos-net: %v", err)
 			}
 			chaosLog.Info("chaos-net armed on the client transport", "profile", ccfg)
-			hc = chaosnet.Client(hc, chaosnet.New(ccfg), "tlschaos",
-				obs.Logf(chaosLog.With("subsys", "chaos-net")))
+			client.HTTP = chaosnet.Client(cluster.HTTPClient(camp.DialTimeout, camp.RPCTimeout),
+				chaosnet.New(ccfg), "tlschaos", obs.Logf(chaosLog.With("subsys", "chaos-net")))
 		}
-		outcomes = runFleet(sd.Context(), cases, cfg, selection, flips, *coordF, hc)
-	} else {
-		if *chaosNet != "" {
-			chaosLog.Warn("-chaos-net only applies with -coordinator, ignoring")
-		}
-		outcomes = runAll(sd.Context(), cmp, cases, cfg, selection, flips, *timeout, *jobs)
+		b = client
+	} else if *chaosNet != "" {
+		chaosLog.Warn("-chaos-net only applies with -coordinator, ignoring")
 	}
+	outcomes := runBatch(sd.Context(), b, cases, jobs)
 
 	if sd.Interrupted() {
-		if journalPath != "" {
-			chaosLog.Info("interrupted", "resume_with", journalPath)
-		} else {
-			chaosLog.Info("interrupted (run with -journal to make campaigns resumable)")
-		}
+		camp.LogInterrupted()
 		os.Exit(exp.ExitInterrupted)
 	}
 
@@ -381,186 +309,11 @@ func planFor(seed uint64, selection map[fault.Kind]bool) fault.Config {
 	return c
 }
 
-// buildCase constructs the case's simulator (fuzzed workload, invariant
-// checker armed, fault plan installed). Construction is repeatable, which is
-// what lets a resumed case rebuild and Restore.
-func buildCase(c chaosCase, cfg *machine.Config, selection map[fault.Kind]bool) (*sim.Simulator, *fault.Plan) {
-	prof := workload.FuzzProfile(rng.New(c.Seed ^ 0xc4a05bedb1a5e5))
-	gen := workload.NewGenerator(prof, c.Seed)
-	s := sim.New(cfg, c.Scheme, gen)
-	s.EnableInvariantChecks()
-	plan := fault.NewPlan(planFor(c.Seed, selection))
-	s.InjectFaults(plan)
-	return s, plan
-}
-
-// runCase executes one case under the watchdog. The simulation goroutine is
-// abandoned on timeout (a deterministic hang cannot be preempted). When a
-// campaign is active the case restores from its latest checkpoint, writes
-// new checkpoints as it commits, and halts (checkpointing first) when the
-// shutdown context dies.
-func runCase(ctx context.Context, cmp *campaign, key string, c chaosCase,
-	cfg *machine.Config, selection map[fault.Kind]bool, deadline time.Duration) outcome {
-	o := outcome{Case: c}
-	done := make(chan outcome, 1)
-	go func() {
-		defer func() {
-			if p := recover(); p != nil {
-				done <- outcome{Case: c, PanicMsg: fmt.Sprint(p)}
-			}
-		}()
-		// The workload is fuzzed per seed — same stream the chaos test
-		// suite draws from — so the campaign covers the whole profile
-		// space, not just the paper's applications.
-		s, plan := buildCase(c, cfg, selection)
-		if cmp != nil {
-			if path, ok := cmp.resume[key]; ok {
-				restored := false
-				if ck, err := sim.ReadCheckpointFile(path); err == nil {
-					restored = s.Restore(ck) == nil
-				}
-				if !restored {
-					// Unreadable or mismatched checkpoint: start over
-					// (resume is best-effort, never an error source).
-					s, plan = buildCase(c, cfg, selection)
-				}
-			}
-			if cmp.ckptDir != "" {
-				ckPath := filepath.Join(cmp.ckptDir, key+".ckpt")
-				if cmp.ckptN > 0 {
-					s.SetAutoCheckpoint(cmp.ckptN)
-				}
-				s.SetCheckpointSink(func(ck *sim.Checkpoint) {
-					if err := sim.WriteCheckpointFile(ckPath, ck); err == nil && cmp.journal != nil {
-						cmp.journal.Append(exp.JournalRecord{
-							T: exp.RecCheckpoint, Key: key, Label: caseLabel(c),
-							Ckpt: ckPath, Commits: ck.Commits,
-						})
-					}
-				})
-			}
-		}
-		// Drain at the next commit boundary when the shutdown context dies.
-		stop := make(chan struct{})
-		defer close(stop)
-		go func() {
-			select {
-			case <-ctx.Done():
-				s.Interrupt()
-			case <-stop:
-			}
-		}()
-
-		res := s.Run()
-		if s.Halted() {
-			done <- outcome{Case: c, Interrupted: true}
-			return
-		}
-
-		r := outcome{Case: c,
-			Cycles: uint64(res.ExecCycles), Faults: plan.Summary(), FaultCount: plan.Total(),
-			Violations: s.InvariantViolationCount(), Uncommitted: res.Tasks - res.Commits,
-		}
-		_, r.WrongLines = s.VerifyFinalMemory()
-		for i, v := range s.InvariantViolations() {
-			if i == 5 {
-				break
-			}
-			r.Samples = append(r.Samples, v.String())
-		}
-		done <- r
-	}()
-	timer := time.NewTimer(deadline)
-	defer timer.Stop()
-	select {
-	case r := <-done:
-		return r
-	case <-timer.C:
-		o.TimedOut = true
-		return o
-	}
-}
-
-// runAll fans the cases over a worker pool; outcomes return in case order.
-// With a campaign active, journaled cases are skipped (their outcome is
-// replayed from the WAL) and finished cases are journaled as job-done with
-// the outcome embedded.
-func runAll(ctx context.Context, cmp *campaign, cases []chaosCase, cfg *machine.Config,
-	selection map[fault.Kind]bool, flips bool, deadline time.Duration, workers int) []outcome {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(cases) {
-		workers = len(cases)
-	}
-	out := make([]outcome, len(cases))
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	// note feeds the -listen telemetry gauges as verdicts land.
-	note := func(o outcome) outcome {
-		if !o.Interrupted {
-			chaosDone.Add(1)
-			if o.failed(flips) {
-				chaosFailed.Add(1)
-			}
-		}
-		return o
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				c := cases[i]
-				if cmp == nil {
-					out[i] = note(runCase(ctx, nil, "", c, cfg, selection, deadline))
-					continue
-				}
-				key := cmp.key(c, cfg.Name)
-				if prev, done := cmp.done[key]; done {
-					out[i] = note(prev)
-					continue
-				}
-				if ctx.Err() != nil {
-					out[i] = outcome{Case: c, Interrupted: true}
-					continue
-				}
-				cmp.journal.Append(exp.JournalRecord{T: exp.RecJobStart, Key: key, Label: caseLabel(c)})
-				o := runCase(ctx, cmp, key, c, cfg, selection, deadline)
-				if !o.Interrupted {
-					// Journal the verdict (the case never re-runs on resume)
-					// and drop the now-obsolete checkpoint.
-					data, _ := json.Marshal(o)
-					cmp.journal.Append(exp.JournalRecord{
-						T: exp.RecJobDone, Key: key, Label: caseLabel(c), Data: data,
-					})
-					os.Remove(filepath.Join(cmp.ckptDir, key+".ckpt"))
-				}
-				out[i] = note(o)
-			}
-		}()
-	}
-feed:
-	for i := range cases {
-		select {
-		case idx <- i:
-		case <-ctx.Done():
-			// Mark everything unfed as interrupted and stop feeding.
-			for j := i; j < len(cases); j++ {
-				out[j] = outcome{Case: cases[j], Interrupted: true}
-			}
-			break feed
-		}
-	}
-	close(idx)
-	wg.Wait()
-	return out
-}
-
-// caseJob maps one chaos case onto the canonical job form the fleet
-// executes: same fuzzed profile, same fault config, invariant checker
-// armed. Workers run it through exp.Job.build, which reproduces buildCase
-// exactly, so a fleet campaign's verdicts match a local one's.
+// caseJob maps one chaos case onto the job both executors run: the seed's
+// fuzzed profile (the stream the chaos test suite draws from, so campaigns
+// cover the whole profile space, not just the paper's applications), its
+// fault config, and the invariant checker armed. The local runner and fleet
+// workers execute the same job, so their verdicts match.
 func caseJob(c chaosCase, cfg *machine.Config, selection map[fault.Kind]bool) exp.Job {
 	fc := planFor(c.Seed, selection)
 	return exp.Job{
@@ -573,8 +326,7 @@ func caseJob(c chaosCase, cfg *machine.Config, selection map[fault.Kind]bool) ex
 	}
 }
 
-// outcomeFrom folds a fleet job result back into the campaign's verdict
-// shape.
+// outcomeFrom folds a job result back into the campaign's verdict shape.
 func outcomeFrom(c chaosCase, jr exp.JobResult, interrupted bool) outcome {
 	o := outcome{Case: c}
 	if jr.Err != nil {
@@ -600,30 +352,15 @@ func outcomeFrom(c chaosCase, jr exp.JobResult, interrupted bool) outcome {
 	return o
 }
 
-// runFleet executes the campaign on a distributed fleet through a tlsserve
-// coordinator. Chaotic jobs bypass the result cache (their verdict is not
-// reconstructible from a cached sim.Result); the coordinator persists their
-// sealed outcomes in its journal instead, so fleet campaigns are exactly as
-// crash-resumable as local journaled ones.
-func runFleet(ctx context.Context, cases []chaosCase, cfg *machine.Config,
-	selection map[fault.Kind]bool, flips bool, url string, hc *http.Client) []outcome {
-	jobs := make([]exp.Job, len(cases))
-	for i, c := range cases {
-		jobs[i] = caseJob(c, cfg, selection)
-	}
-	client := &cluster.Client{URL: url, Name: cluster.ClientName("tlschaos"), HTTP: hc,
-		Progress: func(jr exp.JobResult) {
-			chaosDone.Add(1)
-		},
-		Logf: obs.Logf(chaosLog.With("subsys", "fleet"))}
-	results, err := client.RunBatch(ctx, jobs)
+// runBatch executes the cases' jobs through b — the local exp.Runner or
+// the fleet client — and folds the results back into outcomes, in case
+// order.
+func runBatch(ctx context.Context, b report.Batcher, cases []chaosCase, jobs []exp.Job) []outcome {
+	results, err := b.RunBatch(ctx, jobs)
 	interrupted := err != nil && ctx.Err() != nil
 	out := make([]outcome, len(cases))
 	for i := range cases {
 		out[i] = outcomeFrom(cases[i], results[i], interrupted)
-		if !out[i].Interrupted && out[i].failed(flips) {
-			chaosFailed.Add(1)
-		}
 	}
 	return out
 }
@@ -638,7 +375,9 @@ func replayRecords(path string, deadline time.Duration) int {
 		chaosLog.Error("reading records", "err", err)
 		return 2
 	}
-	failing := 0
+	var cases []chaosCase
+	var jobs []exp.Job
+	var flipsOf []bool
 	for _, rec := range records {
 		cfg, ok := machineByName(rec.Machine)
 		if !ok {
@@ -656,9 +395,15 @@ func replayRecords(path string, deadline time.Duration) int {
 			return 2
 		}
 		c := chaosCase{Seed: rec.Seed, Scheme: sch}
-		o := runCase(context.Background(), nil, "", c, cfg, selection, deadline)
+		cases = append(cases, c)
+		jobs = append(jobs, caseJob(c, cfg, selection))
+		flipsOf = append(flipsOf, flips)
+	}
+	runner := &exp.Runner{Retries: -1, JobTimeout: deadline}
+	failing := 0
+	for i, o := range runBatch(context.Background(), runner, cases, jobs) {
 		printVerbose(o)
-		if o.failed(flips) {
+		if o.failed(flipsOf[i]) {
 			failing++
 		}
 	}
@@ -773,8 +518,8 @@ func writeRecords(path string, rs []record) error {
 	return iofault.WriteFileAtomic(iofault.Real, path, append(data, '\n'), 0o644)
 }
 
-// chaosLog is the process-wide structured logger; tlschaos has no single
-// campaign object to hang it on, so it lives at package scope.
+// chaosLog is the process-wide structured logger; -replay logs before any
+// campaign exists, so it lives at package scope.
 var chaosLog = obs.NewLogger(os.Stderr, "tlschaos")
 
 func fatalf(format string, args ...any) {

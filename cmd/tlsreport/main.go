@@ -21,11 +21,11 @@ import (
 	"io"
 	"os"
 	"strings"
-	"time"
 
 	"repro"
-	"repro/internal/cluster"
+	"repro/internal/campaign"
 	"repro/internal/iofault"
+	"repro/internal/obs"
 	"repro/internal/profiling"
 	"repro/internal/report"
 )
@@ -45,21 +45,13 @@ func main() {
 		verbose = flag.Bool("v", false, "print per-run progress")
 		csvDir  = flag.String("csv", "", "also write raw results as CSV files into this directory")
 		svgDir  = flag.String("svg", "", "also write the performance figures as SVG charts into this directory")
-		jobs    = flag.Int("jobs", 0, "parallel simulation workers (0 = GOMAXPROCS, 1 = serial)")
 		cache   = flag.String("cache", "", "persistent result-cache directory (warm reruns skip unchanged simulations)")
 		metrics = flag.Bool("metrics", false, "print an orchestration summary line to stderr at exit")
 		timeout = flag.Duration("timeout", 0, "per-job watchdog deadline (0 disables; hung jobs land in the failure manifest)")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf = flag.String("memprofile", "", "write a heap profile to this file at exit")
-		journal = flag.String("journal", "", "append campaign progress to this JSONL journal (crash recovery via -resume)")
-		resume  = flag.String("resume", "", "resume a crashed or interrupted campaign from its journal (implies -journal)")
-		ckptDir = flag.String("checkpoint-dir", "", "mid-run simulator checkpoint directory (default <journal>.ckpt when journaling)")
-		ckptN   = flag.Int("checkpoint-every", 50, "auto-checkpoint cadence in committed tasks (0 = only at interrupts)")
-		listen  = flag.String("listen", "", "serve live telemetry on this address (/metrics Prometheus text, /progress JSON)")
-		coord   = flag.String("coordinator", "", "run all simulations on a distributed fleet via this tlsserve URL (execution flags then apply coordinator/worker-side)")
-		rpcT    = flag.Duration("rpc-timeout", 30*time.Second, "total per-RPC deadline against the coordinator")
-		dialT   = flag.Duration("dial-timeout", 5*time.Second, "connection-attempt deadline against the coordinator")
 	)
+	cf := campaign.Register(flag.CommandLine)
 	flag.Parse()
 
 	stopProf, err := profiling.Start(*cpuProf, *memProf)
@@ -75,21 +67,22 @@ func main() {
 		os.Exit(2)
 	}
 
-	opt := repro.Options{Seed: *seed, Jobs: *jobs, CacheDir: *cache, JobTimeout: *timeout}
-	if *coord != "" {
-		// Fleet mode: every batch travels to the coordinator; the rendered
-		// artifacts are identical to a local run because each simulation is
-		// a pure function of the job's content. Caching, journaling and
-		// checkpointing then happen coordinator- and worker-side.
-		opt.Batcher = &cluster.Client{URL: *coord, Name: cluster.ClientName("tlsreport"),
-			RPCTimeout: *rpcT, DialTimeout: *dialT,
-			Logf: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, "tlsreport: "+format+"\n", args...)
-			}}
-		if *cache != "" || *journal != "" || *resume != "" {
-			fmt.Fprintln(os.Stderr, "tlsreport: -coordinator set; -cache/-journal/-resume apply to tlsserve, ignoring locally")
-			*cache, *journal, *resume = "", "", ""
-		}
+	camp, err := campaign.Open("tlsreport", cf, cache, nil, obs.NewLogger(os.Stderr, "tlsreport"))
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "tlsreport: %v\n", err)
+		os.Exit(1)
+	}
+	defer camp.Close()
+	opt := repro.Options{
+		Seed: *seed, Jobs: camp.Jobs, CacheDir: *cache, JobTimeout: *timeout,
+		Journal: camp.Journal, Resume: camp.State,
+		CheckpointDir: camp.CheckpointDir, CheckpointEvery: camp.CheckpointEvery,
+	}
+	if camp.Coordinator != "" {
+		// Every batch travels to the coordinator; the rendered artifacts
+		// are identical to a local run because each simulation is a pure
+		// function of the job's content.
+		opt.Batcher = camp.Client(nil)
 	}
 	if *cache != "" {
 		// Fail fast on an unusable cache directory rather than silently
@@ -107,51 +100,17 @@ func main() {
 	defer sd.Stop()
 	opt.Context = sd.Context()
 
-	journalPath := *journal
-	if *resume != "" {
-		journalPath = *resume
-		st, err := repro.LoadCampaign(*resume)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tlsreport: resume: %v\n", err)
-			os.Exit(1)
-		}
-		opt.Resume = st.Checkpoints
-		if *cache == "" {
-			// Completed jobs are skipped via the cache; without one they
-			// simply re-run (correct, just slower).
-			fmt.Fprintln(os.Stderr, "tlsreport: -resume without -cache re-runs completed jobs")
-		}
-	}
-	if journalPath != "" {
-		j, err := repro.OpenJournal(journalPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tlsreport: journal: %v\n", err)
-			os.Exit(1)
-		}
-		defer j.Close()
-		opt.Journal = j
-		if *resume == "" {
-			j.Append(repro.JournalRecord{T: repro.RecCampaign, Name: "tlsreport"})
-		}
-		if *ckptDir == "" {
-			*ckptDir = journalPath + ".ckpt"
-		}
-	}
-	opt.CheckpointDir = *ckptDir
-	opt.CheckpointEvery = *ckptN
-	if *metrics || *listen != "" {
+	if *metrics || camp.Listen != "" {
 		opt.Metrics = new(repro.RunMetrics)
 	}
-	if *listen != "" {
-		tel := &repro.Telemetry{Name: "tlsreport", Metrics: opt.Metrics}
+	tel, err := camp.Telemetry(opt.Metrics)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "tlsreport: %v\n", err)
+		os.Exit(1)
+	}
+	if tel != nil {
 		opt.JobObserver = tel.ObserveJob
-		addr, err := tel.Start(*listen)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tlsreport: listen: %v\n", err)
-			os.Exit(1)
-		}
 		defer tel.Stop()
-		fmt.Fprintf(os.Stderr, "tlsreport: telemetry on http://%s/metrics\n", addr)
 	}
 	if *apps != "" {
 		for _, name := range strings.Split(*apps, ",") {
@@ -277,11 +236,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "tlsreport "+opt.Metrics.Snapshot().String())
 	}
 	if sd.Interrupted() {
-		if journalPath != "" {
-			fmt.Fprintf(os.Stderr, "tlsreport: interrupted; resume with -resume %s\n", journalPath)
-		} else {
-			fmt.Fprintln(os.Stderr, "tlsreport: interrupted (run with -journal to make campaigns resumable)")
-		}
+		camp.LogInterrupted()
 		stopProf()
 		os.Exit(repro.ExitInterrupted)
 	}

@@ -23,10 +23,9 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro"
-	"repro/internal/cluster"
+	"repro/internal/campaign"
 	"repro/internal/iofault"
 	"repro/internal/obs"
 )
@@ -40,18 +39,10 @@ func main() {
 		seed     = flag.Uint64("seed", 1, "workload seed")
 		tasks    = flag.Float64("tasks", 0.25, "task-count scale")
 		instr    = flag.Float64("instr", 0.1, "instruction scale")
-		jobsN    = flag.Int("jobs", 0, "parallel simulation workers (0 = GOMAXPROCS, 1 = serial)")
 		cacheDir = flag.String("cache", "", "persistent result-cache directory")
-		journalF = flag.String("journal", "", "append campaign progress to this JSONL journal (crash recovery via -resume)")
-		resumeF  = flag.String("resume", "", "resume a crashed or interrupted sweep from its journal (implies -journal)")
-		ckptDir  = flag.String("checkpoint-dir", "", "mid-run simulator checkpoint directory (default <journal>.ckpt when journaling)")
-		ckptN    = flag.Int("checkpoint-every", 50, "auto-checkpoint cadence in committed tasks (0 = only at interrupts)")
-		listenF  = flag.String("listen", "", "serve live telemetry on this address (/metrics Prometheus text, /progress JSON)")
 		ioChaos  = flag.String("io-chaos", "", "inject storage faults into all durable state, e.g. \"seed=7,perr=0.01,psync=0.02,cut=120,cutmode=torn\" (fault drills; see tlsfsck)")
-		coordF   = flag.String("coordinator", "", "run the sweep on a distributed fleet via this tlsserve URL (execution flags then apply coordinator/worker-side)")
-		rpcT     = flag.Duration("rpc-timeout", 30*time.Second, "total per-RPC deadline against the coordinator")
-		dialT    = flag.Duration("dial-timeout", 5*time.Second, "connection-attempt deadline against the coordinator")
 	)
+	cf := campaign.Register(flag.CommandLine)
 	flag.Parse()
 
 	logger := obs.NewLogger(os.Stderr, "tlssweep")
@@ -132,7 +123,6 @@ func main() {
 			jobs = append(jobs, repro.Job{Machine: pt.mach, Scheme: sch, Profile: pt.prof, Seed: *seed})
 		}
 	}
-	runner := &repro.Runner{Workers: *jobsN}
 	var fsys iofault.FS
 	if *ioChaos != "" {
 		plan, err := iofault.ParsePlan(*ioChaos)
@@ -146,27 +136,29 @@ func main() {
 			os.Exit(repro.ExitPowerCut)
 		}
 		fsys = inj
-		runner.FS = fsys
 		logger.Info("storage fault injection active", "plan", plan)
 	}
-	if *listenF != "" {
+	camp, err := campaign.Open("tlssweep", cf, cacheDir, fsys, logger)
+	die(err)
+	defer camp.Close()
+	runner := camp.Runner()
+	runner.FS = fsys
+	if camp.Listen != "" {
 		runner.Metrics = new(repro.RunMetrics)
-		tel := &repro.Telemetry{Name: "tlssweep", Metrics: runner.Metrics}
+		tel, err := camp.Telemetry(runner.Metrics)
+		die(err)
+		defer tel.Stop()
 		runner.Progress = tel.ObserveJob
 		// Each job gets its own obs registry (they are not safe to share
 		// across workers); ObserveJob aggregates them into the /metrics
 		// tls_run_* counters. Obs is not part of the job key, so caching
 		// is unaffected. On a fleet run the registries stay local — workers
 		// observe with their own (-observe) and the coordinator merges them.
-		if *coordF == "" {
+		if camp.Coordinator == "" {
 			for i := range jobs {
 				jobs[i].Obs = &repro.ObsConfig{Registry: repro.NewObsRegistry()}
 			}
 		}
-		addr, err := tel.Start(*listenF)
-		die(err)
-		defer tel.Stop()
-		logger.Info("telemetry serving", "url", "http://"+addr+"/metrics")
 	}
 	if *cacheDir != "" {
 		cache, err := repro.NewResultCacheFS(fsys, *cacheDir)
@@ -175,55 +167,18 @@ func main() {
 	}
 
 	// Graceful shutdown: first SIGINT/SIGTERM cancels the sweep (in-flight
-	// simulations checkpoint and drain, exit 130); a second hard-exits.
+	// simulations checkpoint and drain, exit 130); a second hard-exits. On
+	// a fleet, caching, journaling and checkpointing happen coordinator-
+	// and worker-side; results are identical to the local runner's.
 	sd := repro.NewShutdown(nil)
 	defer sd.Stop()
-
-	journalPath := *journalF
-	if *resumeF != "" {
-		journalPath = *resumeF
-		st, err := repro.LoadCampaign(*resumeF)
-		die(err)
-		runner.Resume = st.Checkpoints
-		if *cacheDir == "" {
-			logger.Warn("-resume without -cache re-runs completed jobs")
-		}
+	run := runner.RunBatch
+	if camp.Coordinator != "" {
+		run = camp.Client(runner.Progress).RunBatch
 	}
-	if journalPath != "" {
-		j, err := repro.OpenJournalFS(fsys, journalPath)
-		die(err)
-		defer j.Close()
-		runner.Journal = j
-		if *resumeF == "" {
-			j.Append(repro.JournalRecord{T: repro.RecCampaign, Name: "tlssweep"})
-		}
-		if *ckptDir == "" {
-			*ckptDir = journalPath + ".ckpt"
-		}
-	}
-	runner.CheckpointDir = *ckptDir
-	runner.CheckpointEvery = *ckptN
-
-	var results []repro.JobResult
-	var err error
-	if *coordF != "" {
-		// The fleet path: jobs travel to the coordinator by content key;
-		// caching, journaling and checkpointing happen coordinator- and
-		// worker-side. Results are identical to the local runner's.
-		client := &cluster.Client{URL: *coordF, Name: cluster.ClientName("tlssweep"),
-			Progress:   runner.Progress,
-			RPCTimeout: *rpcT, DialTimeout: *dialT,
-			Logf: obs.Logf(logger.With("subsys", "fleet"))}
-		results, err = client.RunBatch(sd.Context(), jobs)
-	} else {
-		results, err = runner.RunBatch(sd.Context(), jobs)
-	}
+	results, err := run(sd.Context(), jobs)
 	if sd.Interrupted() {
-		if journalPath != "" {
-			logger.Info("interrupted", "resume_with", journalPath)
-		} else {
-			logger.Info("interrupted (run with -journal to make sweeps resumable)")
-		}
+		camp.LogInterrupted()
 		os.Exit(repro.ExitInterrupted)
 	}
 	die(err)

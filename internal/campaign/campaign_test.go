@@ -1,0 +1,105 @@
+package campaign
+
+import (
+	"bytes"
+	"flag"
+	"log/slog"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"repro/internal/exp"
+	"repro/internal/iofault"
+)
+
+func parse(t *testing.T, args ...string) *Flags {
+	t.Helper()
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	f := Register(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+func quiet() *slog.Logger { return slog.New(slog.NewTextHandler(&bytes.Buffer{}, nil)) }
+
+// TestHeaderWriteFailureIsFatal: a journal whose campaign header cannot be
+// made durable could never be resumed, so Open must refuse to start.
+func TestHeaderWriteFailureIsFatal(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	inj := iofault.NewInjector(iofault.Plan{Seed: 1, PShort: 1}) // every write stops short
+	_, err := Open("test", parse(t, "-journal", path), nil, inj, quiet())
+	if err == nil || !strings.Contains(err.Error(), "campaign header") {
+		t.Fatalf("Open with a failing header write: err = %v, want a campaign header error", err)
+	}
+}
+
+// TestCoordinatorIgnoresLocalDurability: under -coordinator the local
+// journal, resume, checkpoint and cache flags are dropped with a warning,
+// and nothing is written locally.
+func TestCoordinatorIgnoresLocalDurability(t *testing.T) {
+	dir := t.TempDir()
+	journal := filepath.Join(dir, "journal.jsonl")
+	cache := filepath.Join(dir, "cache")
+	var log bytes.Buffer
+	c, err := Open("test", parse(t, "-coordinator", "http://127.0.0.1:1", "-journal", journal,
+		"-checkpoint-dir", filepath.Join(dir, "ckpt")), &cache, nil, slog.New(slog.NewTextHandler(&log, nil)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if c.Journal != nil || c.Flags.Journal != "" || c.CheckpointDir != "" || cache != "" {
+		t.Fatalf("local durability survived -coordinator: journal %q, ckpt %q, cache %q",
+			c.Flags.Journal, c.CheckpointDir, cache)
+	}
+	if _, err := os.Stat(journal); !os.IsNotExist(err) {
+		t.Fatalf("-coordinator still created the local journal (stat err %v)", err)
+	}
+	if !strings.Contains(log.String(), "ignoring") {
+		t.Fatalf("no warning logged: %q", log.String())
+	}
+}
+
+// TestResumeImpliesJournal: -resume replays the journal into State, keeps
+// appending to it without a second header, and defaults the checkpoint
+// directory to <journal>.ckpt.
+func TestResumeImpliesJournal(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	c, err := Open("test", parse(t, "-journal", path), nil, nil, quiet())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Journal.Append(exp.JournalRecord{T: exp.RecJobDone, Key: "k"})
+	c.Close()
+
+	c, err = Open("test", parse(t, "-resume", path), nil, nil, quiet())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if c.Journal == nil || !c.State.Done["k"] || c.State.Name != "test" {
+		t.Fatalf("resume state not loaded: journal %v, state %+v", c.Journal, c.State)
+	}
+	if c.CheckpointDir != path+".ckpt" {
+		t.Fatalf("checkpoint dir %q, want %q", c.CheckpointDir, path+".ckpt")
+	}
+	r := c.Runner()
+	if r.Journal != c.Journal || !r.Resume.Done["k"] {
+		t.Fatal("local runner does not carry the campaign's journal and resume state")
+	}
+	recs, err := exp.ReadJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	headers := 0
+	for _, rec := range recs {
+		if rec.T == exp.RecCampaign {
+			headers++
+		}
+	}
+	if headers != 1 {
+		t.Fatalf("%d campaign headers after a resume, want 1", headers)
+	}
+}

@@ -71,9 +71,10 @@ type JournalRecord struct {
 	Lease uint64 `json:"lease,omitempty"`
 	// Err records a permanent failure (RecJobDone).
 	Err string `json:"err,omitempty"`
-	// Data carries an optional campaign-specific payload on job-done
-	// records (tlschaos stores the case outcome here, so a resume can
-	// rebuild its report without re-running completed cases).
+	// Data carries the outcome of a completed chaotic job on its job-done
+	// record: exp.Runner writes {result, chaos}, the coordinator its sealed
+	// envelope. The result cache never holds chaotic jobs, so this is what
+	// lets a resume serve them without re-running.
 	Data json.RawMessage `json:"data,omitempty"`
 }
 
@@ -297,8 +298,8 @@ type CampaignState struct {
 	// re-queues these: the lease died with the previous process.
 	Leases map[string]string
 	// Outcomes maps completed job keys to the Data payload of their job-done
-	// record, for campaigns (tlschaos, cluster chaos jobs) whose outcome is
-	// not reconstructible from the result cache alone.
+	// record: the outcomes of chaotic jobs (every tlschaos case, local or on
+	// a fleet), which are not reconstructible from the result cache.
 	Outcomes map[string]json.RawMessage
 }
 

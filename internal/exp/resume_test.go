@@ -13,7 +13,9 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/machine"
+	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -98,7 +100,7 @@ func TestInterruptCheckpointResumeBatch(t *testing.T) {
 	r2 := &Runner{
 		Workers: 2, Cache: cache, Journal: j2,
 		CheckpointDir: ckptDir, CheckpointEvery: 10,
-		Resume: st.Checkpoints,
+		Resume: st,
 	}
 	second, err := r2.RunBatch(context.Background(), jobs)
 	if err != nil {
@@ -112,6 +114,73 @@ func TestInterruptCheckpointResumeBatch(t *testing.T) {
 			t.Fatalf("job %d (%s): resumed result differs from uninterrupted run",
 				i, jobs[i].Label())
 		}
+	}
+}
+
+// TestResumeServesChaoticOutcomes locks the resume contract for chaotic
+// jobs, which bypass the result cache: a journaled campaign's job-done
+// records carry each outcome, a resumed runner serves them without
+// executing anything, and an undecodable payload re-runs only its own job.
+func TestResumeServesChaoticOutcomes(t *testing.T) {
+	var jobs []Job
+	for seed := uint64(1); seed <= 2; seed++ {
+		fc := fault.CampaignConfig(seed)
+		for _, sch := range []core.Scheme{core.MultiTMVEager, core.MultiTMVLazy} {
+			jobs = append(jobs, Job{
+				Machine: machine.NUMA16(), Scheme: sch, Seed: seed,
+				Profile: workload.FuzzProfile(rng.New(seed)), Faults: &fc, Invariants: true,
+			})
+		}
+	}
+	journalPath := filepath.Join(t.TempDir(), "journal.jsonl")
+	j1, err := OpenJournal(journalPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := (&Runner{Workers: 2, Journal: j1}).RunBatch(context.Background(), jobs)
+	j1.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, jr := range first {
+		if jr.Err != nil || jr.Chaos == nil {
+			t.Fatalf("job %d: err %v, verdict %v", i, jr.Err, jr.Chaos)
+		}
+	}
+
+	st, err := LoadCampaign(journalPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replay := func(st CampaignState) ([]JobResult, []string) {
+		var ran []string
+		r := &Runner{Workers: 1, Resume: st, execOverride: func(j Job) sim.Result {
+			ran = append(ran, j.Key())
+			return sim.Result{}
+		}}
+		results, err := r.RunBatch(context.Background(), jobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return results, ran
+	}
+	second, ran := replay(st)
+	if len(ran) != 0 {
+		t.Fatalf("resume re-executed %d completed chaotic job(s)", len(ran))
+	}
+	for i, jr := range second {
+		if !jr.Cached {
+			t.Errorf("job %d: served from the journal but not reported Cached", i)
+		}
+		if !reflect.DeepEqual(jr.Result, first[i].Result) || !reflect.DeepEqual(jr.Chaos, first[i].Chaos) {
+			t.Fatalf("job %d (%s): journaled outcome differs from the original run", i, jobs[i].Label())
+		}
+	}
+
+	corrupt := jobs[1].Key()
+	st.Outcomes[corrupt] = json.RawMessage(`{"result":"torn"}`)
+	if _, ran = replay(st); !reflect.DeepEqual(ran, []string{corrupt}) {
+		t.Fatalf("with one undecodable payload, re-executed %d job(s), want exactly job 1", len(ran))
 	}
 }
 
@@ -199,13 +268,13 @@ func TestCrashRecoveryChild(t *testing.T) {
 		t.Fatal(err)
 	}
 	journalPath := filepath.Join(dir, "journal.jsonl")
-	resume := map[string]string{}
+	var resume CampaignState
 	if _, err := os.Stat(journalPath); err == nil {
 		st, err := LoadCampaign(journalPath)
 		if err != nil {
 			t.Fatalf("journal left by SIGKILL unreadable: %v", err)
 		}
-		resume = st.Checkpoints
+		resume = st
 	}
 	j, err := OpenJournal(journalPath)
 	if err != nil {

@@ -95,7 +95,8 @@ type Runner struct {
 
 	// Journal, when non-nil, receives the campaign WAL records: job-start
 	// when a worker begins executing, checkpoint after each checkpoint file
-	// is durable, job-done after the result is cached (or the job failed).
+	// is durable, job-done after the result is cached (or the job failed;
+	// a chaotic job's carries its outcome in Data).
 	Journal *Journal
 	// CheckpointDir, when set, is where executing jobs persist checkpoints
 	// (<dir>/<key>.ckpt, atomically replaced). Checkpoints are written every
@@ -104,11 +105,13 @@ type Runner struct {
 	CheckpointDir string
 	// CheckpointEvery is the auto-checkpoint cadence in committed tasks.
 	CheckpointEvery int
-	// Resume maps job keys to checkpoint files from a previous campaign's
-	// journal; a matching job restores from its checkpoint instead of
-	// starting over. An unreadable or mismatched checkpoint falls back to a
-	// fresh run (resume is best-effort, never an error source).
-	Resume map[string]string
+	// Resume is a previous campaign's replayed journal (LoadCampaign). A
+	// job with a checkpoint there restores from it instead of starting
+	// over; a chaotic job with a journaled outcome is served from it
+	// without executing. An unreadable checkpoint or undecodable outcome
+	// falls back to a fresh run (resume is best-effort, never an error
+	// source).
+	Resume CampaignState
 	// FS is the filesystem seam the runner's durable writes (checkpoints,
 	// post-mortem dumps) go through. nil means the real OS; fault drills
 	// inject an iofault.Injector here and into the journal and cache.
@@ -308,7 +311,14 @@ func (r *Runner) runJob(ctx context.Context, j Job) JobResult {
 		return jr
 	}
 	// Chaotic jobs bypass the cache: their verdict is not part of sim.Result,
-	// so a hit could not reconstruct it.
+	// so a hit could not reconstruct it. A resumed campaign serves them from
+	// the outcome their job-done record carries instead.
+	if j.chaotic() {
+		if o, ok := r.resumedOutcome(j.Key()); ok {
+			jr.Result, jr.Chaos, jr.Cached = o.Result, o.Chaos, true
+			return jr
+		}
+	}
 	useCache := r.Cache != nil && !j.chaotic()
 	if useCache {
 		if res, ok := r.Cache.Get(j); ok {
@@ -368,9 +378,14 @@ func (r *Runner) runJob(ctx context.Context, j Job) JobResult {
 					r.Metrics.cachePutFailed()
 				}
 			}
-			// Journal job-done only after the result is durable, then drop
-			// the now-obsolete checkpoint.
-			r.journalAppend(JournalRecord{T: RecJobDone, Key: j.Key(), Label: j.Label()})
+			// Journal job-done only after the result is durable (a chaotic
+			// job's outcome rides in the record itself), then drop the
+			// now-obsolete checkpoint.
+			done := JournalRecord{T: RecJobDone, Key: j.Key(), Label: j.Label()}
+			if verdict != nil {
+				done.Data, _ = json.Marshal(chaosOutcome{Result: res, Chaos: verdict})
+			}
+			r.journalAppend(done)
 			if r.CheckpointDir != "" {
 				r.fsys().Remove(filepath.Join(r.CheckpointDir, j.Key()+".ckpt"))
 			}
@@ -406,6 +421,23 @@ func (r *Runner) runJob(ctx context.Context, j Job) JobResult {
 	}
 	jr.Wall = time.Since(start)
 	return jr
+}
+
+// chaosOutcome is the job-done payload of a chaotic job: everything its
+// JobResult reports, so a resume can serve it without re-running.
+type chaosOutcome struct {
+	Result sim.Result    `json:"result"`
+	Chaos  *ChaosVerdict `json:"chaos"`
+}
+
+// resumedOutcome decodes the journaled outcome of a completed chaotic job.
+func (r *Runner) resumedOutcome(key string) (chaosOutcome, bool) {
+	var o chaosOutcome
+	data, ok := r.Resume.Outcomes[key]
+	if !ok || json.Unmarshal(data, &o) != nil || o.Chaos == nil {
+		return chaosOutcome{}, false
+	}
+	return o, true
 }
 
 // joinFlight registers interest in key's execution: the first caller becomes
@@ -451,11 +483,11 @@ type jobRun struct {
 	run      func() (sim.Result, *ChaosVerdict, error)
 }
 
-// prepare builds one attempt. With no checkpointing, resume map, or journal
-// involvement the job runs through the classic Execute path, byte-identical
-// to a runner without any of this machinery.
+// prepare builds one attempt. With no checkpointing, resume checkpoints, or
+// journal involvement the job runs through the classic Execute path,
+// byte-identical to a runner without any of this machinery.
 func (r *Runner) prepare(j Job) *jobRun {
-	if r.execOverride != nil || (r.CheckpointDir == "" && len(r.Resume) == 0) {
+	if r.execOverride != nil || (r.CheckpointDir == "" && len(r.Resume.Checkpoints) == 0) {
 		return &jobRun{run: func() (sim.Result, *ChaosVerdict, error) { return runIsolated(j, r.execOverride) }}
 	}
 	s, plan, berr := buildSafely(j)
@@ -464,7 +496,7 @@ func (r *Runner) prepare(j Job) *jobRun {
 		// attempt like the isolated path does, not unwind the worker goroutine.
 		return &jobRun{run: func() (sim.Result, *ChaosVerdict, error) { return sim.Result{}, nil, berr }}
 	}
-	if path, ok := r.Resume[j.Key()]; ok {
+	if path, ok := r.Resume.Checkpoints[j.Key()]; ok {
 		if ck, err := sim.ReadCheckpointFile(path); err == nil {
 			if rerr := s.Restore(ck); rerr != nil {
 				s, plan = j.build() // mismatched checkpoint: start over

@@ -56,9 +56,9 @@ type RecentJob struct {
 	ExecCycles uint64 `json:"exec_cycles"`
 }
 
-// AddGauge registers a named gauge evaluated at scrape time, for callers
-// with their own pools (tlschaos) or bespoke state worth exposing. Names
-// should be bare metric names; /metrics prefixes them with "tls_".
+// AddGauge registers a named gauge evaluated at scrape time, for campaign
+// state beyond the job counters (tlschaos's verdict tallies). Names should
+// be bare metric names; /metrics prefixes them with "tls_".
 func (t *Telemetry) AddGauge(name string, fn func() float64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()

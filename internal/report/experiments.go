@@ -70,9 +70,9 @@ type Options struct {
 	// CheckpointEvery is the auto-checkpoint cadence in committed tasks
 	// (0 with a CheckpointDir still checkpoints at interrupts).
 	CheckpointEvery int
-	// Resume maps job keys to checkpoint files recovered from a previous
-	// campaign's journal (exp.CampaignState.Checkpoints).
-	Resume map[string]string
+	// Resume is a previous campaign's replayed journal (exp.LoadCampaign):
+	// in-flight jobs restore from its checkpoints.
+	Resume exp.CampaignState
 	// Batcher, when non-nil, executes job batches instead of a locally
 	// built exp.Runner — the hook `-coordinator URL` uses to run a sweep on
 	// a distributed fleet. Execution options (cache, journal, checkpoints,

@@ -1,14 +1,15 @@
 #!/bin/sh
 # Interrupt-resume drill for `make chaos`: SIGINT a journaled tlschaos
-# campaign at a random point, resume it from the journal, and require the
-# resumed report to be byte-identical to an uninterrupted run's. Artifacts
+# campaign at a random point, resume it from the journal, and require that
+# the resume re-runs no completed case and that its report is byte-identical
+# to an uninterrupted run's. Artifacts
 # (journal, checkpoints, reports) land in $CHAOS_DRILL_DIR for CI upload on
 # failure.
 set -eu
 
 GO="${GO:-go}"
 dir="${CHAOS_DRILL_DIR:-chaos-drill}"
-args="-seeds 12 -jobs 2 -checkpoint-every 20"
+args="-seeds 30 -jobs 2 -checkpoint-every 20"
 
 rm -rf "$dir"
 mkdir -p "$dir"
@@ -38,8 +39,24 @@ else
 	echo "chaos-drill: campaign finished before the interrupt (delay ${delay}s); drill degenerates to a rerun diff"
 fi
 
+# Completed cases must never re-run: remember which keys the interrupted run
+# journaled as job-done, then require the resume to append no job-start for
+# any of them (a silent re-run would still pass the byte-identical diff).
+cp "$dir/journal.jsonl" "$dir/interrupted.jsonl"
+sed -n 's/^{"t":"job-done".*"key":"\([0-9a-f]*\)".*/\1/p' "$dir/interrupted.jsonl" | sort -u >"$dir/done.keys"
+
 "$dir/tlschaos" $args -resume "$dir/journal.jsonl" -record "$dir/failures.json" \
 	>"$dir/resumed.out" 2>"$dir/resumed.err"
+
+tail -n +"$(($(wc -l <"$dir/interrupted.jsonl") + 1))" "$dir/journal.jsonl" |
+	sed -n 's/^{"t":"job-start".*"key":"\([0-9a-f]*\)".*/\1/p' | sort -u >"$dir/restarted.keys"
+rerun=$(comm -12 "$dir/done.keys" "$dir/restarted.keys")
+if [ -n "$rerun" ]; then
+	echo "chaos-drill: resume re-ran cases the interrupted run had completed:" >&2
+	echo "$rerun" >&2
+	exit 1
+fi
+echo "chaos-drill: resume re-ran none of the $(wc -l <"$dir/done.keys") completed cases"
 
 "$dir/tlschaos" $args -record "$dir/failures.json" \
 	>"$dir/clean.out" 2>"$dir/clean.err"
