@@ -24,9 +24,10 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# race exercises the packages the experiment orchestrator made concurrent.
+# race exercises the packages that run jobs concurrently (the in-process
+# coordinator, its worker and the runner) and the sweeps built on them.
 race:
-	$(GO) test -race ./internal/exp ./internal/report ./internal/sim
+	$(GO) test -race ./internal/exp ./internal/cluster ./internal/report ./internal/sim
 
 # race-short runs the whole module under the race detector in short mode —
 # the CI job that guards the parallel simulation core (prefetch workers and

@@ -20,13 +20,14 @@
 // <record-file>`) reproduces the run — same injected faults, same invariant
 // report, same cycle count.
 //
-// Every case is an exp.Job, run by the same exp.Runner as the other
-// campaign CLIs (or, with -coordinator, by a tlsserve fleet). Long campaigns
-// are therefore crash-safe the same way: with -journal every case is logged
-// to an fsync'd JSONL WAL with its outcome, and in-flight simulations
-// checkpoint on SIGINT/SIGTERM (exit 130); `tlschaos -resume <journal>`
-// serves completed cases from the journal without re-running them and
-// restarts interrupted ones from their latest checkpoint.
+// Every case is an exp.Job, run by the same executor as the other campaign
+// CLIs: an in-process coordinator for -jobs N, or with -coordinator a
+// tlsserve fleet. Long campaigns are therefore crash-safe the same way: with
+// -journal every case is logged to an fsync'd JSONL WAL with its sealed
+// outcome, and in-flight simulations checkpoint on SIGINT/SIGTERM (exit
+// 130); `tlschaos -resume <journal>` serves completed cases from the journal
+// without re-running them and restarts interrupted ones from their latest
+// checkpoint.
 package main
 
 import (
@@ -189,10 +190,10 @@ func main() {
 	defer sd.Stop()
 
 	// A verdict is final: a case that crashed or hung is reported, never
-	// retried. Completed cases journal their outcome, so a -resume serves
-	// them without re-running.
+	// re-executed. Completed cases journal their outcome, so a -resume
+	// serves them without re-running.
 	runner := camp.Runner()
-	runner.Retries, runner.JobTimeout = -1, *timeout
+	runner.FailLimit, runner.Runner.JobTimeout = 1, *timeout
 	if camp.Listen != "" {
 		runner.Metrics = new(exp.Metrics)
 		tel, err := camp.Telemetry(runner.Metrics)
@@ -352,9 +353,8 @@ func outcomeFrom(c chaosCase, jr exp.JobResult, interrupted bool) outcome {
 	return o
 }
 
-// runBatch executes the cases' jobs through b — the local exp.Runner or
-// the fleet client — and folds the results back into outcomes, in case
-// order.
+// runBatch executes the cases' jobs through b — the local executor or the
+// fleet client — and folds the results back into outcomes, in case order.
 func runBatch(ctx context.Context, b report.Batcher, cases []chaosCase, jobs []exp.Job) []outcome {
 	results, err := b.RunBatch(ctx, jobs)
 	interrupted := err != nil && ctx.Err() != nil
@@ -399,7 +399,7 @@ func replayRecords(path string, deadline time.Duration) int {
 		jobs = append(jobs, caseJob(c, cfg, selection))
 		flipsOf = append(flipsOf, flips)
 	}
-	runner := &exp.Runner{Retries: -1, JobTimeout: deadline}
+	runner := &cluster.Local{FailLimit: 1, Runner: exp.Runner{JobTimeout: deadline}}
 	failing := 0
 	for i, o := range runBatch(context.Background(), runner, cases, jobs) {
 		printVerbose(o)

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/machine"
@@ -34,7 +35,8 @@ func flipCampaign(t *testing.T) []outcome {
 			jobs = append(jobs, caseJob(c, cfg, selection))
 		}
 	}
-	return runBatch(context.Background(), &exp.Runner{Retries: -1, JobTimeout: 20 * time.Second}, cases, jobs)
+	local := &cluster.Local{FailLimit: 1, Runner: exp.Runner{JobTimeout: 20 * time.Second}}
+	return runBatch(context.Background(), local, cases, jobs)
 }
 
 // captureStdout runs f and returns what it printed.

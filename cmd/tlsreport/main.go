@@ -1,8 +1,9 @@
 // tlsreport regenerates the tables and figures of the paper's evaluation.
 //
-// All simulations run through the internal/exp orchestrator: a worker pool
-// (-jobs) with an optional persistent result cache (-cache) and a run
-// metrics summary (-metrics). Output is byte-identical at any worker count.
+// All simulations run as job batches on an in-process coordinator running
+// -jobs simulations at a time, with an optional persistent result cache
+// (-cache) and a run metrics summary (-metrics). Output is byte-identical at
+// any worker count.
 //
 // Usage:
 //
@@ -136,8 +137,8 @@ func main() {
 	w := os.Stdout
 	want := func(name string) bool { return *only == "" || *only == name }
 
-	// Job failures (simulations that crashed, hung past the watchdog
-	// deadline, or were quarantined) are collected into one manifest and
+	// Job failures (simulations that crashed on every execution or hung
+	// past the watchdog deadline) are collected into one manifest and
 	// reported at exit instead of killing the whole regeneration: the
 	// sweep degrades to partial results.
 	var failures []repro.JobFailure

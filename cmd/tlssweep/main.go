@@ -142,7 +142,7 @@ func main() {
 	die(err)
 	defer camp.Close()
 	runner := camp.Runner()
-	runner.FS = fsys
+	runner.Runner.FS = fsys
 	if camp.Listen != "" {
 		runner.Metrics = new(repro.RunMetrics)
 		tel, err := camp.Telemetry(runner.Metrics)

@@ -1,8 +1,9 @@
 // tlsworker is one member of a distributed campaign fleet: it pulls leased
-// jobs from a tlsserve coordinator, executes them through the hardened
-// experiment runner (watchdog, panic retry, checkpointing, fault injection
-// all intact), streams heartbeats and per-job observability counters back,
-// and steals speculative work when idle.
+// jobs from a tlsserve coordinator, executes each lease as one attempt of
+// the hardened experiment runner (watchdog, panic isolation, checkpointing,
+// fault injection all intact), streams heartbeats and per-job observability
+// counters back, and steals speculative work when idle. Whether a failed
+// attempt runs again is the coordinator's retry policy, not the worker's.
 //
 // Usage:
 //
@@ -28,6 +29,7 @@ import (
 	"repro/internal/cluster/chaosnet"
 	"repro/internal/exp"
 	"repro/internal/obs"
+	"repro/internal/obs/trace"
 )
 
 func main() {
@@ -37,7 +39,6 @@ func main() {
 		jobs     = flag.Int("jobs", 1, "concurrent leased jobs")
 		poll     = flag.Duration("poll", 500*time.Millisecond, "idle wait between empty lease pulls")
 		timeout  = flag.Duration("job-timeout", 0, "per-job watchdog deadline (0 disables)")
-		retries  = flag.Int("retries", 1, "per-job panic-retry budget")
 		observe  = flag.Bool("observe", false, "attach an obs registry to every job and report counters on heartbeats")
 		traceF   = flag.Bool("trace", false, "record attempt/retry/checkpoint spans and ship them to the coordinator's fleet trace")
 		ckptDir  = flag.String("checkpoint-dir", "", "mid-run simulator checkpoint directory")
@@ -71,21 +72,24 @@ func main() {
 	}
 	logger := obs.NewLogger(os.Stderr, "tlsworker", "worker", wname)
 	logf := obs.Logf(logger)
+	runner := &exp.Runner{JobTimeout: *timeout, CheckpointDir: *ckptDir, CheckpointEvery: *ckptN}
+	if *traceF {
+		// Attempt and post-mortem spans are retained and shipped home on
+		// heartbeats and completions, where they merge into the fleet trace.
+		runner.Tracer = trace.New(wname)
+		runner.Tracer.Retain()
+	}
 	wcfg := cluster.WorkerConfig{
-		Name:            wname,
-		Coordinator:     *coord,
-		Parallel:        *jobs,
-		Poll:            *poll,
-		JobTimeout:      *timeout,
-		Retries:         *retries,
-		CheckpointDir:   *ckptDir,
-		CheckpointEvery: *ckptN,
-		Observe:         *observe,
-		Trace:           *traceF,
-		Metrics:         metrics,
-		RPCTimeout:      *rpcTimeout,
-		DialTimeout:     *dialTimeout,
-		Logf:            logf,
+		Name:        wname,
+		Coordinator: *coord,
+		Parallel:    *jobs,
+		Poll:        *poll,
+		Runner:      runner,
+		Observe:     *observe,
+		Metrics:     metrics,
+		RPCTimeout:  *rpcTimeout,
+		DialTimeout: *dialTimeout,
+		Logf:        logf,
 	}
 	if *chaosNet != "" {
 		ccfg, err := chaosnet.Profile(*chaosNet, *chaosSeed)

@@ -121,13 +121,17 @@ func (c *Campaign) Close() {
 	}
 }
 
-// Runner returns the local executor the flags describe: -jobs workers, the
-// journal, the checkpoint settings and the resumed state.
-func (c *Campaign) Runner() *exp.Runner {
-	return &exp.Runner{
-		Workers: c.Jobs, Journal: c.Journal,
-		CheckpointDir: c.CheckpointDir, CheckpointEvery: c.CheckpointEvery,
-		Resume: c.State,
+// Runner returns the local executor the flags describe: an in-process
+// coordinator running -jobs simulations at a time, with the journal, the
+// checkpoint settings and the resumed state.
+func (c *Campaign) Runner() *cluster.Local {
+	return &cluster.Local{
+		Workers: c.Jobs,
+		Runner: exp.Runner{
+			Journal:       c.Journal,
+			CheckpointDir: c.CheckpointDir, CheckpointEvery: c.CheckpointEvery,
+			Resume: c.State,
+		},
 	}
 }
 

@@ -86,7 +86,7 @@ func TestResumeImpliesJournal(t *testing.T) {
 		t.Fatalf("checkpoint dir %q, want %q", c.CheckpointDir, path+".ckpt")
 	}
 	r := c.Runner()
-	if r.Journal != c.Journal || !r.Resume.Done["k"] {
+	if r.Runner.Journal != c.Journal || !r.Runner.Resume.Done["k"] {
 		t.Fatal("local runner does not carry the campaign's journal and resume state")
 	}
 	recs, err := exp.ReadJournal(path)

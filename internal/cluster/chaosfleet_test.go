@@ -39,10 +39,7 @@ func hostilePlan(seed uint64) *chaosnet.Plan {
 // local run.
 func TestChaosFleetParity(t *testing.T) {
 	jobs := testJobs()
-	local, err := (&exp.Runner{Workers: 1}).RunBatch(context.Background(), jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	local := serialResults(jobs)
 
 	cache, err := exp.NewCache(t.TempDir())
 	if err != nil {

@@ -13,9 +13,9 @@ import (
 )
 
 // Client submits jobs to a coordinator and polls for their outcomes. It
-// implements the report.Batcher shape (RunBatch with the exp.Runner
-// signature), so `tlsreport -coordinator URL` renders the same artifacts
-// from fleet results that it renders from local ones.
+// implements the report.Batcher shape (RunBatch, like Local), so `tlsreport
+// -coordinator URL` renders the same artifacts from fleet results that it
+// renders from local ones.
 //
 // The client is crash-tolerant on both sides: submission is idempotent by
 // job key, transient connection errors back off and retry, and keys a
@@ -111,7 +111,8 @@ func (c *Client) logf(format string, args ...any) {
 }
 
 // RunBatch submits the jobs and blocks until every outcome arrived or ctx
-// died. Results come back in submission order; like exp.Runner.RunBatch, the
+// died. Results come back in submission order; a key repeated within the
+// batch is executed once and its later indices are marked Deduped. The
 // returned error is only non-nil when ctx is cancelled, in which case
 // unresolved jobs carry ctx's error.
 func (c *Client) RunBatch(ctx context.Context, jobs []exp.Job) ([]exp.JobResult, error) {
@@ -204,9 +205,15 @@ func (c *Client) RunBatch(ctx context.Context, jobs []exp.Job) ([]exp.JobResult,
 					continue // corrupt envelope: re-poll
 				}
 				delete(pending, key)
-				for _, i := range byKey[key] {
+				for n, i := range byKey[key] {
 					out[i] = jr
 					out[i].Job = jobs[i]
+					if n > 0 {
+						// A repeated key shares the first index's outcome;
+						// only that index accounts for the execution.
+						out[i].Deduped = true
+						out[i].Attempts, out[i].Wall = 0, 0
+					}
 					resolved[i] = true
 					if c.Progress != nil {
 						c.Progress(out[i])
@@ -253,7 +260,7 @@ func (c *Client) decode(jobs []exp.Job, idx []int, env Envelope) (exp.JobResult,
 	}
 	if o.Err != "" {
 		job := jobs[idx[0]]
-		jr.Err = fmt.Errorf("job %s (remote %s): %s", job.Label(), o.Worker, o.Err)
+		jr.Err = fmt.Errorf("job %s (worker %s): %s", job.Label(), o.Worker, o.Err)
 		jr.TimedOut = o.TimedOut
 	}
 	return jr, true
@@ -293,8 +300,8 @@ func (c *Client) submit(ctx context.Context, specs []JobSpec) ([]string, error) 
 	return rejected, nil
 }
 
-// abandon fills every unresolved slot with ctx's error, mirroring the local
-// Runner's cancellation contract.
+// abandon fills every unresolved slot with ctx's error: the cancellation
+// contract every executor shares.
 func (c *Client) abandon(ctx context.Context, jobs []exp.Job, out []exp.JobResult, resolved []bool) []exp.JobResult {
 	err := ctx.Err()
 	if err == nil {

@@ -37,6 +37,17 @@ func testJobs() []exp.Job {
 	}
 }
 
+// serialResults executes every job directly, in order: the reference any
+// fabric's results must be DeepEqual to.
+func serialResults(jobs []exp.Job) []exp.JobResult {
+	out := make([]exp.JobResult, len(jobs))
+	for i, j := range jobs {
+		res, v := j.ExecuteWithVerdict()
+		out[i] = exp.JobResult{Job: j, Result: res, Chaos: v}
+	}
+	return out
+}
+
 func TestSpecRoundTrip(t *testing.T) {
 	fc := fault.CampaignConfig(7)
 	jobs := []exp.Job{
@@ -129,10 +140,7 @@ func startFabric(t *testing.T, cfg Config, n int, wcfg WorkerConfig) (*Coordinat
 // determinism guarantees.
 func TestFabricParity(t *testing.T) {
 	jobs := testJobs()
-	local, err := (&exp.Runner{Workers: 1}).RunBatch(context.Background(), jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	local := serialResults(jobs)
 
 	cache, err := exp.NewCache(t.TempDir())
 	if err != nil {
@@ -391,10 +399,16 @@ func TestTransientFailureRetriesThenFails(t *testing.T) {
 		if len(lr.Leases) != 1 {
 			t.Fatalf("round %d: job not leasable: %+v", round, lr)
 		}
-		co.Complete(CompleteRequest{
+		if lr.Leases[0].Attempt != round {
+			t.Fatalf("round %d: lease carries attempt %d", round, lr.Leases[0].Attempt)
+		}
+		resp := co.Complete(CompleteRequest{
 			Worker: "w1", Lease: lr.Leases[0].ID, Key: spec.Key,
-			Env: sealOutcome(t, Outcome{Key: spec.Key, Worker: "w1", Err: "panic"}),
+			Env: sealOutcome(t, Outcome{Key: spec.Key, Worker: "w1", Err: "panic", Attempts: 1}),
 		})
+		if resp.Failed != (round == 2) {
+			t.Fatalf("round %d: complete reported Failed=%v", round, resp.Failed)
+		}
 	}
 	// FailLimit (default 2) reached: permanently failed, no more leases.
 	if lr := co.LeaseJobs(LeaseRequest{Worker: "w1", Max: 1}); len(lr.Leases) != 0 {
@@ -402,5 +416,14 @@ func TestTransientFailureRetriesThenFails(t *testing.T) {
 	}
 	if n := co.Counts(); n.Failed != 1 {
 		t.Fatalf("counts: %+v", n)
+	}
+	// The failed outcome reports every execution the coordinator issued, not
+	// just the last lease's one.
+	var o Outcome
+	if err := co.Results(ResultsRequest{Keys: []string{spec.Key}}).Results[spec.Key].Open(&o); err != nil {
+		t.Fatal(err)
+	}
+	if o.Err == "" || o.Attempts != 2 {
+		t.Fatalf("failed outcome: err %q attempts %d, want an error after 2", o.Err, o.Attempts)
 	}
 }

@@ -46,8 +46,9 @@ type Config struct {
 	// plus one speculative re-execution).
 	MaxIssues int
 	// FailLimit is how many distinct failed executions a job gets before it
-	// is failed permanently (default 2). Watchdog timeouts fail immediately:
-	// a deterministic simulation that hung once will hang everywhere.
+	// is failed permanently (default 2: one re-execution). Watchdog timeouts
+	// fail immediately: a deterministic simulation that hung once will hang
+	// everywhere. This is the campaign's only retry policy, local or fleet.
 	FailLimit int
 	// MaxPending bounds the pending queue (0 = unbounded). Submissions that
 	// would grow the queue past the bound are shed with an OverloadError
@@ -179,7 +180,6 @@ type jobEntry struct {
 	firstLeased time.Time
 
 	outcome Envelope // sealed Outcome once state is jobDone or jobFailed
-	lastErr Envelope // most recent failed execution, for the permanent fail
 }
 
 // lease is one active grant of a job to a worker.
@@ -255,6 +255,7 @@ type fleetCounters struct {
 	crcRejected       uint64 // completions failing the envelope checksum
 	requeues          uint64
 	journalErrors     uint64
+	cachePutErrors    uint64 // completed results the cache could not persist
 	shedSubmits       uint64 // submissions shed by the queue bound
 	rateLimited       uint64 // submissions refused by per-client admission
 	specRejects       uint64 // specs that did not re-hash to their own key
@@ -268,6 +269,10 @@ type fleetCounters struct {
 type Coordinator struct {
 	cfg Config
 	now func() time.Time // injectable clock for deterministic tests
+	// resolve rebuilds a submitted spec's job (default JobSpec.Job). The
+	// in-process executor resolves its own batch's jobs by key instead, so
+	// any job — even one whose machine has no wire name — runs locally.
+	resolve func(JobSpec) (exp.Job, error)
 
 	mu       sync.Mutex
 	jobs     map[string]*jobEntry
@@ -306,11 +311,13 @@ var phaseBuckets = []uint64{1, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 1
 // past the bound keeps the earliest spans and counts the drops.
 const maxFleetSpans = 1 << 17
 
-// NewCoordinator builds a coordinator and journals the campaign header.
+// NewCoordinator builds a coordinator, stamps its campaign ID on the journal
+// and, for a named campaign, journals the campaign header.
 func NewCoordinator(cfg Config) *Coordinator {
 	c := &Coordinator{
 		cfg:      cfg,
 		now:      time.Now,
+		resolve:  JobSpec.Job,
 		jobs:     make(map[string]*jobEntry),
 		leases:   make(map[uint64]*lease),
 		workers:  make(map[string]*workerState),
@@ -324,9 +331,11 @@ func NewCoordinator(cfg Config) *Coordinator {
 	c.delivery = c.phases.Histogram("result_delivery_ms", phaseBuckets)
 	// The coordinator's own spans must survive until FleetSpans merges them.
 	cfg.Tracer.Retain()
-	if cfg.Journal != nil && cfg.Name != "" {
+	if cfg.Journal != nil {
 		c.cfg.Journal.SetCampaign(c.campaignLocked())
-		c.journalAppend(exp.JournalRecord{T: exp.RecCampaign, Name: cfg.Name})
+		if cfg.Name != "" {
+			c.journalAppend(exp.JournalRecord{T: exp.RecCampaign, Name: cfg.Name})
+		}
 	}
 	return c
 }
@@ -444,7 +453,7 @@ func (c *Coordinator) submitLocked(specs []JobSpec, admit bool) (SubmitResponse,
 			}
 			continue
 		}
-		job, err := spec.Job()
+		job, err := c.resolve(spec)
 		if err != nil {
 			// The spec does not re-hash to its own key: version skew, or a
 			// corrupted submit body. Reject rather than register-and-fail —
@@ -482,13 +491,19 @@ func (c *Coordinator) settleWithoutRunLocked(e *jobEntry) bool {
 	key := e.spec.Key
 	// A completed key from the replayed journal: chaotic outcomes travel in
 	// the journal itself, plain ones are reconstructed from the cache below.
-	if env, ok := c.cfg.State.Outcomes[key]; ok {
+	// A payload that is not a valid sealed envelope (torn, or an older
+	// format) re-runs its job.
+	if data, ok := c.cfg.State.Outcomes[key]; ok {
 		var stored Envelope
-		if json.Unmarshal(env, &stored) == nil && stored.Open(&Outcome{}) == nil {
-			e.outcome = stored
-			e.state = jobDone
-			c.ctr.resumeHits++
-			return true
+		var o Outcome
+		if json.Unmarshal(data, &stored) == nil && stored.Open(&o) == nil {
+			o.Cached, o.Attempts, o.WallMS = true, 0, 0
+			if env, err := Seal(o); err == nil {
+				e.outcome = env
+				e.state = jobDone
+				c.ctr.resumeHits++
+				return true
+			}
 		}
 	}
 	if c.cfg.Cache != nil && !e.spec.Chaotic() {
@@ -497,6 +512,9 @@ func (c *Coordinator) settleWithoutRunLocked(e *jobEntry) bool {
 			if err == nil {
 				e.outcome = env
 				e.state = jobDone
+				c.cfg.Tracer.Instant(trace.Span{
+					Name: e.label(), Kind: trace.KindCacheHit, Campaign: c.campaignLocked(), Key: key,
+				})
 				if c.cfg.State.Done[key] {
 					c.ctr.resumeHits++
 				} else {
@@ -658,7 +676,10 @@ func (c *Coordinator) grantLocked(e *jobEntry, worker string) Lease {
 	c.journalAppend(exp.JournalRecord{
 		T: exp.RecLease, Key: l.key, Label: e.label(), Worker: worker, Lease: l.id,
 	})
-	return Lease{ID: l.id, Spec: e.spec, TTLMS: c.cfg.leaseTTL().Milliseconds(), Speculative: l.speculative}
+	return Lease{
+		ID: l.id, Spec: e.spec, TTLMS: c.cfg.leaseTTL().Milliseconds(),
+		Attempt: e.issues, Speculative: l.speculative,
+	}
 }
 
 // settleLeaseLocked records the end of one lease's life in the phase
@@ -806,7 +827,6 @@ func (c *Coordinator) Complete(req CompleteRequest) CompleteResponse {
 	}
 	if o.Err != "" {
 		e.failures++
-		e.lastErr = req.Env
 		if o.TimedOut {
 			// Deterministic hang: re-running it anywhere only hangs again.
 			e.failures = c.cfg.failLimit()
@@ -814,23 +834,27 @@ func (c *Coordinator) Complete(req CompleteRequest) CompleteResponse {
 		if len(e.leases) == 0 {
 			if e.failures >= c.cfg.failLimit() {
 				c.failLocked(e, req.Env, o)
-			} else {
-				c.maybeRequeueLocked(e)
+				return CompleteResponse{Accepted: true, Failed: true}
 			}
+			c.maybeRequeueLocked(e)
 		}
 		return CompleteResponse{Accepted: true}
 	}
-	e.outcome = req.Env
+	e.outcome = c.settledLocked(e, req.Env, o)
 	e.state = jobDone
 	w.completed++
 	if c.cfg.Cache != nil && !e.spec.Chaotic() {
-		c.cfg.Cache.Put(e.job, o.Result)
+		if err := c.cfg.Cache.Put(e.job, o.Result); err != nil {
+			// The campaign survives a failed write (the result is in hand),
+			// but a full disk must be visible.
+			c.ctr.cachePutErrors++
+		}
 	}
 	rec := exp.JournalRecord{T: exp.RecJobDone, Key: req.Key, Label: e.label(), Worker: req.Worker}
 	if e.spec.Chaotic() {
 		// The verdict is not reconstructible from the result cache, so the
 		// sealed outcome itself rides in the journal for crash-resume.
-		if data, err := json.Marshal(req.Env); err == nil {
+		if data, err := json.Marshal(e.outcome); err == nil {
 			rec.Data = data
 		}
 	}
@@ -839,14 +863,35 @@ func (c *Coordinator) Complete(req CompleteRequest) CompleteResponse {
 	return CompleteResponse{Accepted: true}
 }
 
+// settledLocked returns the envelope a settling outcome is published under:
+// its Attempts counts every execution the coordinator issued for the key,
+// not just the settling lease's one.
+func (c *Coordinator) settledLocked(e *jobEntry, env Envelope, o Outcome) Envelope {
+	if o.Attempts == e.issues {
+		return env
+	}
+	o.Attempts = e.issues
+	if resealed, err := Seal(o); err == nil {
+		return resealed
+	}
+	return env
+}
+
 // failLocked marks the entry permanently failed with the given outcome.
 func (c *Coordinator) failLocked(e *jobEntry, env Envelope, o Outcome) {
-	e.outcome = env
+	e.outcome = c.settledLocked(e, env, o)
 	e.state = jobFailed
 	c.journalAppend(exp.JournalRecord{
 		T: exp.RecJobDone, Key: e.spec.Key, Label: e.label(), Worker: o.Worker, Err: o.Err,
 	})
 	c.cancelSiblingsLocked(e)
+}
+
+// writeErrors returns how many journal appends and cache writes failed.
+func (c *Coordinator) writeErrors() (cachePut, journal int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return int(c.ctr.cachePutErrors), int(c.ctr.journalErrors)
 }
 
 // cancelSiblingsLocked voids every remaining lease of a finished entry and
@@ -1149,6 +1194,7 @@ func (c *Coordinator) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 	obs.PromMetric(w, "tls_fleet_crc_rejected", "counter", float64(ctr.crcRejected))
 	obs.PromMetric(w, "tls_fleet_requeues", "counter", float64(ctr.requeues))
 	obs.PromMetric(w, "tls_fleet_journal_errors", "counter", float64(ctr.journalErrors))
+	obs.PromMetric(w, "tls_fleet_cache_put_errors", "counter", float64(ctr.cachePutErrors))
 	obs.PromMetric(w, "tls_fleet_workers_quarantined", "gauge", float64(n.Quarantined))
 	obs.PromMetric(w, "tls_fleet_shed_submits", "counter", float64(ctr.shedSubmits))
 	obs.PromMetric(w, "tls_fleet_rate_limited", "counter", float64(ctr.rateLimited))

@@ -1,11 +1,12 @@
-// Package cluster is the distributed campaign fabric: a tlsserve
-// coordinator that owns a campaign's job set, leases, journal and result
-// cache, and a fleet of tlsworker processes that pull job batches over HTTP,
-// execute them through the hardened exp.Runner, and stream results and
-// heartbeats back.
+// Package cluster is the campaign scheduler: a coordinator that owns a
+// campaign's job set, leases, journal and result cache, and workers that
+// pull job batches, execute each lease as one attempt of the hardened
+// exp.Runner, and stream results and heartbeats back. On a fleet the three
+// parts are tlsserve, tlsworker and a -coordinator client talking HTTP;
+// locally (`-jobs N`) Local runs the same three in one process through an
+// in-memory transport, so every campaign has one lifecycle.
 //
-// The design leans entirely on the property that makes the local
-// orchestrator sound: a Job is a canonical, content-hashed description of a
+// The design leans entirely on the property that makes this sound: a Job is a canonical, content-hashed description of a
 // deterministic simulation. That turns distribution into a cache-filling
 // problem — any worker may run any job, duplicates are harmless (first valid
 // result wins), and a campaign assembled from fleet results is

@@ -1,4 +1,4 @@
-package cluster
+package cluster_test
 
 import (
 	"context"
@@ -8,13 +8,22 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/exp"
+	"repro/internal/fault"
+	"repro/internal/machine"
 	"repro/internal/obs/trace"
 	"repro/internal/report"
+	"repro/internal/workload"
 )
+
+// This file is an external test package: it validates the fleet trace with
+// report.ValidatePerfetto, and report imports cluster.
 
 // TestFleetTraceLoopback runs a batch on a traced loopback fleet (traced
 // coordinator, two tracing workers) and checks the whole observability
@@ -23,19 +32,48 @@ import (
 // lease→attempt→complete flow arrows, every span carries the campaign ID,
 // and the phase-latency histograms show up on /metrics.
 func TestFleetTraceLoopback(t *testing.T) {
-	jobs := testJobs()
-	local, err := (&exp.Runner{Workers: 1}).RunBatch(context.Background(), jobs)
-	if err != nil {
-		t.Fatal(err)
+	prof := workload.Tree().Scale(0.05, 0.05, 0.25)
+	cfg := machine.CMP8()
+	fc := fault.CampaignConfig(3)
+	jobs := []exp.Job{
+		{Machine: cfg, Profile: prof, Seed: 1, Sequential: true},
+		{Machine: cfg, Scheme: core.SingleTEager, Profile: prof, Seed: 1},
+		{Machine: cfg, Scheme: core.MultiTMVLazy, Profile: prof, Seed: 1},
+		{Machine: cfg, Scheme: core.MultiTMVLazy, Profile: prof, Seed: 2},
+		{Machine: cfg, Scheme: core.MultiTSVLazy, Profile: prof, Seed: 1, Faults: &fc, Invariants: true},
 	}
 
-	cfg := Config{
+	co := cluster.NewCoordinator(cluster.Config{
 		Name:     "loopback",
 		LeaseTTL: 5 * time.Second,
 		Tracer:   trace.New("coordinator"),
+	})
+	addr, err := co.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	co, url, stop := startFabric(t, cfg, 2, WorkerConfig{Trace: true})
-	client := &Client{URL: url, Name: "trace-client", Poll: 20 * time.Millisecond}
+	url := "http://" + addr
+	ctx, cancel := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	for _, name := range []string{"w1", "w2"} {
+		// Each tracing worker ships its runner's retained spans home.
+		runner := &exp.Runner{Tracer: trace.New(name)}
+		runner.Tracer.Retain()
+		w := cluster.NewWorker(cluster.WorkerConfig{
+			Name: name, Coordinator: url, Poll: 20 * time.Millisecond, Runner: runner,
+		})
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			w.Run(ctx)
+		}()
+	}
+	stop := func() {
+		cancel()
+		wg.Wait()
+		co.Stop()
+	}
+	client := &cluster.Client{URL: url, Name: "trace-client", Poll: 20 * time.Millisecond}
 	got, err := client.RunBatch(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
@@ -44,7 +82,7 @@ func TestFleetTraceLoopback(t *testing.T) {
 		if got[i].Err != nil {
 			t.Fatalf("job %d: %v", i, got[i].Err)
 		}
-		if !reflect.DeepEqual(local[i].Result, got[i].Result) {
+		if !reflect.DeepEqual(jobs[i].Execute(), got[i].Result) {
 			t.Errorf("job %d: traced fleet result diverged from untraced serial run", i)
 		}
 	}
@@ -141,7 +179,7 @@ func TestFleetTraceLoopback(t *testing.T) {
 // coordinator without a Tracer must refuse to write an empty fleet trace
 // rather than produce a file that validates but shows nothing.
 func TestFleetTraceWithoutTracerErrors(t *testing.T) {
-	co := NewCoordinator(Config{Name: "untraced"})
+	co := cluster.NewCoordinator(cluster.Config{Name: "untraced"})
 	if err := co.WriteFleetTrace(nil, filepath.Join(t.TempDir(), "x.json")); err == nil {
 		t.Fatal("WriteFleetTrace succeeded with no spans")
 	}

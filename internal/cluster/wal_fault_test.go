@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"fmt"
+	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/exp"
@@ -89,5 +91,36 @@ func TestCoordinatorWALCrashConsistency(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A completed result the cache cannot persist (here: the directory sync
+// behind the entry's rename fails) must not fail the job, but it must be
+// counted — on /metrics and in the local executor's -metrics line — rather
+// than silently stop caching fleet results.
+func TestCompleteCountsCachePutFailure(t *testing.T) {
+	inj := iofault.NewInjector(iofault.Plan{Seed: 21})
+	cache, err := exp.NewCacheFS(inj, filepath.Join(t.TempDir(), "cache"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	co := NewCoordinator(Config{Cache: cache, StragglerAfter: -1, StealAfter: -1})
+	spec := submitOne(t, co, 1)
+	lr := co.LeaseJobs(LeaseRequest{Worker: "w1", Max: 1})
+	inj.SetSyncFailures(1)
+	resp := co.Complete(CompleteRequest{
+		Worker: "w1", Lease: lr.Leases[0].ID, Key: spec.Key,
+		Env: sealOutcome(t, Outcome{Key: spec.Key, Worker: "w1", Attempts: 1}),
+	})
+	if !resp.Accepted || co.Counts().Done != 1 {
+		t.Fatalf("a failed cache write must not fail the job: %+v", resp)
+	}
+	if put, _ := co.writeErrors(); put != 1 {
+		t.Fatalf("cache-put errors = %d, want 1", put)
+	}
+	rec := httptest.NewRecorder()
+	co.serveMetrics(rec, nil)
+	if !strings.Contains(rec.Body.String(), "tls_fleet_cache_put_errors 1") {
+		t.Fatalf("/metrics omits the cache-put failure:\n%s", rec.Body.String())
 	}
 }

@@ -63,9 +63,10 @@ type Outcome struct {
 	Err      string `json:"err,omitempty"`
 	TimedOut bool   `json:"timed_out,omitempty"`
 	// Cached marks an outcome the coordinator served from its result cache
-	// without leasing the job to anyone.
+	// or its resumed journal without leasing the job to anyone.
 	Cached bool `json:"cached,omitempty"`
-	// Attempts and WallMS describe the winning execution, Worker who ran it.
+	// Attempts is how many executions the coordinator issued for the key;
+	// WallMS is the settling execution's wall time, Worker who ran it.
 	Attempts int    `json:"attempts,omitempty"`
 	WallMS   int64  `json:"wall_ms,omitempty"`
 	Worker   string `json:"worker,omitempty"`
@@ -109,6 +110,8 @@ type Lease struct {
 	Spec JobSpec `json:"spec"`
 	// TTLMS is how long the coordinator holds the lease without a heartbeat.
 	TTLMS int64 `json:"ttl_ms"`
+	// Attempt is the job's 1-based execution number (spans, post-mortems).
+	Attempt int `json:"attempt,omitempty"`
 	// Speculative marks a duplicate issue of a job another worker already
 	// holds (straggler re-execution / steal); first valid result wins.
 	Speculative bool `json:"speculative,omitempty"`
@@ -157,10 +160,13 @@ type CompleteRequest struct {
 }
 
 // CompleteResponse acknowledges an outcome. Duplicate marks a result for a
-// job some other issue already completed (counted, then discarded).
+// job some other issue already completed (counted, then discarded); Failed
+// marks a failed execution that failed the job permanently, so the worker
+// writes its post-mortem.
 type CompleteResponse struct {
 	Accepted  bool `json:"accepted"`
 	Duplicate bool `json:"duplicate,omitempty"`
+	Failed    bool `json:"failed,omitempty"`
 }
 
 // ReleaseRequest returns leases without outcomes (worker drain, or a cancel

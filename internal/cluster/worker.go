@@ -28,25 +28,17 @@ type WorkerConfig struct {
 	Parallel int
 	// Poll is the idle wait between empty lease pulls (default 500ms).
 	Poll time.Duration
-	// JobTimeout, Retries, RetryBackoff, CheckpointDir and CheckpointEvery
-	// configure the per-job exp.Runner, preserving the local hardening
-	// (watchdog, panic retry, checkpoint-at-interrupt) on fleet workers.
-	JobTimeout      time.Duration
-	Retries         int
-	RetryBackoff    time.Duration
-	CheckpointDir   string
-	CheckpointEvery int
+	// Runner executes every leased attempt (nil = a zero exp.Runner): its
+	// watchdog deadline, checkpoint settings and flight recorder apply to
+	// all of this worker's leases, and its Tracer, when set, is the span
+	// stream the worker ships home on heartbeats and completions. Retry is
+	// the coordinator's policy (Config.FailLimit), not the worker's.
+	Runner *exp.Runner
 	// Observe attaches a fresh obs registry to every executed job and
 	// reports the accumulated counter totals on heartbeats. Observability is
 	// per-worker and never part of a job's identity, so observed and
 	// unobserved workers produce identical results.
 	Observe bool
-	// Trace records every attempt, retry and quarantine as wall-clock spans
-	// (campaign/key/attempt correlation IDs, lease-ID flow tags) and ships
-	// them to the coordinator on heartbeats and completions, where they merge
-	// into the fleet Perfetto trace. Like Observe it cannot perturb results:
-	// spans live outside the simulated cycle domain.
-	Trace bool
 	// Metrics, when non-nil, accumulates local run statistics.
 	Metrics *exp.Metrics
 	// Logf, when non-nil, receives operational log lines.
@@ -88,7 +80,10 @@ func (c WorkerConfig) poll() time.Duration {
 type Worker struct {
 	cfg    WorkerConfig
 	hc     *http.Client
-	tracer *trace.Tracer // nil unless cfg.Trace
+	tracer *trace.Tracer // the runner's shipping tracer; nil when untraced
+	// resolve rebuilds a leased spec's job (default JobSpec.Job); the
+	// in-process executor hands back the caller's own job, Obs included.
+	resolve func(JobSpec) (exp.Job, error)
 
 	mu        sync.Mutex
 	cancels   map[uint64]context.CancelFunc // per-lease job cancellation
@@ -102,22 +97,18 @@ func NewWorker(cfg WorkerConfig) *Worker {
 	if hc == nil {
 		hc = httpClient(cfg.DialTimeout, cfg.RPCTimeout)
 	}
-	w := &Worker{
+	if cfg.Runner == nil {
+		cfg.Runner = new(exp.Runner)
+	}
+	return &Worker{
 		cfg:     cfg,
 		hc:      hc,
+		tracer:  cfg.Runner.Tracer,
+		resolve: JobSpec.Job,
 		cancels: make(map[uint64]context.CancelFunc),
 		ttl:     30 * time.Second,
 	}
-	if cfg.Trace {
-		w.tracer = trace.New(cfg.Name)
-		w.tracer.Retain()
-	}
-	return w
 }
-
-// Tracer exposes the worker's tracer (nil when tracing is off), chiefly so
-// tests and post-mortems can read the flight recorder.
-func (w *Worker) Tracer() *trace.Tracer { return w.tracer }
 
 func (w *Worker) seed() uint64 {
 	if w.cfg.Seed != 0 {
@@ -230,7 +221,7 @@ func (w *Worker) noteTTL(l Lease) {
 // job was interrupted (drain or a lost speculative race) is released, not
 // completed: the coordinator re-queues it unless someone else finished it.
 func (w *Worker) runLease(ctx context.Context, l Lease) {
-	job, err := l.Spec.Job()
+	job, err := w.resolve(l.Spec)
 	if err != nil {
 		// The spec does not reconstruct here (version skew): report the
 		// permanent failure rather than silently dropping the lease.
@@ -251,27 +242,17 @@ func (w *Worker) runLease(ctx context.Context, l Lease) {
 		w.mu.Unlock()
 	}()
 
-	// A fresh single-job Runner per lease keeps the hardened execution path
-	// (panic isolation, watchdog, retry, checkpointing) while giving every
-	// lease its own cancellation scope.
-	r := &exp.Runner{
-		Workers:         1,
-		Retries:         w.cfg.Retries,
-		RetryBackoff:    w.cfg.RetryBackoff,
-		JobTimeout:      w.cfg.JobTimeout,
-		CheckpointDir:   w.cfg.CheckpointDir,
-		CheckpointEvery: w.cfg.CheckpointEvery,
-		Metrics:         w.cfg.Metrics,
-		Tracer:          w.tracer,
-		Campaign:        l.Spec.Campaign,
-		Flow:            l.ID,
-	}
-	results, _ := r.RunBatch(jobCtx, []exp.Job{job})
-	jr := results[0]
+	// One attempt per lease, in the lease's own cancellation scope; the
+	// coordinator decides whether a failure earns another execution.
+	jr := w.cfg.Runner.Run(jobCtx, job, exp.Attempt{Campaign: l.Spec.Campaign, Flow: l.ID, N: l.Attempt})
 	if jr.Err != nil && (errors.Is(jr.Err, exp.ErrJobInterrupted) || jobCtx.Err() != nil) && !jr.TimedOut {
 		// Drain or cancellation, not the job's fault: give the lease back.
 		w.release(l.ID)
 		return
+	}
+	if w.cfg.Metrics != nil {
+		w.cfg.Metrics.Queue(1)
+		w.cfg.Metrics.Observe(jr)
 	}
 	if w.cfg.Observe && jr.Err == nil && job.Obs != nil {
 		w.foldObs(job.Obs.Registry)
@@ -288,7 +269,9 @@ func (w *Worker) runLease(ctx context.Context, l Lease) {
 		o.Err = jr.Err.Error()
 		o.TimedOut = jr.TimedOut
 	}
-	w.complete(ctx, l, o)
+	if w.complete(ctx, l, o).Failed {
+		w.cfg.Runner.PostMortem(job, l.Spec.Campaign, o.Err)
+	}
 }
 
 // foldObs accumulates one finished run's counters into the worker totals.
@@ -374,12 +357,18 @@ func (w *Worker) lease(req LeaseRequest) (LeaseResponse, error) {
 // for a transient connection error. Retry sleeps watch ctx so a draining
 // worker does not stall on a dead coordinator; when ctx dies mid-wait, one
 // final immediate attempt still delivers the result on a live network, and
-// otherwise the journal's requeue covers the loss.
-func (w *Worker) complete(ctx context.Context, l Lease, o Outcome) {
+// otherwise the journal's requeue covers the loss. It returns the
+// coordinator's acknowledgement (zero when delivery failed).
+func (w *Worker) complete(ctx context.Context, l Lease, o Outcome) CompleteResponse {
 	env, err := Seal(o)
 	if err != nil {
+		// An unsealable result (a non-finite float) would otherwise leave
+		// the lease to expire and re-run forever: report it as the failure.
 		w.logf("worker %s: sealing outcome for %.12s: %v", w.cfg.Name, o.Key, err)
-		return
+		o = Outcome{Key: o.Key, Err: "sealing outcome: " + err.Error(), Attempts: o.Attempts, WallMS: o.WallMS, Worker: o.Worker}
+		if env, err = Seal(o); err != nil {
+			return CompleteResponse{}
+		}
 	}
 	req := CompleteRequest{Worker: w.cfg.Name, Lease: l.ID, Key: o.Key, Env: env}
 	if w.tracer != nil {
@@ -391,12 +380,12 @@ func (w *Worker) complete(ctx context.Context, l Lease, o Outcome) {
 		var resp CompleteResponse
 		err := w.post("/v1/complete", req, &resp)
 		if err == nil {
-			return
+			return resp
 		}
 		if attempt == 7 {
 			w.logf("worker %s: delivering %.12s failed: %v", w.cfg.Name, o.Key, err)
 			w.tracer.Requeue(req.Spans)
-			return
+			return CompleteResponse{}
 		}
 		wait := bo.next()
 		var se *StatusError
@@ -408,9 +397,10 @@ func (w *Worker) complete(ctx context.Context, l Lease, o Outcome) {
 				w.logf("worker %s: delivering %.12s abandoned at drain (lease rides out in the journal)", w.cfg.Name, o.Key)
 				w.tracer.Requeue(req.Spans)
 			}
-			return
+			return resp
 		}
 	}
+	return CompleteResponse{}
 }
 
 // release returns one lease without an outcome, best-effort.

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"context"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -62,45 +61,6 @@ func TestCacheCorruptEntryIsMiss(t *testing.T) {
 	}
 	if _, ok := c.Get(j); ok {
 		t.Fatal("corrupt entry served as a hit")
-	}
-}
-
-func TestWarmBatchExecutesNothing(t *testing.T) {
-	cache, err := NewCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	jobs := testBatch()
-
-	cold := &Metrics{}
-	first, err := (&Runner{Workers: 4, Cache: cache, Metrics: cold}).RunBatch(context.Background(), jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cs := cold.Snapshot()
-	if cs.Executed != len(jobs) || cs.CacheHits != 0 {
-		t.Fatalf("cold run: %+v", cs)
-	}
-
-	warm := &Metrics{}
-	second, err := (&Runner{Workers: 4, Cache: cache, Metrics: warm}).RunBatch(context.Background(), jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws := warm.Snapshot()
-	if ws.Executed != 0 {
-		t.Fatalf("warm rerun executed %d simulations, want 0", ws.Executed)
-	}
-	if ws.CacheHits != len(jobs) {
-		t.Fatalf("warm rerun hit %d/%d", ws.CacheHits, len(jobs))
-	}
-	for i := range jobs {
-		if !second[i].Cached {
-			t.Fatalf("job %d not served from cache", i)
-		}
-		if !reflect.DeepEqual(first[i].Result, second[i].Result) {
-			t.Fatalf("job %d: cached result differs from executed result", i)
-		}
 	}
 }
 

@@ -10,28 +10,22 @@ import (
 type Failure struct {
 	// Label is the job's human-readable description.
 	Label string
-	// Key is the job's content hash (the cache / quarantine key).
+	// Key is the job's content hash (the cache and journal key).
 	Key string
 	// Err is the final error text.
 	Err string
-	// TimedOut marks a watchdog-cancelled job; Quarantined a job skipped
-	// because an identical one already failed.
-	TimedOut    bool
-	Quarantined bool
+	// TimedOut marks a watchdog-cancelled job.
+	TimedOut bool
 	// Attempts is how many times the job executed before giving up.
 	Attempts int
 }
 
 // Kind names the failure class for rendering.
 func (f Failure) Kind() string {
-	switch {
-	case f.TimedOut:
+	if f.TimedOut {
 		return "timeout"
-	case f.Quarantined:
-		return "quarantined"
-	default:
-		return "error"
 	}
+	return "error"
 }
 
 // CollectFailures extracts the failure manifest from a batch's results, in
@@ -43,12 +37,11 @@ func CollectFailures(results []JobResult) []Failure {
 			continue
 		}
 		out = append(out, Failure{
-			Label:       jr.Job.Label(),
-			Key:         jr.Job.Key(),
-			Err:         jr.Err.Error(),
-			TimedOut:    jr.TimedOut,
-			Quarantined: jr.Quarantined,
-			Attempts:    jr.Attempts,
+			Label:    jr.Job.Label(),
+			Key:      jr.Job.Key(),
+			Err:      jr.Err.Error(),
+			TimedOut: jr.TimedOut,
+			Attempts: jr.Attempts,
 		})
 	}
 	return out

@@ -1,4 +1,4 @@
-package exp
+package exp_test
 
 import (
 	"context"
@@ -7,27 +7,27 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/cluster"
+	"repro/internal/exp"
 	"repro/internal/obs/trace"
 )
 
 // TestFlightRecorderDumpOnPanic is the panic post-mortem lock: a job that
-// panics through every retry must leave a quarantine manifest containing the
-// runner's flight-recorder dump — the last N spans with campaign and attempt
-// correlation — next to the checkpoints, with no tracer configured (the
-// always-on internal ring must cover the uninstrumented case).
+// panics on every execution must leave a quarantine manifest containing the
+// runner's flight-recorder dump — the attempt spans of every execution, with
+// campaign and attempt correlation — next to the checkpoints, with no tracer
+// configured (the always-on internal ring, shared by every lease of the
+// batch, must cover the uninstrumented case).
 func TestFlightRecorderDumpOnPanic(t *testing.T) {
 	dir := t.TempDir()
-	jobs := []Job{{Machine: nil, Profile: tinyProfile(), Seed: 1}} // nil machine panics
-	r := &Runner{Workers: 1, CheckpointDir: dir, Campaign: "camp-test-1"}
-	results, err := r.RunBatch(context.Background(), jobs)
+	jobs := []exp.Job{{Machine: nil, Profile: exp.TinyProfile(), Seed: 1}} // nil machine panics
+	l := &cluster.Local{Workers: 1, Runner: exp.Runner{CheckpointDir: dir}}
+	results, err := l.RunBatch(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if results[0].Err == nil {
-		t.Fatal("crashing job reported no error")
-	}
-	if r.QuarantineSize() != 1 {
-		t.Fatal("crashing job not quarantined")
+	if results[0].Err == nil || results[0].Attempts != 2 {
+		t.Fatalf("crashing job: err %v after %d attempts, want an error after 2", results[0].Err, results[0].Attempts)
 	}
 
 	path := filepath.Join(dir, jobs[0].Key()+".quarantine.json")
@@ -35,66 +35,59 @@ func TestFlightRecorderDumpOnPanic(t *testing.T) {
 	if err != nil {
 		t.Fatalf("quarantine manifest not written: %v", err)
 	}
-	var m QuarantineManifest
+	var m exp.QuarantineManifest
 	if err := json.Unmarshal(data, &m); err != nil {
 		t.Fatalf("manifest is not valid JSON: %v", err)
 	}
-	if m.Key != jobs[0].Key() || m.Campaign != "camp-test-1" || m.Err == "" {
+	if m.Key != jobs[0].Key() || m.Campaign == "" || m.Err == "" {
 		t.Fatalf("manifest header wrong: %+v", m)
 	}
 	if len(m.FlightRecorder) == 0 {
 		t.Fatal("manifest carries no flight-recorder spans")
 	}
-	kinds := map[string]int{}
+	attempts := map[int]bool{}
 	for _, sp := range m.FlightRecorder {
-		kinds[sp.Kind]++
 		if sp.ID == 0 {
 			t.Fatal("flight-recorder span has no ID")
 		}
-	}
-	if kinds[trace.KindAttempt] == 0 {
-		t.Fatalf("flight recorder holds no attempt spans: %v", kinds)
-	}
-	if kinds[trace.KindRetry] == 0 {
-		t.Fatalf("flight recorder holds no retry spans: %v", kinds)
-	}
-	var sawCampaign, sawAttemptNo bool
-	for _, sp := range m.FlightRecorder {
-		if sp.Campaign == "camp-test-1" {
-			sawCampaign = true
+		if sp.Campaign != m.Campaign {
+			t.Fatalf("span %s carries campaign %q, manifest %q", sp.Kind, sp.Campaign, m.Campaign)
 		}
-		if sp.Kind == trace.KindAttempt && sp.Attempt > 0 {
-			sawAttemptNo = true
+		if sp.Kind == trace.KindAttempt && sp.Key == m.Key {
+			if sp.Err == "" || sp.Flow == 0 {
+				t.Fatalf("attempt span lacks its error or lease flow: %+v", sp)
+			}
+			attempts[sp.Attempt] = true
 		}
 	}
-	if !sawCampaign || !sawAttemptNo {
-		t.Fatalf("spans missing correlation: campaign=%v attempt=%v", sawCampaign, sawAttemptNo)
+	if !attempts[1] || !attempts[2] {
+		t.Fatalf("flight recorder holds attempts %v, want both executions 1 and 2", attempts)
 	}
 }
 
 // TestQuarantineManifestOnlyOnFirst checks the manifest is written once per
-// key: re-running the same quarantined job must not rewrite (and so not
-// truncate or clobber) the original post-mortem.
+// key: re-running the same failing job must not rewrite (and so not truncate
+// or clobber) the original post-mortem.
 func TestQuarantineManifestOnlyOnFirst(t *testing.T) {
 	dir := t.TempDir()
-	jobs := []Job{{Machine: nil, Profile: tinyProfile(), Seed: 2}}
-	r := &Runner{Workers: 1, CheckpointDir: dir}
-	if _, err := r.RunBatch(context.Background(), jobs); err != nil {
+	jobs := []exp.Job{{Machine: nil, Profile: exp.TinyProfile(), Seed: 2}}
+	l := &cluster.Local{Workers: 1, Runner: exp.Runner{CheckpointDir: dir}}
+	if _, err := l.RunBatch(context.Background(), jobs); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, jobs[0].Key()+".quarantine.json")
-	before, err := os.Stat(path)
+	before, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.RunBatch(context.Background(), jobs); err != nil {
+	if _, err := l.RunBatch(context.Background(), jobs); err != nil {
 		t.Fatal(err)
 	}
-	after, err := os.Stat(path)
+	after, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !after.ModTime().Equal(before.ModTime()) || after.Size() != before.Size() {
+	if string(after) != string(before) {
 		t.Fatal("quarantine manifest rewritten on a repeat failure")
 	}
 }

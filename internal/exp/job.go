@@ -1,8 +1,10 @@
-// Package exp is the experiment orchestrator. It turns the repository's
+// Package exp is the experiment layer. It turns the repository's
 // simulation sweeps — every figure, table and scaling extension of the
-// paper's evaluation — into batches of canonical, content-hashable Jobs
-// executed by a worker pool, with a persistent on-disk result cache and a
-// run-metrics layer.
+// paper's evaluation — into batches of canonical, content-hashable Jobs,
+// and provides what executing them needs: the Runner that executes one
+// attempt safely, a persistent on-disk result cache, the campaign journal
+// and a run-metrics layer. Batches are scheduled by cluster.Coordinator,
+// in process (cluster.Local, `-jobs N`) or on a fleet.
 //
 // The design exploits the property repro.Run documents: every simulation is
 // a deterministic, isolated function of (machine, scheme, profile, seed,

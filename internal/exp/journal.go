@@ -27,17 +27,19 @@ import (
 // missing state; readers tolerate and discard it, and OpenJournal truncates
 // it before appending so the log stays well-formed.
 
-// Journal record types.
+// Journal record types. Every campaign — local (`-jobs N` runs an
+// in-process coordinator) or on a fleet — writes the same stream: the
+// coordinator journals lease, lease-return and job-done records, the runner
+// executing an attempt journals checkpoint records.
 const (
 	RecCampaign   = "campaign"   // header: campaign name and metadata
-	RecJobStart   = "job-start"  // a worker began executing the job
+	RecJobStart   = "job-start"  // written by older local runners; replay ignores it
 	RecCheckpoint = "checkpoint" // a checkpoint file for the job is durable
 	RecJobDone    = "job-done"   // the job finished (result cached, or Err)
 
-	// Cluster records, written by the tlsserve coordinator: a lease grants a
-	// job to a named worker; a lease-return voids the grant without an
-	// outcome (worker drain, lease expiry, or a duplicate issue losing the
-	// race). Job completion reuses RecJobDone, carrying the winning worker.
+	// A lease grants a job to a named worker; a lease-return voids the grant
+	// without an outcome (worker drain, lease expiry, or a duplicate issue
+	// losing the race). Job completion is RecJobDone, carrying the worker.
 	RecLease       = "lease"        // job leased to a worker
 	RecLeaseReturn = "lease-return" // lease voided without an outcome
 )
@@ -72,9 +74,9 @@ type JournalRecord struct {
 	// Err records a permanent failure (RecJobDone).
 	Err string `json:"err,omitempty"`
 	// Data carries the outcome of a completed chaotic job on its job-done
-	// record: exp.Runner writes {result, chaos}, the coordinator its sealed
-	// envelope. The result cache never holds chaotic jobs, so this is what
-	// lets a resume serve them without re-running.
+	// record: the coordinator's CRC-sealed envelope. The result cache never
+	// holds chaotic jobs, so this is what lets a resume serve them without
+	// re-running.
 	Data json.RawMessage `json:"data,omitempty"`
 }
 

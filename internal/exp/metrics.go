@@ -8,8 +8,8 @@ import (
 	"repro/internal/stats"
 )
 
-// Metrics accumulates orchestration statistics across every batch a Runner
-// executes with it: job counts, cache hits, per-job wall times, simulated-
+// Metrics accumulates orchestration statistics across every batch executed
+// with it: job counts, cache hits, per-job wall times, simulated-
 // cycle throughput, and an ETA. The zero value is ready to use; all methods
 // are safe for concurrent use.
 type Metrics struct {
@@ -23,7 +23,6 @@ type Metrics struct {
 	errors      int
 	retries     int
 	timeouts    int
-	quarantined int
 	putErrors   int
 	journalErrs int
 	heal        HealReport
@@ -31,8 +30,8 @@ type Metrics struct {
 	simCycles   uint64
 }
 
-// batchQueued records that n more jobs have been submitted.
-func (m *Metrics) batchQueued(n int) {
+// Queue records that n more jobs have been submitted.
+func (m *Metrics) Queue(n int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.start.IsZero() {
@@ -41,8 +40,8 @@ func (m *Metrics) batchQueued(n int) {
 	m.total += n
 }
 
-// observe records one finished job (executed, cached, or failed).
-func (m *Metrics) observe(jr JobResult) {
+// Observe records one finished job (executed, cached, deduped or failed).
+func (m *Metrics) Observe(jr JobResult) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.done++
@@ -51,9 +50,6 @@ func (m *Metrics) observe(jr JobResult) {
 		m.errors++
 		if jr.TimedOut {
 			m.timeouts++
-		}
-		if jr.Quarantined {
-			m.quarantined++
 		}
 	case jr.Cached:
 		m.hits++
@@ -69,21 +65,16 @@ func (m *Metrics) observe(jr JobResult) {
 	}
 }
 
-// cachePutFailed records a cache write that could not be persisted (a full
-// disk or unwritable cache directory); the job's result is unaffected.
-func (m *Metrics) cachePutFailed() {
+// AddWriteErrors records cache writes and WAL appends that could not be
+// persisted (a full disk, an unwritable cache directory, a poisoned
+// journal). The campaign continues and its results are unaffected, but a
+// crash before the next successful append loses progress, so the counts
+// must be visible.
+func (m *Metrics) AddWriteErrors(cachePut, journal int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.putErrors++
-}
-
-// journalAppendFailed records a WAL append that could not be persisted: the
-// campaign continues, but a crash before the next successful append loses
-// that progress record, so the count must be visible.
-func (m *Metrics) journalAppendFailed() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.journalErrs++
+	m.putErrors += cachePut
+	m.journalErrs += journal
 }
 
 // ObserveHeal folds the cache's latest self-healing scan into the metrics
@@ -98,12 +89,11 @@ func (m *Metrics) ObserveHeal(rep HealReport) {
 type Snapshot struct {
 	// Job counts: Done = CacheHits + Deduped + Executed + Errors.
 	Total, Done, CacheHits, Executed, Errors, Retries int
-	// Deduped counts successful jobs that shared a concurrent identical
-	// job's execution (singleflight) instead of running themselves.
+	// Deduped counts successful jobs that shared an identical job's
+	// execution earlier in the same batch instead of running themselves.
 	Deduped int
-	// Timeouts and Quarantined break the errors down: watchdog-cancelled
-	// jobs and jobs skipped because an identical one failed permanently.
-	Timeouts, Quarantined int
+	// Timeouts counts the watchdog-cancelled jobs among the errors.
+	Timeouts int
 	// CachePutErrors counts results that could not be persisted to the
 	// cache (e.g. a full disk); the results themselves were still used.
 	CachePutErrors int
@@ -129,7 +119,7 @@ func (m *Metrics) Snapshot() Snapshot {
 	s := Snapshot{
 		Total: m.total, Done: m.done, CacheHits: m.hits, Deduped: m.deduped,
 		Executed: m.executed, Errors: m.errors, Retries: m.retries,
-		Timeouts: m.timeouts, Quarantined: m.quarantined,
+		Timeouts:              m.timeouts,
 		CachePutErrors:        m.putErrors,
 		JournalErrors:         m.journalErrs,
 		CacheQuarantined:      m.heal.Quarantined,
@@ -178,9 +168,6 @@ func (s Snapshot) String() string {
 	}
 	if s.Timeouts > 0 {
 		line += fmt.Sprintf(", %d timeouts", s.Timeouts)
-	}
-	if s.Quarantined > 0 {
-		line += fmt.Sprintf(", %d quarantined", s.Quarantined)
 	}
 	if s.CachePutErrors > 0 {
 		line += fmt.Sprintf(", %d cache-put errors", s.CachePutErrors)

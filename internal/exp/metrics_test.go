@@ -11,13 +11,13 @@ import (
 
 func TestMetricsAccounting(t *testing.T) {
 	m := &Metrics{}
-	m.batchQueued(4)
-	m.observe(JobResult{Cached: true})
-	m.observe(JobResult{Attempts: 1, Wall: 10 * time.Millisecond,
+	m.Queue(4)
+	m.Observe(JobResult{Cached: true})
+	m.Observe(JobResult{Attempts: 1, Wall: 10 * time.Millisecond,
 		Result: sim.Result{ExecCycles: 1000}})
-	m.observe(JobResult{Attempts: 2, Wall: 30 * time.Millisecond,
+	m.Observe(JobResult{Attempts: 2, Wall: 30 * time.Millisecond,
 		Result: sim.Result{ExecCycles: 3000}})
-	m.observe(JobResult{Attempts: 2, Err: errors.New("boom")})
+	m.Observe(JobResult{Attempts: 2, Err: errors.New("boom")})
 
 	s := m.Snapshot()
 	if s.Total != 4 || s.Done != 4 || s.Remaining() != 0 {
@@ -39,8 +39,8 @@ func TestMetricsAccounting(t *testing.T) {
 
 func TestMetricsETA(t *testing.T) {
 	m := &Metrics{}
-	m.batchQueued(10)
-	m.observe(JobResult{Attempts: 1})
+	m.Queue(10)
+	m.Observe(JobResult{Attempts: 1})
 	s := m.Snapshot()
 	if s.Remaining() != 9 {
 		t.Fatalf("remaining = %d", s.Remaining())

@@ -1,4 +1,4 @@
-package exp
+package exp_test
 
 import (
 	"context"
@@ -12,7 +12,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/exp"
 	"repro/internal/fault"
 	"repro/internal/machine"
 	"repro/internal/rng"
@@ -22,12 +24,12 @@ import (
 
 // resumeBatch is a batch big enough that an interrupt lands mid-campaign:
 // every scheme over a moderately sized workload.
-func resumeBatch() []Job {
+func resumeBatch() []exp.Job {
 	prof := workload.Euler().Scale(0.1, 0.1, 0.25)
 	cfg := machine.NUMA16()
-	jobs := []Job{{Machine: cfg, Profile: prof, Seed: 3, Sequential: true}}
+	jobs := []exp.Job{{Machine: cfg, Profile: prof, Seed: 3, Sequential: true}}
 	for _, sch := range core.AllSchemes() {
-		jobs = append(jobs, Job{Machine: cfg, Scheme: sch, Profile: prof, Seed: 3})
+		jobs = append(jobs, exp.Job{Machine: cfg, Scheme: sch, Profile: prof, Seed: 3})
 	}
 	return jobs
 }
@@ -38,7 +40,7 @@ func resumeBatch() []Job {
 // require results identical to an uninterrupted run.
 func TestInterruptCheckpointResumeBatch(t *testing.T) {
 	jobs := resumeBatch()
-	golden, err := (&Runner{Workers: 2}).RunBatch(context.Background(), jobs)
+	golden, err := (&cluster.Local{Workers: 2}).RunBatch(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,21 +48,21 @@ func TestInterruptCheckpointResumeBatch(t *testing.T) {
 	dir := t.TempDir()
 	journalPath := filepath.Join(dir, "journal.jsonl")
 	ckptDir := filepath.Join(dir, "ckpt")
-	cache, err := NewCache(filepath.Join(dir, "cache"))
+	cache, err := exp.NewCache(filepath.Join(dir, "cache"))
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Phase 1: run with a context that dies almost immediately. Workers
 	// drain at their next commit boundary, checkpointing as they go.
-	j1, err := OpenJournal(journalPath)
+	j1, err := exp.OpenJournal(journalPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	r1 := &Runner{
-		Workers: 2, Cache: cache, Journal: j1,
-		CheckpointDir: ckptDir, CheckpointEvery: 10,
+	r1 := &cluster.Local{
+		Workers: 2, Cache: cache,
+		Runner: exp.Runner{Journal: j1, CheckpointDir: ckptDir, CheckpointEvery: 10},
 	}
 	go func() {
 		time.Sleep(30 * time.Millisecond)
@@ -73,7 +75,7 @@ func TestInterruptCheckpointResumeBatch(t *testing.T) {
 	}
 	interrupted := 0
 	for _, jr := range first {
-		if jr.Err != nil && (errors.Is(jr.Err, ErrJobInterrupted) || errors.Is(jr.Err, context.Canceled)) {
+		if jr.Err != nil && (errors.Is(jr.Err, exp.ErrJobInterrupted) || errors.Is(jr.Err, context.Canceled)) {
 			interrupted++
 		}
 	}
@@ -83,7 +85,7 @@ func TestInterruptCheckpointResumeBatch(t *testing.T) {
 
 	// Phase 2: resume from the journal. Completed jobs come from the cache,
 	// in-flight ones restore from their checkpoints.
-	st, err := LoadCampaign(journalPath)
+	st, err := exp.LoadCampaign(journalPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,15 +94,14 @@ func TestInterruptCheckpointResumeBatch(t *testing.T) {
 			t.Fatalf("journal names checkpoint %s for %s but it is not durable: %v", ck, key, err)
 		}
 	}
-	j2, err := OpenJournal(journalPath)
+	j2, err := exp.OpenJournal(journalPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	r2 := &Runner{
-		Workers: 2, Cache: cache, Journal: j2,
-		CheckpointDir: ckptDir, CheckpointEvery: 10,
-		Resume: st,
+	r2 := &cluster.Local{
+		Workers: 2, Cache: cache,
+		Runner: exp.Runner{Journal: j2, CheckpointDir: ckptDir, CheckpointEvery: 10, Resume: st},
 	}
 	second, err := r2.RunBatch(context.Background(), jobs)
 	if err != nil {
@@ -119,25 +120,26 @@ func TestInterruptCheckpointResumeBatch(t *testing.T) {
 
 // TestResumeServesChaoticOutcomes locks the resume contract for chaotic
 // jobs, which bypass the result cache: a journaled campaign's job-done
-// records carry each outcome, a resumed runner serves them without
-// executing anything, and an undecodable payload re-runs only its own job.
+// records carry each sealed outcome, a resumed batch serves them without
+// executing anything, and an undecodable payload — torn, or the
+// {result, chaos} format of older runners — re-runs only its own job.
 func TestResumeServesChaoticOutcomes(t *testing.T) {
-	var jobs []Job
+	var jobs []exp.Job
 	for seed := uint64(1); seed <= 2; seed++ {
 		fc := fault.CampaignConfig(seed)
 		for _, sch := range []core.Scheme{core.MultiTMVEager, core.MultiTMVLazy} {
-			jobs = append(jobs, Job{
+			jobs = append(jobs, exp.Job{
 				Machine: machine.NUMA16(), Scheme: sch, Seed: seed,
 				Profile: workload.FuzzProfile(rng.New(seed)), Faults: &fc, Invariants: true,
 			})
 		}
 	}
 	journalPath := filepath.Join(t.TempDir(), "journal.jsonl")
-	j1, err := OpenJournal(journalPath)
+	j1, err := exp.OpenJournal(journalPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := (&Runner{Workers: 2, Journal: j1}).RunBatch(context.Background(), jobs)
+	first, err := (&cluster.Local{Workers: 2, Runner: exp.Runner{Journal: j1}}).RunBatch(context.Background(), jobs)
 	j1.Close()
 	if err != nil {
 		t.Fatal(err)
@@ -148,17 +150,18 @@ func TestResumeServesChaoticOutcomes(t *testing.T) {
 		}
 	}
 
-	st, err := LoadCampaign(journalPath)
+	st, err := exp.LoadCampaign(journalPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	replay := func(st CampaignState) ([]JobResult, []string) {
+	replay := func(st exp.CampaignState) ([]exp.JobResult, []string) {
 		var ran []string
-		r := &Runner{Workers: 1, Resume: st, execOverride: func(j Job) sim.Result {
+		l := &cluster.Local{Workers: 1, Runner: exp.Runner{Resume: st}}
+		exp.SetExecOverride(&l.Runner, func(j exp.Job) sim.Result {
 			ran = append(ran, j.Key())
 			return sim.Result{}
-		}}
-		results, err := r.RunBatch(context.Background(), jobs)
+		})
+		results, err := l.RunBatch(context.Background(), jobs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,18 +172,20 @@ func TestResumeServesChaoticOutcomes(t *testing.T) {
 		t.Fatalf("resume re-executed %d completed chaotic job(s)", len(ran))
 	}
 	for i, jr := range second {
-		if !jr.Cached {
-			t.Errorf("job %d: served from the journal but not reported Cached", i)
+		if !jr.Cached || jr.Attempts != 0 {
+			t.Errorf("job %d: served from the journal but reported Cached=%v Attempts=%d", i, jr.Cached, jr.Attempts)
 		}
 		if !reflect.DeepEqual(jr.Result, first[i].Result) || !reflect.DeepEqual(jr.Chaos, first[i].Chaos) {
 			t.Fatalf("job %d (%s): journaled outcome differs from the original run", i, jobs[i].Label())
 		}
 	}
 
-	corrupt := jobs[1].Key()
-	st.Outcomes[corrupt] = json.RawMessage(`{"result":"torn"}`)
-	if _, ran = replay(st); !reflect.DeepEqual(ran, []string{corrupt}) {
-		t.Fatalf("with one undecodable payload, re-executed %d job(s), want exactly job 1", len(ran))
+	for _, payload := range []string{`{"result":"torn"}`, `{"result":{"ExecCycles":1},"chaos":{"faults":1}}`} {
+		corrupt := jobs[1].Key()
+		st.Outcomes[corrupt] = json.RawMessage(payload)
+		if _, ran = replay(st); !reflect.DeepEqual(ran, []string{corrupt}) {
+			t.Fatalf("with payload %s, re-executed %d job(s), want exactly job 1", payload, len(ran))
+		}
 	}
 }
 
@@ -193,7 +198,7 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 		t.Skip("spawns child processes; skipped with -short")
 	}
 	jobs := resumeBatch()
-	golden, err := (&Runner{Workers: 2}).RunBatch(context.Background(), jobs)
+	golden, err := (&cluster.Local{Workers: 2}).RunBatch(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,28 +268,30 @@ func TestCrashRecoveryChild(t *testing.T) {
 	}
 	dir := os.Getenv("EXP_CRASH_DIR")
 	jobs := resumeBatch()
-	cache, err := NewCache(filepath.Join(dir, "cache"))
+	cache, err := exp.NewCache(filepath.Join(dir, "cache"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	journalPath := filepath.Join(dir, "journal.jsonl")
-	var resume CampaignState
+	var resume exp.CampaignState
 	if _, err := os.Stat(journalPath); err == nil {
-		st, err := LoadCampaign(journalPath)
+		st, err := exp.LoadCampaign(journalPath)
 		if err != nil {
 			t.Fatalf("journal left by SIGKILL unreadable: %v", err)
 		}
 		resume = st
 	}
-	j, err := OpenJournal(journalPath)
+	j, err := exp.OpenJournal(journalPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	r := &Runner{
-		Workers: 2, Cache: cache, Journal: j,
-		CheckpointDir: filepath.Join(dir, "ckpt"), CheckpointEvery: 10,
-		Resume: resume,
+	r := &cluster.Local{
+		Workers: 2, Cache: cache,
+		Runner: exp.Runner{
+			Journal: j, CheckpointDir: filepath.Join(dir, "ckpt"), CheckpointEvery: 10,
+			Resume: resume,
+		},
 	}
 	results, err := r.RunBatch(context.Background(), jobs)
 	if err != nil {
@@ -306,7 +313,7 @@ func TestCrashRecoveryChild(t *testing.T) {
 
 // reportBytes renders a batch as the canonical "final report" the crash
 // drill compares: every job's full Result, in submission order.
-func reportBytes(results []JobResult) ([]byte, error) {
+func reportBytes(results []exp.JobResult) ([]byte, error) {
 	rs := make([]sim.Result, len(results))
 	for i, jr := range results {
 		rs[i] = jr.Result

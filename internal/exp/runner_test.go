@@ -1,28 +1,34 @@
-package exp
+package exp_test
 
 import (
 	"context"
-	"errors"
 	"os"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/exp"
 	"repro/internal/machine"
 	"repro/internal/sim"
 )
 
+// These tests drive runners the way every campaign does: through the
+// in-process coordinator (cluster.Local), which owns the pool, dedupe,
+// re-execution, the cache and the journal's lease and job-done records.
+
 // testBatch builds a mixed batch: one sequential baseline plus several
 // scheme runs over two seeds.
-func testBatch() []Job {
-	prof := tinyProfile()
+func testBatch() []exp.Job {
+	prof := exp.TinyProfile()
 	cfg := machine.CMP8()
-	jobs := []Job{{Machine: cfg, Profile: prof, Seed: 1, Sequential: true}}
+	jobs := []exp.Job{{Machine: cfg, Profile: prof, Seed: 1, Sequential: true}}
 	for _, sch := range []core.Scheme{core.SingleTEager, core.MultiTSVLazy, core.MultiTMVLazy} {
 		for seed := uint64(1); seed <= 2; seed++ {
-			jobs = append(jobs, Job{Machine: cfg, Scheme: sch, Profile: prof, Seed: seed})
+			jobs = append(jobs, exp.Job{Machine: cfg, Scheme: sch, Profile: prof, Seed: seed})
 		}
 	}
 	return jobs
@@ -30,11 +36,11 @@ func testBatch() []Job {
 
 func TestRunBatchDeterministicOrdering(t *testing.T) {
 	jobs := testBatch()
-	serial, err := (&Runner{Workers: 1}).RunBatch(context.Background(), jobs)
+	serial, err := (&cluster.Local{Workers: 1}).RunBatch(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := (&Runner{Workers: 4}).RunBatch(context.Background(), jobs)
+	parallel, err := (&cluster.Local{Workers: 4}).RunBatch(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +51,10 @@ func TestRunBatchDeterministicOrdering(t *testing.T) {
 		if serial[i].Job.Key() != jobs[i].Key() || parallel[i].Job.Key() != jobs[i].Key() {
 			t.Fatalf("job %d: result order does not match submission order", i)
 		}
-		if serial[i].Result.ExecCycles != parallel[i].Result.ExecCycles {
+		if !reflect.DeepEqual(serial[i].Result, jobs[i].Execute()) {
+			t.Fatalf("job %d: batch result differs from a direct run", i)
+		}
+		if !reflect.DeepEqual(serial[i].Result, parallel[i].Result) {
 			t.Fatalf("job %d: serial %d cycles vs parallel %d cycles",
 				i, serial[i].Result.ExecCycles, parallel[i].Result.ExecCycles)
 		}
@@ -55,8 +64,8 @@ func TestRunBatchDeterministicOrdering(t *testing.T) {
 func TestPanicIsolationAndRetry(t *testing.T) {
 	jobs := testBatch()[:3]
 	jobs[1].Machine = nil // a nil machine crashes the simulator
-	m := &Metrics{}
-	results, err := (&Runner{Workers: 2, Metrics: m}).RunBatch(context.Background(), jobs)
+	m := &exp.Metrics{}
+	results, err := (&cluster.Local{Workers: 2, Metrics: m}).RunBatch(context.Background(), jobs)
 	if err != nil {
 		t.Fatalf("a crashed job must not fail the batch: %v", err)
 	}
@@ -67,7 +76,7 @@ func TestPanicIsolationAndRetry(t *testing.T) {
 		t.Fatalf("error does not describe the panic: %v", results[1].Err)
 	}
 	if results[1].Attempts != 2 {
-		t.Fatalf("crashed job attempted %d times, want 2 (one retry)", results[1].Attempts)
+		t.Fatalf("crashed job attempted %d times, want 2 (one re-execution)", results[1].Attempts)
 	}
 	for _, i := range []int{0, 2} {
 		if results[i].Err != nil || results[i].Result.ExecCycles == 0 {
@@ -81,10 +90,10 @@ func TestPanicIsolationAndRetry(t *testing.T) {
 }
 
 func TestRetryDisabled(t *testing.T) {
-	jobs := []Job{{Machine: nil, Profile: tinyProfile(), Seed: 1}}
-	results, _ := (&Runner{Workers: 1, Retries: -1}).RunBatch(context.Background(), jobs)
+	jobs := []exp.Job{{Machine: nil, Profile: exp.TinyProfile(), Seed: 1}}
+	results, _ := (&cluster.Local{Workers: 1, FailLimit: 1}).RunBatch(context.Background(), jobs)
 	if results[0].Attempts != 1 {
-		t.Fatalf("Retries=-1 still attempted %d times", results[0].Attempts)
+		t.Fatalf("FailLimit=1 still attempted %d times", results[0].Attempts)
 	}
 }
 
@@ -92,7 +101,7 @@ func TestCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	jobs := testBatch()
-	results, err := (&Runner{Workers: 2}).RunBatch(ctx, jobs)
+	results, err := (&cluster.Local{Workers: 2}).RunBatch(ctx, jobs)
 	if err == nil {
 		t.Fatal("cancelled batch must return the context error")
 	}
@@ -113,8 +122,8 @@ func TestCancellation(t *testing.T) {
 func TestProgressSerializedAndComplete(t *testing.T) {
 	jobs := testBatch()
 	calls := 0
-	r := &Runner{Workers: 4, Progress: func(jr JobResult) { calls++ }}
-	if _, err := r.RunBatch(context.Background(), jobs); err != nil {
+	l := &cluster.Local{Workers: 4, Progress: func(jr exp.JobResult) { calls++ }}
+	if _, err := l.RunBatch(context.Background(), jobs); err != nil {
 		t.Fatal(err)
 	}
 	if calls != len(jobs) {
@@ -122,10 +131,10 @@ func TestProgressSerializedAndComplete(t *testing.T) {
 	}
 }
 
-// hangOn returns an execOverride that blocks forever for jobs matching the
+// hangOn returns an exec override that blocks forever for jobs matching the
 // scheme and executes everything else normally.
-func hangOn(sch core.Scheme) func(Job) sim.Result {
-	return func(j Job) sim.Result {
+func hangOn(sch core.Scheme) func(exp.Job) sim.Result {
+	return func(j exp.Job) sim.Result {
 		if j.Scheme == sch && !j.Sequential {
 			select {} // a hung simulation: never returns
 		}
@@ -135,29 +144,29 @@ func hangOn(sch core.Scheme) func(Job) sim.Result {
 
 // TestWatchdogKillsHungJob is the robustness acceptance scenario: a
 // deliberately hung job is cancelled by the watchdog within its deadline and
-// quarantined, while the rest of the sweep completes and renders a failure
-// manifest.
+// failed at once (a deterministic hang is never re-executed), while the rest
+// of the sweep completes and renders a failure manifest.
 func TestWatchdogKillsHungJob(t *testing.T) {
 	const deadline = 100 * time.Millisecond
-	prof := tinyProfile()
+	prof := exp.TinyProfile()
 	cfg := machine.CMP8()
-	jobs := []Job{
+	jobs := []exp.Job{
 		{Machine: cfg, Scheme: core.SingleTEager, Profile: prof, Seed: 1},
 		{Machine: cfg, Scheme: core.MultiTMVLazy, Profile: prof, Seed: 1}, // hangs
 		{Machine: cfg, Scheme: core.MultiTSVLazy, Profile: prof, Seed: 1},
 	}
-	m := &Metrics{}
-	r := &Runner{Workers: 2, JobTimeout: deadline, Metrics: m,
-		execOverride: hangOn(core.MultiTMVLazy)}
+	m := &exp.Metrics{}
+	l := &cluster.Local{Workers: 2, Metrics: m, Runner: exp.Runner{JobTimeout: deadline}}
+	exp.SetExecOverride(&l.Runner, hangOn(core.MultiTMVLazy))
 
 	start := time.Now()
-	results, err := r.RunBatch(context.Background(), jobs)
+	results, err := l.RunBatch(context.Background(), jobs)
 	if err != nil {
 		t.Fatalf("a hung job must not fail the batch: %v", err)
 	}
 	hung := results[1]
-	if !errors.Is(hung.Err, ErrJobTimeout) {
-		t.Fatalf("hung job error is not ErrJobTimeout: %v", hung.Err)
+	if hung.Err == nil || !strings.Contains(hung.Err.Error(), exp.ErrJobTimeout.Error()) {
+		t.Fatalf("hung job error does not report the deadline: %v", hung.Err)
 	}
 	if !hung.TimedOut || hung.Attempts != 1 {
 		t.Fatalf("hung job: TimedOut=%v Attempts=%d, want true/1", hung.TimedOut, hung.Attempts)
@@ -173,68 +182,49 @@ func TestWatchdogKillsHungJob(t *testing.T) {
 			t.Fatalf("healthy job %d disturbed by the hang: %+v", i, results[i].Err)
 		}
 	}
-	if r.QuarantineSize() != 1 {
-		t.Fatalf("quarantine holds %d jobs, want 1", r.QuarantineSize())
-	}
-
-	// An identical job in a later batch fails fast instead of hanging again.
-	again, err := r.RunBatch(context.Background(), []Job{jobs[1]})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !errors.Is(again[0].Err, ErrJobQuarantined) || !errors.Is(again[0].Err, ErrJobTimeout) {
-		t.Fatalf("rerun of a hung job not quarantined: %v", again[0].Err)
-	}
-	if !again[0].Quarantined || again[0].Attempts != 0 {
-		t.Fatalf("quarantined job: Quarantined=%v Attempts=%d, want true/0",
-			again[0].Quarantined, again[0].Attempts)
-	}
 
 	// The sweep still yields a report: results for the healthy jobs plus a
 	// manifest naming what was lost.
-	manifest := RenderFailureManifest(CollectFailures(results))
+	manifest := exp.RenderFailureManifest(exp.CollectFailures(results))
 	if manifest == "" || !strings.Contains(manifest, "[timeout]") {
 		t.Fatalf("failure manifest missing the timeout entry:\n%s", manifest)
 	}
 	s := m.Snapshot()
-	if s.Timeouts != 1 || s.Quarantined != 1 || s.Errors != 2 {
+	if s.Timeouts != 1 || s.Errors != 1 {
 		t.Fatalf("metrics wrong after hang: %+v", s)
 	}
-	if !strings.Contains(s.String(), "1 timeouts") || !strings.Contains(s.String(), "1 quarantined") {
+	if !strings.Contains(s.String(), "1 timeouts") {
 		t.Fatalf("metrics summary omits the breakdown: %s", s)
 	}
 }
 
-// TestCrashQuarantine pins the quarantine path for crashing (not hanging)
-// jobs: a job that panics through every retry is quarantined, and identical
-// jobs in later batches fail fast.
+// TestCrashQuarantine pins the permanent-failure path for crashing (not
+// hanging) jobs: a job that panics on every execution is failed after
+// FailLimit executions, and the failure manifest reports every one of them.
 func TestCrashQuarantine(t *testing.T) {
-	jobs := []Job{{Machine: nil, Profile: tinyProfile(), Seed: 1}}
-	r := &Runner{Workers: 1}
-	first, _ := r.RunBatch(context.Background(), jobs)
+	jobs := []exp.Job{{Machine: nil, Profile: exp.TinyProfile(), Seed: 1}}
+	first, _ := (&cluster.Local{Workers: 1}).RunBatch(context.Background(), jobs)
 	if first[0].Err == nil || first[0].Attempts != 2 {
-		t.Fatalf("crash not retried then reported: %+v", first[0])
+		t.Fatalf("crash not re-executed then reported: %+v", first[0])
 	}
-	if r.QuarantineSize() != 1 {
-		t.Fatalf("crashed job not quarantined")
-	}
-	again, _ := r.RunBatch(context.Background(), jobs)
-	if !errors.Is(again[0].Err, ErrJobQuarantined) || again[0].Attempts != 0 {
-		t.Fatalf("rerun executed instead of failing fast: %+v", again[0])
-	}
-	if f := CollectFailures(again); len(f) != 1 || f[0].Kind() != "quarantined" {
+	f := exp.CollectFailures(first)
+	if len(f) != 1 || f[0].Kind() != "error" {
 		t.Fatalf("manifest kind wrong: %+v", f)
+	}
+	if manifest := exp.RenderFailureManifest(f); !strings.Contains(manifest, "(attempts 2,") {
+		t.Fatalf("failure manifest does not report both executions:\n%s", manifest)
 	}
 }
 
-// TestRetryBackoffRecovers verifies the exponential backoff path: a job that
-// crashes once and then succeeds is retried after the configured delay and
-// delivers its result.
-func TestRetryBackoffRecovers(t *testing.T) {
+// TestFlakyJobRecoversOnReexecution verifies the re-execution path: a job
+// that crashes once and then succeeds is leased again, delivers its result,
+// and reports both executions.
+func TestFlakyJobRecoversOnReexecution(t *testing.T) {
 	var mu sync.Mutex
 	calls := 0
-	r := &Runner{Workers: 1, Retries: 2, RetryBackoff: 5 * time.Millisecond}
-	r.execOverride = func(j Job) sim.Result {
+	m := &exp.Metrics{}
+	l := &cluster.Local{Workers: 1, Metrics: m}
+	exp.SetExecOverride(&l.Runner, func(j exp.Job) sim.Result {
 		mu.Lock()
 		calls++
 		n := calls
@@ -243,21 +233,23 @@ func TestRetryBackoffRecovers(t *testing.T) {
 			panic("transient crash")
 		}
 		return j.Execute()
-	}
+	})
 	jobs := testBatch()[:2]
-	start := time.Now()
-	results, err := r.RunBatch(context.Background(), jobs)
+	results, err := l.RunBatch(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if results[0].Err != nil || results[0].Attempts != 2 {
-		t.Fatalf("flaky job did not recover on retry: %+v", results[0])
+	for i, jr := range results {
+		if jr.Err != nil {
+			t.Fatalf("job %d did not recover on re-execution: %v", i, jr.Err)
+		}
 	}
-	if elapsed := time.Since(start); elapsed < 5*time.Millisecond {
-		t.Fatalf("retry fired after %v, before the backoff delay", elapsed)
+	if results[0].Attempts+results[1].Attempts != 3 {
+		t.Fatalf("attempts %d+%d, want one job executed twice",
+			results[0].Attempts, results[1].Attempts)
 	}
-	if r.QuarantineSize() != 0 {
-		t.Fatalf("recovered job was quarantined")
+	if s := m.Snapshot(); s.Retries != 1 || s.Errors != 0 {
+		t.Fatalf("metrics: %+v", s)
 	}
 }
 
@@ -266,16 +258,16 @@ func TestRetryBackoffRecovers(t *testing.T) {
 // must surface the failed writes.
 func TestCachePutFailureCounted(t *testing.T) {
 	dir := t.TempDir() + "/cache"
-	c, err := NewCache(dir)
+	c, err := exp.NewCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := os.RemoveAll(dir); err != nil {
 		t.Fatal(err)
 	}
-	m := &Metrics{}
-	r := &Runner{Workers: 1, Cache: c, Metrics: m}
-	results, err := r.RunBatch(context.Background(), testBatch()[:1])
+	m := &exp.Metrics{}
+	l := &cluster.Local{Workers: 1, Cache: c, Metrics: m}
+	results, err := l.RunBatch(context.Background(), testBatch()[:1])
 	if err != nil || results[0].Err != nil {
 		t.Fatalf("a failed cache write must not fail the job: %v / %v", err, results[0].Err)
 	}
@@ -288,8 +280,47 @@ func TestCachePutFailureCounted(t *testing.T) {
 	}
 }
 
+func TestWarmBatchExecutesNothing(t *testing.T) {
+	cache, err := exp.NewCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := testBatch()
+
+	cold := &exp.Metrics{}
+	first, err := (&cluster.Local{Workers: 4, Cache: cache, Metrics: cold}).RunBatch(context.Background(), jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := cold.Snapshot()
+	if cs.Executed != len(jobs) || cs.CacheHits != 0 {
+		t.Fatalf("cold run: %+v", cs)
+	}
+
+	warm := &exp.Metrics{}
+	second, err := (&cluster.Local{Workers: 4, Cache: cache, Metrics: warm}).RunBatch(context.Background(), jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := warm.Snapshot()
+	if ws.Executed != 0 {
+		t.Fatalf("warm rerun executed %d simulations, want 0", ws.Executed)
+	}
+	if ws.CacheHits != len(jobs) {
+		t.Fatalf("warm rerun hit %d/%d", ws.CacheHits, len(jobs))
+	}
+	for i := range jobs {
+		if !second[i].Cached {
+			t.Fatalf("job %d not served from cache", i)
+		}
+		if !reflect.DeepEqual(first[i].Result, second[i].Result) {
+			t.Fatalf("job %d: cached result differs from executed result", i)
+		}
+	}
+}
+
 func TestEmptyBatch(t *testing.T) {
-	results, err := new(Runner).RunBatch(context.Background(), nil)
+	results, err := new(cluster.Local).RunBatch(context.Background(), nil)
 	if err != nil || len(results) != 0 {
 		t.Fatalf("empty batch: %v, %d results", err, len(results))
 	}

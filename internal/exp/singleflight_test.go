@@ -1,46 +1,34 @@
-package exp
+package exp_test
 
 import (
 	"context"
 	"sync/atomic"
 	"testing"
-	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/exp"
 	"repro/internal/machine"
 	"repro/internal/sim"
 )
 
 // TestSingleflightSharesOneExecution submits four identical jobs to a
-// four-worker pool with an execution that blocks until every duplicate has
-// joined the flight: exactly one execution must happen, and the other three
-// results must be marked Deduped while sharing the leader's outcome.
+// four-slot executor: the coordinator dedupes by key, so exactly one
+// execution must happen, and the other three results must be marked Deduped
+// while sharing the first one's outcome — with no execution of their own in
+// the metrics (Attempts and Wall 0).
 func TestSingleflightSharesOneExecution(t *testing.T) {
-	job := Job{Machine: machine.CMP8(), Scheme: core.MultiTMVLazy, Profile: tinyProfile(), Seed: 7}
-	jobs := []Job{job, job, job, job}
+	job := exp.Job{Machine: machine.CMP8(), Scheme: core.MultiTMVLazy, Profile: exp.TinyProfile(), Seed: 7}
+	jobs := []exp.Job{job, job, job, job}
 
 	var execs atomic.Int64
-	release := make(chan struct{})
-	m := &Metrics{}
-	r := &Runner{
-		Workers: len(jobs),
-		Metrics: m,
-		execOverride: func(j Job) sim.Result {
-			execs.Add(1)
-			<-release
-			return sim.Result{ExecCycles: 42}
-		},
-	}
-	go func() {
-		// Release the leader only once the three duplicates are waiting, so
-		// the test cannot pass by accident of scheduling.
-		deadline := time.Now().Add(10 * time.Second)
-		for r.flightWaits.Load() < 3 && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-		}
-		close(release)
-	}()
-	results, err := r.RunBatch(context.Background(), jobs)
+	m := &exp.Metrics{}
+	l := &cluster.Local{Workers: len(jobs), Metrics: m}
+	exp.SetExecOverride(&l.Runner, func(j exp.Job) sim.Result {
+		execs.Add(1)
+		return sim.Result{ExecCycles: 42}
+	})
+	results, err := l.RunBatch(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,10 +45,13 @@ func TestSingleflightSharesOneExecution(t *testing.T) {
 		}
 		if jr.Deduped {
 			deduped++
+			if jr.Attempts != 0 || jr.Wall != 0 {
+				t.Fatalf("deduped job %d accounts for an execution: attempts %d wall %v", i, jr.Attempts, jr.Wall)
+			}
 		}
 	}
-	if deduped != 3 {
-		t.Fatalf("%d results marked Deduped, want 3", deduped)
+	if deduped != 3 || results[0].Deduped {
+		t.Fatalf("%d results marked Deduped (first %v), want the 3 followers", deduped, results[0].Deduped)
 	}
 	s := m.Snapshot()
 	if s.Executed != 1 || s.Deduped != 3 {
@@ -68,11 +59,11 @@ func TestSingleflightSharesOneExecution(t *testing.T) {
 	}
 }
 
-// TestSingleflightDistinctJobsUnaffected makes sure distinct keys never wait
-// on each other.
+// TestSingleflightDistinctJobsUnaffected makes sure distinct keys are never
+// folded together.
 func TestSingleflightDistinctJobsUnaffected(t *testing.T) {
 	jobs := testBatch()
-	results, err := (&Runner{Workers: 4}).RunBatch(context.Background(), jobs)
+	results, err := (&cluster.Local{Workers: 4}).RunBatch(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,8 +66,8 @@ func (t *Telemetry) AddGauge(name string, fn func() float64) {
 }
 
 // ObserveJob records a finished job for /progress and folds any observed
-// run's obs counters into the aggregated /metrics totals. Chain it into
-// Runner.Progress.
+// run's obs counters into the aggregated /metrics totals. Chain it into the
+// executor's Progress hook.
 func (t *Telemetry) ObserveJob(jr JobResult) {
 	rj := RecentJob{
 		Label:    jr.Job.Label(),
@@ -96,7 +96,7 @@ func (t *Telemetry) ObserveJob(jr JobResult) {
 
 // ObserveRun folds one run's obs registry into the aggregated per-run
 // counter totals exposed on /metrics, for callers that run simulators
-// outside a Runner.
+// outside an executor.
 func (t *Telemetry) ObserveRun(reg *obs.Registry) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -147,7 +147,6 @@ func (t *Telemetry) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 	obs.PromMetric(w, "tls_job_errors", "counter", float64(s.Errors))
 	obs.PromMetric(w, "tls_job_retries", "counter", float64(s.Retries))
 	obs.PromMetric(w, "tls_job_timeouts", "counter", float64(s.Timeouts))
-	obs.PromMetric(w, "tls_jobs_quarantined", "counter", float64(s.Quarantined))
 	obs.PromMetric(w, "tls_cache_put_errors", "counter", float64(s.CachePutErrors))
 	obs.PromMetric(w, "tls_journal_errors", "counter", float64(s.JournalErrors))
 	obs.PromMetric(w, "tls_cache_quarantined", "counter", float64(s.CacheQuarantined))
@@ -191,7 +190,6 @@ type progressView struct {
 	Errors          int         `json:"errors"`
 	Retries         int         `json:"retries"`
 	Timeouts        int         `json:"timeouts"`
-	Quarantined     int         `json:"quarantined"`
 	ElapsedSeconds  float64     `json:"elapsed_seconds"`
 	ETASeconds      float64     `json:"eta_seconds"`
 	SimCycles       uint64      `json:"sim_cycles"`
@@ -215,7 +213,7 @@ func (t *Telemetry) serveProgress(w http.ResponseWriter, _ *http.Request) {
 	view := progressView{
 		Campaign: t.Name, Total: s.Total, Done: s.Done, Remaining: s.Remaining(),
 		CacheHits: s.CacheHits, Deduped: s.Deduped, Executed: s.Executed, Errors: s.Errors,
-		Retries: s.Retries, Timeouts: s.Timeouts, Quarantined: s.Quarantined,
+		Retries: s.Retries, Timeouts: s.Timeouts,
 		ElapsedSeconds:  s.Elapsed.Seconds(),
 		ETASeconds:      s.ETA().Seconds(),
 		SimCycles:       s.SimCycles,

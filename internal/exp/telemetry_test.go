@@ -51,9 +51,15 @@ func TestTelemetryServesCampaignState(t *testing.T) {
 			Obs: &obs.Config{Registry: reg}},
 		{Machine: machine.NUMA16(), Profile: prof, Seed: 1, Sequential: true},
 	}
-	r := &Runner{Workers: 1, Metrics: m, Progress: tel.ObserveJob}
-	if _, err := r.RunBatch(context.Background(), jobs); err != nil {
-		t.Fatal(err)
+	m.Queue(len(jobs))
+	var r Runner
+	for _, j := range jobs {
+		jr := r.Run(context.Background(), j, Attempt{N: 1})
+		if jr.Err != nil {
+			t.Fatal(jr.Err)
+		}
+		m.Observe(jr)
+		tel.ObserveJob(jr)
 	}
 
 	metrics := scrape(t, "http://"+addr+"/metrics")

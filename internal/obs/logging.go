@@ -20,7 +20,7 @@ func NewLogger(w io.Writer, component string, attrs ...any) *slog.Logger {
 }
 
 // Logf adapts a structured logger to the printf-style Logf seams threaded
-// through cluster.Client, exp.Runner and friends; nil yields a discard
+// through cluster.Client, cluster.Worker and friends; nil yields a discard
 // function so call sites need no guard.
 func Logf(l *slog.Logger) func(format string, args ...any) {
 	if l == nil {

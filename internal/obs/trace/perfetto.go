@@ -214,7 +214,7 @@ func ExportPerfetto(w io.Writer, coordProc string, spans []Span) error {
 func kindLane(kind string) string {
 	switch kind {
 	case KindQueue, KindLease, KindStraggler, KindSteal, KindComplete,
-		KindAttempt, KindRetry, KindCheckpoint, KindQuarantine, KindCacheHit:
+		KindAttempt, KindCheckpoint, KindQuarantine, KindCacheHit:
 		return kind
 	case "":
 		return "events"
@@ -239,15 +239,13 @@ func laneOrder(kind string) int {
 		return 4
 	case KindAttempt:
 		return 5
-	case KindRetry:
-		return 6
 	case KindCheckpoint:
-		return 7
+		return 6
 	case KindCacheHit:
-		return 8
+		return 7
 	case KindQuarantine:
-		return 9
+		return 8
 	default:
-		return 10
+		return 9
 	}
 }

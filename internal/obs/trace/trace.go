@@ -38,10 +38,9 @@ const (
 	KindSteal      = "steal"      // coordinator: work-steal grant decision
 	KindComplete   = "complete"   // coordinator: outcome ingested
 	KindAttempt    = "attempt"    // runner: one execution attempt
-	KindRetry      = "retry"      // runner: retry decision after a failure
 	KindCheckpoint = "checkpoint" // runner: checkpoint file made durable
-	KindQuarantine = "quarantine" // runner: job quarantined permanently
-	KindCacheHit   = "cache-hit"  // runner: job answered from the result cache
+	KindQuarantine = "quarantine" // runner: post-mortem of a permanent failure
+	KindCacheHit   = "cache-hit"  // coordinator: job answered from the result cache
 )
 
 // Span is one timed (or instantaneous, Dur == 0) operation in the

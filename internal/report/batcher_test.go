@@ -5,13 +5,14 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/machine"
 	"repro/internal/sim"
 )
 
-// countingBatcher delegates to a local runner while recording the calls —
+// countingBatcher delegates to a local executor while recording the calls —
 // the report-layer view of a remote executor.
 type countingBatcher struct {
 	batches int
@@ -21,7 +22,7 @@ type countingBatcher struct {
 func (b *countingBatcher) RunBatch(ctx context.Context, jobs []exp.Job) ([]exp.JobResult, error) {
 	b.batches++
 	b.jobs += len(jobs)
-	return (&exp.Runner{Workers: 2}).RunBatch(ctx, jobs)
+	return (&cluster.Local{Workers: 2}).RunBatch(ctx, jobs)
 }
 
 // TestBatcherGridAgreesWithLocal routes a grid sweep through Options.Batcher

@@ -11,6 +11,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/event"
 	"repro/internal/exp"
@@ -19,10 +20,10 @@ import (
 	"repro/internal/workload"
 )
 
-// Options parameterizes an experiment sweep. All sweeps execute through the
-// internal/exp orchestrator: the runs become canonical Jobs on a worker
-// pool, optionally memoized by a persistent cache and observed by a
-// metrics layer.
+// Options parameterizes an experiment sweep. All sweeps execute as batches
+// of canonical exp.Jobs — by default on the in-process coordinator
+// (cluster.Local), optionally memoized by a persistent cache and observed by
+// a metrics layer.
 type Options struct {
 	// Seed for the deterministic workload generators.
 	Seed uint64
@@ -39,8 +40,8 @@ type Options struct {
 	// identical either way — each simulation is an isolated deterministic
 	// function of its inputs — so Serial only matters for debugging.
 	Serial bool
-	// Jobs overrides the worker-pool size (0 selects GOMAXPROCS; ignored
-	// when Serial is set).
+	// Jobs overrides how many simulations run concurrently (0 selects
+	// GOMAXPROCS; ignored when Serial is set).
 	Jobs int
 	// CacheDir, when non-empty, enables exp's persistent result cache
 	// rooted at that directory: a warm rerun only re-simulates jobs whose
@@ -54,15 +55,12 @@ type Options struct {
 	// still running after this long is abandoned and reported in the
 	// grid's failure manifest instead of hanging the sweep.
 	JobTimeout time.Duration
-	// RetryBackoff is the delay before re-running a crashed simulation
-	// (doubling per retry); 0 retries immediately.
-	RetryBackoff time.Duration
 	// Context, when non-nil, bounds every sweep run with these options:
 	// cancelling it makes in-flight simulations checkpoint and stop (the
 	// graceful-shutdown path). Nil means background.
 	Context context.Context
-	// Journal, when non-nil, receives the campaign WAL (job-start,
-	// checkpoint, job-done records) for crash recovery via -resume.
+	// Journal, when non-nil, receives the campaign WAL (lease, checkpoint,
+	// job-done records) for crash recovery via -resume.
 	Journal *exp.Journal
 	// CheckpointDir enables mid-run simulator checkpoints under that
 	// directory, written every CheckpointEvery commits and at interrupts.
@@ -71,10 +69,11 @@ type Options struct {
 	// (0 with a CheckpointDir still checkpoints at interrupts).
 	CheckpointEvery int
 	// Resume is a previous campaign's replayed journal (exp.LoadCampaign):
-	// in-flight jobs restore from its checkpoints.
+	// completed jobs are served from it or the cache, in-flight jobs restore
+	// from its checkpoints.
 	Resume exp.CampaignState
 	// Batcher, when non-nil, executes job batches instead of a locally
-	// built exp.Runner — the hook `-coordinator URL` uses to run a sweep on
+	// built cluster.Local — the hook `-coordinator URL` uses to run a sweep on
 	// a distributed fleet. Execution options (cache, journal, checkpoints,
 	// timeout, worker count) are then the executor's business and ignored
 	// here; Progress and JobObserver still fire for every result.
@@ -82,7 +81,7 @@ type Options struct {
 }
 
 // Batcher executes a batch of jobs and returns their results in submission
-// order. The local exp.Runner and the cluster client both satisfy it, so a
+// order. The local executor and the fleet client both satisfy it, so a
 // sweep renders the same artifacts whether its simulations ran in-process
 // or on a fleet.
 type Batcher interface {
@@ -97,18 +96,19 @@ func (o *Options) ctx() context.Context {
 	return context.Background()
 }
 
-// runner builds the exp worker pool these options describe.
-func (o *Options) runner() *exp.Runner {
+// runner builds the local executor these options describe.
+func (o *Options) runner() *cluster.Local {
 	workers := o.Jobs
 	if o.Serial {
 		workers = 1
 	}
-	r := &exp.Runner{
+	r := &cluster.Local{
 		Workers: workers, Metrics: o.Metrics,
-		JobTimeout: o.JobTimeout, RetryBackoff: o.RetryBackoff,
-		Journal:       o.Journal,
-		CheckpointDir: o.CheckpointDir, CheckpointEvery: o.CheckpointEvery,
-		Resume: o.Resume,
+		Runner: exp.Runner{
+			JobTimeout: o.JobTimeout, Journal: o.Journal,
+			CheckpointDir: o.CheckpointDir, CheckpointEvery: o.CheckpointEvery,
+			Resume: o.Resume,
+		},
 	}
 	if o.CacheDir != "" {
 		if c, err := exp.NewCache(o.CacheDir); err == nil {
@@ -192,12 +192,12 @@ type Grid struct {
 	Schemes []core.Scheme
 	Cells   map[string]map[string]Cell // app -> scheme.String() -> cell
 
-	// Errors records jobs that failed even after the orchestrator's panic
-	// retry; their cells are zero. A fully healthy sweep leaves it empty.
+	// Errors records jobs that failed even after re-execution; their cells
+	// are zero. A fully healthy sweep leaves it empty.
 	Errors []error
 	// Failures is the structured failure manifest behind Errors: one entry
-	// per job without a result, classified (crash, timeout, quarantined)
-	// and keyed for reproduction. Render with exp.RenderFailureManifest.
+	// per job without a result, classified (error, timeout) and keyed for
+	// reproduction. Render with exp.RenderFailureManifest.
 	Failures []exp.Failure
 }
 

@@ -38,6 +38,7 @@ import (
 	"context"
 	"io"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/iofault"
@@ -255,9 +256,10 @@ type (
 	JobResult = exp.JobResult
 	// Ablation bundles the simulator's ablation knobs for Jobs.
 	Ablation = exp.Ablation
-	// Runner executes Job batches on a worker pool with panic isolation,
-	// optional persistent caching, and run metrics.
-	Runner = exp.Runner
+	// Runner executes Job batches on an in-process coordinator: a pool of
+	// Workers with panic isolation and re-execution, optional persistent
+	// caching, and run metrics.
+	Runner = cluster.Local
 	// RunMetrics accumulates orchestration metrics across batches.
 	RunMetrics = exp.Metrics
 	// MetricsSnapshot is a point-in-time view of RunMetrics.
@@ -338,8 +340,8 @@ func LoadCampaign(path string) (CampaignState, error) { return exp.LoadCampaign(
 // campaign finishes to restore default signal behavior.
 func NewShutdown(parent context.Context) *Shutdown { return exp.NewShutdown(parent) }
 
-// RunBatch executes jobs on a default Runner (GOMAXPROCS workers, one panic
-// retry, no cache). Results are returned in submission order; they are
+// RunBatch executes jobs on a default Runner (GOMAXPROCS workers, a crashed
+// job re-executed once, no cache). Results are returned in submission order; they are
 // byte-identical to running each job serially.
 func RunBatch(ctx context.Context, jobs []Job) ([]JobResult, error) {
 	return new(Runner).RunBatch(ctx, jobs)

@@ -40,8 +40,10 @@ else
 fi
 
 # Completed cases must never re-run: remember which keys the interrupted run
-# journaled as job-done, then require the resume to append no job-start for
-# any of them (a silent re-run would still pass the byte-identical diff).
+# journaled as job-done, then require the resume to start none of them (a
+# silent re-run would still pass the byte-identical diff). An execution
+# starts with a lease record (the in-process coordinator) or, in journals of
+# older local runners, a job-start record; both count.
 cp "$dir/journal.jsonl" "$dir/interrupted.jsonl"
 sed -n 's/^{"t":"job-done".*"key":"\([0-9a-f]*\)".*/\1/p' "$dir/interrupted.jsonl" | sort -u >"$dir/done.keys"
 
@@ -49,7 +51,8 @@ sed -n 's/^{"t":"job-done".*"key":"\([0-9a-f]*\)".*/\1/p' "$dir/interrupted.json
 	>"$dir/resumed.out" 2>"$dir/resumed.err"
 
 tail -n +"$(($(wc -l <"$dir/interrupted.jsonl") + 1))" "$dir/journal.jsonl" |
-	sed -n 's/^{"t":"job-start".*"key":"\([0-9a-f]*\)".*/\1/p' | sort -u >"$dir/restarted.keys"
+	sed -n -e 's/^{"t":"job-start".*"key":"\([0-9a-f]*\)".*/\1/p' \
+		-e 's/^{"t":"lease".*"key":"\([0-9a-f]*\)".*/\1/p' | sort -u >"$dir/restarted.keys"
 rerun=$(comm -12 "$dir/done.keys" "$dir/restarted.keys")
 if [ -n "$rerun" ]; then
 	echo "chaos-drill: resume re-ran cases the interrupted run had completed:" >&2

@@ -118,6 +118,17 @@ if ! grep -q "component=tlsworker" "$dir/w1.err"; then
 fi
 
 echo "fleet-trace: panic-injection: flight recorder must land in the quarantine manifest"
-"$GO" test ./internal/exp/ -run "TestFlightRecorderDumpOnPanic|TestQuarantineManifestOnlyOnFirst" -count=1
+# A -run pattern that matches nothing still exits 0, so require each named
+# post-mortem test to report its own PASS line.
+"$GO" test ./internal/exp/ -v -count=1 \
+	-run "^(TestFlightRecorderDumpOnPanic|TestQuarantineManifestOnlyOnFirst)$" \
+	>"$dir/postmortem-tests.txt" 2>&1 || { cat "$dir/postmortem-tests.txt" >&2; exit 1; }
+for t in TestFlightRecorderDumpOnPanic TestQuarantineManifestOnlyOnFirst; do
+	if ! grep -q -- "--- PASS: $t " "$dir/postmortem-tests.txt"; then
+		echo "fleet-trace: post-mortem test $t did not run and pass" >&2
+		cat "$dir/postmortem-tests.txt" >&2
+		exit 1
+	fi
+done
 
 echo "fleet-trace: merged fleet trace validated; open $dir/fleet.trace.json at ui.perfetto.dev"
