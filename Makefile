@@ -1,8 +1,8 @@
 GO ?= go
 
 # BENCH is the checked-in benchmark-baseline document; override to cut or
-# gate against a different one (make bench BENCH=BENCH_15.json).
-BENCH ?= BENCH_14.json
+# gate against a different one (make bench BENCH=BENCH_20.json).
+BENCH ?= BENCH_19.json
 
 .PHONY: build test fmt vet race race-short chaos cluster cluster-chaos fsck-drill verify report bench bench-baseline trace fleet-trace
 
@@ -102,4 +102,4 @@ bench:
 # performance change (run on a quiet machine, then commit $(BENCH)).
 bench-baseline:
 	$(GO) run ./cmd/tlsbench -baseline $(BENCH) -out \
-		-note "baseline after parallel mode became the serial event heap plus a prefetcher that recycles its stream buffers; sim/full-run-parallel fell from 72.0 MB/op to 32.1 MB/op; previous baseline BENCH_13.json"
+		-note "baseline after own-version reads moved to per-task entry flags in the version directory; adds directory/privatized (0 allocs/op); sim/full-run fell from ~35.1k to ~27.6k allocs/op; previous baseline BENCH_14.json"

@@ -11,7 +11,7 @@
 //	tlsbench -compare                 # run and gate against the baseline
 //	tlsbench -baseline BENCH_4.json -out   # cut the next baseline
 //
-// The baseline lives at -baseline (default BENCH_14.json, the checked-in
+// The baseline lives at -baseline (default BENCH_19.json, the checked-in
 // document); -out and -compare write and read that path, so cutting a new
 // baseline is a flag change, not a code edit.
 //
@@ -70,6 +70,7 @@ var suite = []struct {
 	{"directory/record-write-read", benchDirRecordWriteRead},
 	{"directory/version-for", benchDirVersionFor},
 	{"directory/footprint", benchDirFootprint},
+	{"directory/privatized", benchDirPrivatized},
 	{"workload/task-gen", benchTaskGen},
 	{"cache/probe-hit", benchCacheProbeHit},
 	{"cache/insert-evict", benchCacheInsertEvict},
@@ -149,6 +150,33 @@ func benchDirFootprint(b *testing.B) {
 			d.RecordWrite(region+memsys.Addr(k*memsys.WordsPerLine), t)
 		}
 		d.Commit(t)
+	}
+}
+
+// benchDirPrivatized runs one task per op in the mostly-privatization regime:
+// the task writes its own version of each word of one 1024-word block and
+// then reads every word back, and once 16 tasks are live the oldest
+// commits, in order. Each word carries up to 16 versions, and every read is
+// an own-version read.
+func benchDirPrivatized(b *testing.B) {
+	const (
+		live  = 16
+		words = 1024
+	)
+	b.ReportAllocs()
+	d := coherence.NewDirectory()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t := ids.TaskID(i + 1)
+		for k := memsys.Addr(0); k < words; k++ {
+			d.RecordWrite(workload.PrivBase+k, t)
+		}
+		for k := memsys.Addr(0); k < words; k++ {
+			d.RecordRead(workload.PrivBase+k, t)
+		}
+		if t > live {
+			d.Commit(t - live)
+		}
 	}
 }
 
@@ -396,7 +424,7 @@ func compare(baseline Baseline, cur []Measurement, band float64) int {
 
 func main() {
 	var (
-		basePath = flag.String("baseline", "BENCH_14.json", "path of the JSON benchmark baseline (-out writes it, -compare reads it)")
+		basePath = flag.String("baseline", "BENCH_19.json", "path of the JSON benchmark baseline (-out writes it, -compare reads it)")
 		out      = flag.Bool("out", false, "write measurements to the -baseline file")
 		against  = flag.Bool("compare", false, "compare against the -baseline file; exit 1 outside the band")
 		band     = flag.Float64("band", 0.30, "guard band for the allocs/op comparison")

@@ -19,6 +19,15 @@
 // (RecordRead, RecordWrite, VersionFor, Squash, Commit) use manual binary
 // searches and insertion sorts instead of the closure-allocating sort
 // package helpers.
+//
+// Privatization loops make most reads own-version reads: a task writes its
+// version of a word and reads it back. Each task's marks carry two bits per
+// entry, "wrote" (the task holds a live version of the word) and "ownRead"
+// (it has read that version), so such a read is answered from the task's
+// bits alone. It needs no reader mark on the word, because a read whose
+// consumed producer is the reader itself can never be violated; the rare
+// paths that list readers (the spurious-conflict hook, State, a commit
+// that prunes the version of a still-live task) fold the bits back in.
 package coherence
 
 import (
@@ -41,18 +50,73 @@ type readerMark struct {
 // when a squash or commit empties one it returns to the Directory's free
 // list with its slice capacity intact.
 type wordState struct {
+	addr memsys.Addr
 	// versions holds the producers of live versions, ascending by task ID.
 	versions []ids.TaskID
-	// readers holds the uncommitted readers' marks, in first-read order
-	// (small-N: scanned linearly).
+	// readers holds the listed marks of uncommitted readers, in no
+	// particular order (removeReader swap-deletes; every consumer takes a
+	// minimum or sorts). Own-version reads live in the readers' entry
+	// flags instead.
 	readers []readerMark
+}
+
+// Per-entry flag bits of a task, interleaved two bits per entry so one load
+// answers both.
+const (
+	// flagWrote: this incarnation of the task inserted its version of the
+	// entry's word, and the version is still live.
+	flagWrote = 1
+	// flagOwnRead: the task has read that version (only set with flagWrote).
+	flagOwnRead = 2
+)
+
+// entryFlags is a task's flag bits, indexed by directory entry.
+type entryFlags []uint64
+
+func (f entryFlags) get(e int32) uint64 {
+	w := uint(e >> 5) // a negative e (no entry) reads as unset
+	if w >= uint(len(f)) {
+		return 0
+	}
+	return f[w] >> (uint(e) & 31 * 2) & 3
+}
+
+func (f *entryFlags) set(e int32, bits uint64) {
+	w := int(e >> 5)
+	if w >= len(*f) {
+		*f = append(*f, make([]uint64, w+1-len(*f))...)
+	}
+	(*f)[w] |= bits << (uint(e) & 31 * 2)
+}
+
+// clear zeroes e's bits and returns what they were.
+func (f entryFlags) clear(e int32) uint64 {
+	w := uint(e >> 5) // a negative e (no entry) reads as unset
+	if w >= uint(len(f)) {
+		return 0
+	}
+	sh := uint(e) & 31 * 2
+	old := f[w] >> sh & 3
+	f[w] &^= 3 << sh
+	return old
 }
 
 // taskMarks remembers which words a task touched so that squash and commit
 // can clean up in time proportional to the task's footprint.
 type taskMarks struct {
-	writes []memsys.Addr
-	reads  []memsys.Addr
+	id ids.TaskID
+	// writes lists the entries this incarnation inserted its version into.
+	// An out-of-order commit may prune that version (the entry may then be
+	// recycled for another word), so only an entry whose flagWrote bit is
+	// set still holds it; pruned lists the addresses of pruned versions.
+	writes []int32
+	pruned []memsys.Addr
+	// reads lists the entries holding one of the task's listed reader
+	// marks; the mark keeps the entry live.
+	reads []int32
+	flags entryFlags
+	// live is the task's index in Directory.live.
+	live int
 }
 
 // taskSlot is one entry of the task-marks ring: live task IDs occupy the
@@ -72,14 +136,14 @@ type Directory struct {
 	// freeWords indexes recycled (emptied) entries of states.
 	freeWords []int32
 
-	// slots is the task-marks ring (power-of-two length); marksFree pools
-	// released marks.
+	// slots is the task-marks ring (power-of-two length); live lists the
+	// same marks densely; marksFree pools released marks.
 	slots     []taskSlot
+	live      []*taskMarks
 	marksFree []*taskMarks
 
-	// scratch backs laterReaders; prunedBuf backs Commit's return value.
-	scratch   []ids.TaskID
-	prunedBuf []PrunedVersion
+	// scratch backs laterReaders.
+	scratch []ids.TaskID
 
 	// Statistics.
 	violations uint64
@@ -135,11 +199,12 @@ func upperBound(v []ids.TaskID, t ids.TaskID) int {
 	return lo
 }
 
-// wordFor returns the entry for word a, creating it (from the free list
-// when possible) on first touch.
-func (d *Directory) wordFor(a memsys.Addr) *wordState {
-	if e := d.words.get(a); e != 0 {
-		return &d.states[e-1]
+// entryFor returns the entry index of word a given its index lookup e
+// (entry number, 0 = absent), creating the entry (from the free list when
+// possible) on first touch.
+func (d *Directory) entryFor(a memsys.Addr, e int32) int32 {
+	if e != 0 {
+		return e - 1
 	}
 	var i int32
 	if n := len(d.freeWords); n > 0 {
@@ -149,17 +214,20 @@ func (d *Directory) wordFor(a memsys.Addr) *wordState {
 		d.states = append(d.states, wordState{})
 		i = int32(len(d.states) - 1)
 	}
+	d.states[i].addr = a
 	d.words.set(a, i+1)
-	return &d.states[i]
+	return i
 }
 
-// releaseWord recycles an emptied entry: squash-storm sections (Euler)
-// would otherwise leak directory entries for words that are no longer live.
-func (d *Directory) releaseWord(a memsys.Addr, i int32) {
+// releaseIfEmpty recycles entry i once it holds no version and no listed
+// reader: squash-storm sections (Euler) would otherwise leak directory
+// entries for words that are no longer live.
+func (d *Directory) releaseIfEmpty(i int32) {
 	w := &d.states[i]
-	w.versions = w.versions[:0]
-	w.readers = w.readers[:0]
-	d.words.del(a)
+	if len(w.versions) != 0 || len(w.readers) != 0 {
+		return
+	}
+	d.words.del(w.addr)
 	d.freeWords = append(d.freeWords, i)
 }
 
@@ -179,6 +247,8 @@ func (d *Directory) marks(t ids.TaskID) *taskMarks {
 			} else {
 				m = &taskMarks{}
 			}
+			m.id, m.live = t, len(d.live)
+			d.live = append(d.live, m)
 			*s = taskSlot{id: t, m: m}
 			return m
 		}
@@ -228,14 +298,17 @@ func (d *Directory) lookupMarks(t ids.TaskID) *taskMarks {
 	return nil
 }
 
-// releaseMarks recycles t's marks struct and frees its ring slot.
-func (d *Directory) releaseMarks(t ids.TaskID) {
-	s := &d.slots[int(uint64(t)&uint64(len(d.slots)-1))]
-	m := s.m
+// releaseMarks recycles m, whose flags the caller has already cleared, and
+// frees its ring slot.
+func (d *Directory) releaseMarks(m *taskMarks) {
 	m.writes = m.writes[:0]
+	m.pruned = m.pruned[:0]
 	m.reads = m.reads[:0]
+	last := d.live[len(d.live)-1]
+	d.live[m.live], last.live = last, m.live
+	d.live = d.live[:len(d.live)-1]
 	d.marksFree = append(d.marksFree, m)
-	*s = taskSlot{}
+	d.slots[int(uint64(m.id)&uint64(len(d.slots)-1))] = taskSlot{}
 }
 
 // VersionFor returns the producer whose version a read by reader must
@@ -265,19 +338,27 @@ func versionFor(v []ids.TaskID, reader ids.TaskID) ids.TaskID {
 func (d *Directory) RecordRead(a memsys.Addr, reader ids.TaskID) ids.TaskID {
 	d.reads++
 	d.obsReads.Inc()
-	w := d.wordFor(a)
-	producer := versionFor(w.versions, reader)
-	for i := range w.readers {
-		if w.readers[i].reader == reader {
-			if producer.Before(w.readers[i].consumed) {
-				w.readers[i].consumed = producer
-			}
-			return producer
+	e := d.words.get(a)
+	if e != 0 {
+		// Own-version read: the reader's live version is the latest at or
+		// before it, and nothing can violate the read.
+		if m := d.lookupMarks(reader); m != nil && m.flags.get(e-1)&flagWrote != 0 {
+			m.flags.set(e-1, flagOwnRead)
+			return reader
 		}
+	}
+	i := d.entryFor(a, e)
+	w := &d.states[i]
+	producer := versionFor(w.versions, reader)
+	if j := findReader(w, reader); j >= 0 {
+		if producer.Before(w.readers[j].consumed) {
+			w.readers[j].consumed = producer
+		}
+		return producer
 	}
 	w.readers = append(w.readers, readerMark{reader: reader, consumed: producer})
 	m := d.marks(reader)
-	m.reads = append(m.reads, a)
+	m.reads = append(m.reads, i)
 	return producer
 }
 
@@ -292,15 +373,24 @@ func (d *Directory) RecordRead(a memsys.Addr, reader ids.TaskID) ids.TaskID {
 func (d *Directory) RecordWrite(a memsys.Addr, writer ids.TaskID) ids.TaskID {
 	d.writes++
 	d.obsWrites.Inc()
-	w := d.wordFor(a)
-	i := lowerBound(w.versions, writer)
-	if i == len(w.versions) || w.versions[i] != writer {
-		w.versions = append(w.versions, ids.None)
-		copy(w.versions[i+1:], w.versions[i:])
-		w.versions[i] = writer
-		m := d.marks(writer)
-		m.writes = append(m.writes, a)
+	e := d.words.get(a)
+	var i int32
+	if m := d.lookupMarks(writer); e != 0 && m != nil && m.flags.get(e-1)&flagWrote != 0 {
+		i = e - 1 // repeat write: the version is already in place
+	} else {
+		i = d.entryFor(a, e)
+		w := &d.states[i]
+		j := lowerBound(w.versions, writer)
+		if j == len(w.versions) || w.versions[j] != writer {
+			w.versions = append(w.versions, ids.None)
+			copy(w.versions[j+1:], w.versions[j:])
+			w.versions[j] = writer
+			m := d.marks(writer)
+			m.writes = append(m.writes, i)
+			m.flags.set(i, flagWrote)
+		}
 	}
+	w := &d.states[i]
 	victim := ids.None
 	for _, rm := range w.readers {
 		if rm.reader.After(writer) && rm.consumed.Before(writer) {
@@ -313,7 +403,7 @@ func (d *Directory) RecordWrite(a memsys.Addr, writer ids.TaskID) ids.TaskID {
 		d.violations++
 		d.obsViolations.Inc()
 	} else if d.spurious != nil {
-		if v := d.spurious(d.laterReaders(w, writer)); v != ids.None {
+		if v := d.spurious(d.laterReaders(i, writer)); v != ids.None {
 			victim = v
 			d.injected++
 		}
@@ -321,23 +411,39 @@ func (d *Directory) RecordWrite(a memsys.Addr, writer ids.TaskID) ids.TaskID {
 	return victim
 }
 
-// laterReaders returns the readers of w ordered after writer, ascending,
-// in a scratch buffer reused across calls (valid until the next
-// RecordWrite). The sort keeps fault injection deterministic.
-func (d *Directory) laterReaders(w *wordState, writer ids.TaskID) []ids.TaskID {
+// laterReaders returns the readers of entry i ordered after writer,
+// ascending and without repeats, in a scratch buffer reused across calls
+// (valid until the next RecordWrite): the listed marks plus every live
+// task whose ownRead flag is set for i. The sort keeps fault injection
+// deterministic.
+func (d *Directory) laterReaders(i int32, writer ids.TaskID) []ids.TaskID {
 	out := d.scratch[:0]
-	for _, rm := range w.readers {
-		if !rm.reader.After(writer) {
-			continue
+	for _, rm := range d.states[i].readers {
+		if rm.reader.After(writer) {
+			out = insertSorted(out, rm.reader)
 		}
-		i := len(out)
-		out = append(out, rm.reader)
-		for i > 0 && out[i].Before(out[i-1]) {
-			out[i], out[i-1] = out[i-1], out[i]
-			i--
+	}
+	for _, m := range d.live {
+		if m.id.After(writer) && m.flags.get(i)&flagOwnRead != 0 {
+			out = insertSorted(out, m.id)
 		}
 	}
 	d.scratch = out
+	return out
+}
+
+// insertSorted adds t to the ascending list out unless it is already there.
+func insertSorted(out []ids.TaskID, t ids.TaskID) []ids.TaskID {
+	i := len(out)
+	for i > 0 && t.Before(out[i-1]) {
+		i--
+	}
+	if i > 0 && out[i-1] == t {
+		return out
+	}
+	out = append(out, ids.None)
+	copy(out[i+1:], out[i:])
+	out[i] = t
 	return out
 }
 
@@ -359,16 +465,23 @@ func (d *Directory) SetSpuriousConflict(h func(readers []ids.TaskID) ids.TaskID)
 // detected; they are excluded from the violations statistic.
 func (d *Directory) InjectedConflicts() uint64 { return d.injected }
 
-// removeReader deletes t's mark from w (order among remaining marks is
-// irrelevant: the violation scan takes a minimum and laterReaders sorts).
-func removeReader(w *wordState, t ids.TaskID) {
+// findReader returns the index of t's listed mark in w, or -1.
+func findReader(w *wordState, t ids.TaskID) int {
 	for i := range w.readers {
 		if w.readers[i].reader == t {
-			last := len(w.readers) - 1
-			w.readers[i] = w.readers[last]
-			w.readers = w.readers[:last]
-			return
+			return i
 		}
+	}
+	return -1
+}
+
+// removeReader deletes t's listed mark from w (order among remaining marks
+// is irrelevant: the violation scan takes a minimum and laterReaders sorts).
+func removeReader(w *wordState, t ids.TaskID) {
+	if i := findReader(w, t); i >= 0 {
+		last := len(w.readers) - 1
+		w.readers[i] = w.readers[last]
+		w.readers = w.readers[:last]
 	}
 }
 
@@ -380,107 +493,95 @@ func (d *Directory) Squash(t ids.TaskID) {
 	if m == nil {
 		return
 	}
-	for _, a := range m.writes {
-		e := d.words.get(a)
-		if e == 0 {
+	for _, i := range m.writes {
+		// A clear flag is a version a commit already pruned, or an entry
+		// listed twice and handled earlier in this walk.
+		if m.flags.clear(i)&flagWrote == 0 {
 			continue
 		}
-		i := e - 1
 		w := &d.states[i]
 		j := lowerBound(w.versions, t)
-		if j < len(w.versions) && w.versions[j] == t {
-			w.versions = append(w.versions[:j], w.versions[j+1:]...)
-		}
-		if len(w.versions) == 0 && len(w.readers) == 0 {
-			d.releaseWord(a, i)
-		}
+		w.versions = append(w.versions[:j], w.versions[j+1:]...)
+		d.releaseIfEmpty(i)
 	}
-	for _, a := range m.reads {
-		e := d.words.get(a)
-		if e == 0 {
-			continue
-		}
-		i := e - 1
-		w := &d.states[i]
-		removeReader(w, t)
-		if len(w.versions) == 0 && len(w.readers) == 0 {
-			d.releaseWord(a, i)
-		}
+	for _, i := range m.reads {
+		removeReader(&d.states[i], t)
+		d.releaseIfEmpty(i)
 	}
-	d.releaseMarks(t)
+	d.releaseMarks(m)
 }
 
 // Commit finalizes task t: its read marks are dropped (no uncommitted
 // predecessor writer can exist any more) and versions it superseded are
 // pruned (no live reader can ever need a version older than a committed
-// one). Pruned producers are reported so the simulator can drop any
-// lingering storage for them; the returned slice is reused by the next
-// Commit call and must not be retained.
-func (d *Directory) Commit(t ids.TaskID) []PrunedVersion {
+// one).
+func (d *Directory) Commit(t ids.TaskID) {
 	m := d.lookupMarks(t)
 	if m == nil {
-		return nil
+		return
 	}
-	pruned := d.prunedBuf[:0]
-	for _, a := range m.reads {
-		e := d.words.get(a)
-		if e == 0 {
-			continue
-		}
-		i := e - 1
-		w := &d.states[i]
-		removeReader(w, t)
-		if len(w.versions) == 0 && len(w.readers) == 0 {
-			d.releaseWord(a, i)
+	for _, i := range m.reads {
+		removeReader(&d.states[i], t)
+		d.releaseIfEmpty(i)
+	}
+	for _, i := range m.writes {
+		if m.flags.clear(i)&flagWrote != 0 {
+			d.pruneBefore(i, t)
 		}
 	}
-	for _, a := range m.writes {
-		e := d.words.get(a)
-		if e == 0 {
-			continue
-		}
-		i := e - 1
-		w := &d.states[i]
-		j := lowerBound(w.versions, t)
-		for _, old := range w.versions[:j] {
-			pruned = append(pruned, PrunedVersion{Addr: a, Producer: old})
-		}
-		if j > 0 {
-			w.versions = append(w.versions[:0], w.versions[j:]...)
-		}
-		if len(w.versions) == 0 && len(w.readers) == 0 {
-			d.releaseWord(a, i)
+	// Where an out-of-order commit pruned t's version, the versions before
+	// t written since still go.
+	for _, a := range m.pruned {
+		if e := d.words.get(a); e != 0 {
+			d.pruneBefore(e-1, t)
 		}
 	}
-	d.releaseMarks(t)
-	d.prunedBuf = pruned
-	if len(pruned) == 0 {
-		return nil
-	}
-	return pruned
+	d.releaseMarks(m)
 }
 
-// PrunedVersion names a superseded version removed at commit time.
-type PrunedVersion struct {
-	Addr     memsys.Addr
-	Producer ids.TaskID
+// pruneBefore drops entry i's versions ordered before t.
+func (d *Directory) pruneBefore(i int32, t ids.TaskID) {
+	w := &d.states[i]
+	j := lowerBound(w.versions, t)
+	for _, old := range w.versions[:j] {
+		d.unflagPruned(i, old)
+	}
+	if j > 0 {
+		w.versions = append(w.versions[:0], w.versions[j:]...)
+	}
+	d.releaseIfEmpty(i)
 }
 
-// WordsWritten returns the number of distinct words task t has live writes
-// for (its written footprint, in words).
+// unflagPruned handles the pruning of producer's version of entry i.
+// Under in-order commits the producer has committed already; otherwise its
+// live incarnation loses its flags for i and records the address as
+// pruned, and an own-version read it made becomes the listed mark
+// {producer, producer} the read stands for.
+func (d *Directory) unflagPruned(i int32, producer ids.TaskID) {
+	m := d.lookupMarks(producer)
+	if m == nil {
+		return
+	}
+	f := m.flags.clear(i)
+	if f == 0 {
+		return
+	}
+	w := &d.states[i]
+	m.pruned = append(m.pruned, w.addr)
+	if f&flagOwnRead == 0 || findReader(w, producer) >= 0 {
+		return // no own read, or an earlier listed mark already covers it
+	}
+	w.readers = append(w.readers, readerMark{reader: producer, consumed: producer})
+	m.reads = append(m.reads, i)
+}
+
+// WordsWritten returns the number of words task t has inserted versions
+// of (its written footprint, in words).
 func (d *Directory) WordsWritten(t ids.TaskID) int {
 	if m := d.lookupMarks(t); m != nil {
 		return len(m.writes)
 	}
 	return 0
-}
-
-// WrittenAddrs returns the distinct words task t has live writes for.
-func (d *Directory) WrittenAddrs(t ids.TaskID) []memsys.Addr {
-	if m := d.lookupMarks(t); m != nil {
-		return m.writes
-	}
-	return nil
 }
 
 // LiveWords returns the number of directory entries (for memory-bound
@@ -489,15 +590,7 @@ func (d *Directory) WrittenAddrs(t ids.TaskID) []memsys.Addr {
 func (d *Directory) LiveWords() int { return d.words.live }
 
 // LiveTasks returns the number of tasks with live footprint marks.
-func (d *Directory) LiveTasks() int {
-	n := 0
-	for _, s := range d.slots {
-		if s.m != nil {
-			n++
-		}
-	}
-	return n
-}
+func (d *Directory) LiveTasks() int { return len(d.live) }
 
 // VersionCount returns the number of live versions of word a.
 func (d *Directory) VersionCount(a memsys.Addr) int {

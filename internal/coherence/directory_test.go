@@ -1,11 +1,15 @@
 package coherence
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/ids"
 	"repro/internal/memsys"
+	"repro/internal/rng"
+	"repro/internal/workload"
 )
 
 func TestVersionForEmpty(t *testing.T) {
@@ -145,10 +149,7 @@ func TestCommitDropsReadMarksAndPrunes(t *testing.T) {
 	d.RecordWrite(4, ids.TaskID(1))
 	d.RecordWrite(4, ids.TaskID(2))
 	d.RecordRead(4, ids.TaskID(2))
-	pruned := d.Commit(ids.TaskID(2))
-	if len(pruned) != 1 || pruned[0].Producer != ids.TaskID(1) || pruned[0].Addr != 4 {
-		t.Fatalf("pruned = %+v, want T0's version of word 4", pruned)
-	}
+	d.Commit(ids.TaskID(2))
 	if d.VersionCount(4) != 1 {
 		t.Fatalf("VersionCount = %d after pruning", d.VersionCount(4))
 	}
@@ -160,8 +161,11 @@ func TestCommitDropsReadMarksAndPrunes(t *testing.T) {
 
 func TestCommitUnknownTaskIsNoop(t *testing.T) {
 	d := NewDirectory()
-	if pruned := d.Commit(ids.TaskID(3)); pruned != nil {
-		t.Fatalf("commit of unseen task pruned %v", pruned)
+	d.RecordWrite(4, ids.TaskID(1))
+	d.Commit(ids.TaskID(3))
+	if d.LiveWords() != 1 || d.LiveTasks() != 1 || d.VersionCount(4) != 1 {
+		t.Fatalf("commit of unseen task changed the directory: LiveWords %d, LiveTasks %d, VersionCount %d",
+			d.LiveWords(), d.LiveTasks(), d.VersionCount(4))
 	}
 }
 
@@ -172,9 +176,6 @@ func TestWordsWritten(t *testing.T) {
 	d.RecordWrite(4, ids.TaskID(1)) // duplicate
 	if got := d.WordsWritten(ids.TaskID(1)); got != 2 {
 		t.Fatalf("WordsWritten = %d, want 2", got)
-	}
-	if got := len(d.WrittenAddrs(ids.TaskID(1))); got != 2 {
-		t.Fatalf("WrittenAddrs = %d entries", got)
 	}
 	if d.WordsWritten(ids.TaskID(9)) != 0 {
 		t.Fatal("unknown task has nonzero footprint")
@@ -375,20 +376,149 @@ func TestVersionForAllocFree(t *testing.T) {
 	}
 }
 
-// TestCommitPrunedBufferReuse documents the Commit contract: the returned
-// slice is valid until the next Commit call.
-func TestCommitPrunedBufferReuse(t *testing.T) {
-	d := NewDirectory()
-	d.RecordWrite(4, ids.TaskID(1))
-	d.RecordWrite(4, ids.TaskID(2))
-	d.RecordWrite(8, ids.TaskID(3))
-	d.RecordWrite(8, ids.TaskID(4))
-	first := d.Commit(ids.TaskID(2))
-	if len(first) != 1 || first[0].Producer != ids.TaskID(1) {
-		t.Fatalf("first commit pruned %+v", first)
+// TestCheckpointRoundTripWithOwnReads checkpoints a directory while tasks
+// hold own-version reads, restores the checkpoint into a fresh directory,
+// drives both on with the same calls, commits every task and then compares
+// State and LiveWords: a restored mark that no commit removes would leave
+// the restored directory with extra live words.
+func TestCheckpointRoundTripWithOwnReads(t *testing.T) {
+	r := rng.New(5)
+	type call struct {
+		kind int // 0 read, 1 write, 2 commit, 3 squash
+		a    memsys.Addr
+		task ids.TaskID
 	}
-	second := d.Commit(ids.TaskID(4))
-	if len(second) != 1 || second[0].Producer != ids.TaskID(3) || second[0].Addr != 8 {
-		t.Fatalf("second commit pruned %+v", second)
+	var calls []call
+	head, next := ids.First, ids.TaskID(9) // eight live tasks: [head, next)
+	for len(calls) < 4000 {
+		task := head + ids.TaskID(r.Intn(int(next-head)))
+		switch k := r.Intn(10); {
+		case k < 5: // privatized: write, then read back
+			a := workload.PrivBase + memsys.Addr(r.Intn(256))
+			calls = append(calls, call{1, a, task}, call{0, a, task})
+		case k < 7: // a privatized word read before its write
+			a := workload.PrivBase + memsys.Addr(r.Intn(256))
+			calls = append(calls, call{0, a, task}, call{1, a, task}, call{0, a, task})
+		case k < 8:
+			calls = append(calls, call{0, workload.SharedBase + memsys.Addr(r.Intn(512)), task})
+		case k < 9: // the task re-executes under its ID
+			calls = append(calls, call{3, 0, task})
+		default: // the oldest live task commits
+			calls = append(calls, call{2, 0, head})
+			head++
+			next++
+		}
+	}
+	apply := func(d *Directory, c call) ids.TaskID {
+		switch c.kind {
+		case 0:
+			return d.RecordRead(c.a, c.task)
+		case 1:
+			return d.RecordWrite(c.a, c.task)
+		case 2:
+			d.Commit(c.task)
+		default:
+			d.Squash(c.task)
+		}
+		return ids.None
+	}
+	d := NewDirectory()
+	half := len(calls) / 2
+	for _, c := range calls[:half] {
+		apply(d, c)
+	}
+	s := d.State()
+	own := 0
+	for _, ws := range s.Words {
+		for _, rm := range ws.Readers {
+			if rm.Consumed == rm.Reader && slices.Contains(ws.Versions, rm.Reader) {
+				own++
+			}
+		}
+	}
+	if own == 0 {
+		t.Fatal("the checkpoint holds no own-version read")
+	}
+	restored := NewDirectory()
+	restored.RestoreState(s)
+	if s2 := restored.State(); !reflect.DeepEqual(s, s2) {
+		t.Fatal("State → RestoreState → State changed the snapshot")
+	}
+	for i, c := range calls[half:] {
+		if got, want := apply(restored, c), apply(d, c); got != want {
+			t.Fatalf("call %d %+v: restored directory answered %v, uninterrupted %v", half+i, c, got, want)
+		}
+	}
+	for ; head < next; head++ {
+		d.Commit(head)
+		restored.Commit(head)
+	}
+	if got, want := restored.LiveWords(), d.LiveWords(); got != want {
+		t.Fatalf("LiveWords after committing every task: restored %d, uninterrupted %d", got, want)
+	}
+	if got, want := restored.State(), d.State(); !reflect.DeepEqual(got, want) {
+		t.Fatal("State after committing every task differs between the restored and the uninterrupted directory")
+	}
+	if d.LiveTasks() != 0 || restored.LiveTasks() != 0 {
+		t.Fatalf("LiveTasks after committing every task: %d, restored %d", d.LiveTasks(), restored.LiveTasks())
+	}
+}
+
+// TestReleasedMarksCarryNoFlags: every commit or squash must clear the
+// task's entry flags before its marks return to the pool, whatever the call
+// sequence (out-of-order commits, IDs reused after commit), or a later task
+// reusing the marks would see phantom own versions.
+func TestReleasedMarksCarryNoFlags(t *testing.T) {
+	r := rng.New(11)
+	d := NewDirectory()
+	for step := 0; step < 20000; step++ {
+		a := memsys.Addr(r.Intn(300))
+		task := ids.TaskID(1 + r.Intn(16))
+		switch k := r.Intn(10); {
+		case k < 4:
+			d.RecordWrite(a, task)
+			d.RecordRead(a, task)
+		case k < 8:
+			d.RecordRead(a, task)
+		case k < 9:
+			d.Squash(task)
+		default:
+			d.Commit(task)
+		}
+		for _, m := range d.marksFree {
+			if i := slices.IndexFunc(m.flags, func(w uint64) bool { return w != 0 }); i >= 0 {
+				t.Fatalf("step %d: released marks of %v keep flags %#x at word %d", step, m.id, m.flags[i], i)
+			}
+		}
+	}
+}
+
+// TestPrivatizedAllocFree: own-version reads and repeat writes, with and
+// without the spurious-conflict hook, stay allocation-free in steady state.
+func TestPrivatizedAllocFree(t *testing.T) {
+	for _, hook := range []bool{false, true} {
+		d := NewDirectory()
+		if hook {
+			d.SetSpuriousConflict(func([]ids.TaskID) ids.TaskID { return ids.None })
+		}
+		task := ids.TaskID(0)
+		section := func() {
+			task++
+			for a := memsys.Addr(0); a < 256; a++ {
+				d.RecordWrite(a, task)
+				d.RecordRead(a, task)
+				d.RecordWrite(a, task)
+				d.RecordRead(a, task+1)
+			}
+			if task > 4 {
+				d.Commit(task - 4)
+			}
+		}
+		for i := 0; i < 16; i++ {
+			section()
+		}
+		if n := testing.AllocsPerRun(100, section); n != 0 {
+			t.Fatalf("hook %v: privatized section allocates %.1f allocs/op in steady state, want 0", hook, n)
+		}
 	}
 }

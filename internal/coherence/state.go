@@ -1,7 +1,8 @@
 package coherence
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/ids"
 	"repro/internal/memsys"
@@ -11,9 +12,15 @@ import (
 // free lists and the task-marks ring are physical layout, invisible to the
 // protocol, so a checkpoint records only logical state (per-word version and
 // reader lists, per-task footprint marks, counters) in a canonical order and
-// a restore rebuilds a fresh layout. Order inside each list is preserved
-// verbatim: the reader-mark scan and the mark-driven cleanup walks visit
-// entries in list order, so reordering them would change downstream timing.
+// a restore rebuilds a fresh layout. No protocol answer depends on the order
+// inside a list (the violation scan takes a minimum, the spurious-conflict
+// hook gets a sorted list, and cleanup order only moves entries between
+// arena slots), so State emits one canonical order: words ascending by
+// address, each word's versions and readers ascending by task ID, tasks
+// ascending by ID, each task's writes and reads ascending by address. A
+// task's writes are every word this incarnation inserted a version of,
+// including versions a commit has pruned since. Own-version reads, which the live directory keeps
+// as per-task flags, appear as ordinary marks.
 
 // ReaderMarkState is one uncommitted reader's mark in a checkpoint.
 type ReaderMarkState struct {
@@ -24,15 +31,15 @@ type ReaderMarkState struct {
 // WordStateState is one word's directory entry in a checkpoint.
 type WordStateState struct {
 	Addr     memsys.Addr
-	Versions []ids.TaskID      // ascending, verbatim
-	Readers  []ReaderMarkState // first-read order, verbatim
+	Versions []ids.TaskID      // ascending
+	Readers  []ReaderMarkState // ascending by reader
 }
 
 // TaskMarksState is one live task's footprint marks in a checkpoint.
 type TaskMarksState struct {
 	Task   ids.TaskID
-	Writes []memsys.Addr // first-write order, verbatim
-	Reads  []memsys.Addr // first-read order, verbatim
+	Writes []memsys.Addr // ascending
+	Reads  []memsys.Addr // ascending
 }
 
 // DirectoryState is the serializable state of a Directory.
@@ -46,18 +53,23 @@ type DirectoryState struct {
 	Injected   uint64
 }
 
-// State captures the directory for a checkpoint.
+// State captures the directory for a checkpoint. Own-version reads are
+// listed like any other read: as the mark {r, r} among the word's Readers
+// and as the word's address in task r's Reads.
 func (d *Directory) State() DirectoryState {
 	s := DirectoryState{
 		Reads: d.reads, Writes: d.writes,
 		Violations: d.violations, Injected: d.injected,
 	}
+	tasks := slices.Clone(d.live)
+	slices.SortFunc(tasks, func(a, b *taskMarks) int { return cmp.Compare(a.id, b.id) })
 	for _, p := range d.words.pages() {
 		for off, e := range p.slots {
 			if e == 0 {
 				continue
 			}
-			w := &d.states[e-1]
+			i := e - 1
+			w := &d.states[i]
 			ws := WordStateState{
 				Addr:     memsys.Addr(p.num<<pageShift | uint64(off)),
 				Versions: append([]ids.TaskID(nil), w.versions...),
@@ -65,20 +77,34 @@ func (d *Directory) State() DirectoryState {
 			for _, rm := range w.readers {
 				ws.Readers = append(ws.Readers, ReaderMarkState{Reader: rm.reader, Consumed: rm.consumed})
 			}
+			for _, m := range tasks {
+				if m.flags.get(i)&flagOwnRead != 0 && findReader(w, m.id) < 0 {
+					ws.Readers = append(ws.Readers, ReaderMarkState{Reader: m.id, Consumed: m.id})
+				}
+			}
+			slices.SortFunc(ws.Readers, func(a, b ReaderMarkState) int { return cmp.Compare(a.Reader, b.Reader) })
 			s.Words = append(s.Words, ws)
 		}
 	}
-	for _, slot := range d.slots {
-		if slot.m == nil {
-			continue
+	for _, m := range tasks {
+		ts := TaskMarksState{Task: m.id, Writes: append([]memsys.Addr(nil), m.pruned...)}
+		for _, i := range m.reads {
+			ts.Reads = append(ts.Reads, d.states[i].addr)
 		}
-		s.Tasks = append(s.Tasks, TaskMarksState{
-			Task:   slot.id,
-			Writes: append([]memsys.Addr(nil), slot.m.writes...),
-			Reads:  append([]memsys.Addr(nil), slot.m.reads...),
-		})
+		for i := range int32(len(m.flags) * 32) {
+			f := m.flags.get(i)
+			if f&flagWrote != 0 {
+				ts.Writes = append(ts.Writes, d.states[i].addr)
+			}
+			if f&flagOwnRead != 0 && findReader(&d.states[i], m.id) < 0 {
+				ts.Reads = append(ts.Reads, d.states[i].addr)
+			}
+		}
+		slices.Sort(ts.Writes)
+		ts.Writes = slices.Compact(ts.Writes)
+		slices.Sort(ts.Reads)
+		s.Tasks = append(s.Tasks, ts)
 	}
-	sort.Slice(s.Tasks, func(i, j int) bool { return s.Tasks[i].Task < s.Tasks[j].Task })
 	return s
 }
 
@@ -90,27 +116,49 @@ func (d *Directory) RestoreState(s DirectoryState) {
 	d.states = make([]wordState, 0, len(s.Words))
 	d.freeWords = nil
 	d.slots = nil
+	d.live = nil
 	d.marksFree = nil
 	d.scratch = nil
-	d.prunedBuf = nil
 	for _, ws := range s.Words {
-		d.states = append(d.states, wordStateFrom(ws))
+		d.states = append(d.states, wordState{addr: ws.Addr, versions: append([]ids.TaskID(nil), ws.Versions...)})
 		d.words.set(ws.Addr, int32(len(d.states)))
 	}
+	// A listed write whose version is still present was inserted by this
+	// incarnation (only the live task with that ID can have re-inserted it
+	// after a prune); the others were pruned.
 	for _, ts := range s.Tasks {
 		m := d.marks(ts.Task)
-		m.writes = append(m.writes[:0], ts.Writes...)
-		m.reads = append(m.reads[:0], ts.Reads...)
+		for _, a := range ts.Writes {
+			if i := d.words.get(a) - 1; i >= 0 && slices.Contains(d.states[i].versions, ts.Task) {
+				m.writes = append(m.writes, i)
+				m.flags.set(i, flagWrote)
+			} else {
+				m.pruned = append(m.pruned, a)
+			}
+		}
+	}
+	// A read of the reader's own flagged version goes back to its flags.
+	for i, ws := range s.Words {
+		w := &d.states[i]
+		for _, rm := range ws.Readers {
+			if rm.Consumed == rm.Reader {
+				if m := d.lookupMarks(rm.Reader); m != nil && m.flags.get(int32(i))&flagWrote != 0 {
+					m.flags.set(int32(i), flagOwnRead)
+					continue
+				}
+			}
+			w.readers = append(w.readers, readerMark{reader: rm.Reader, consumed: rm.Consumed})
+		}
+	}
+	for _, ts := range s.Tasks {
+		m := d.lookupMarks(ts.Task)
+		for _, a := range ts.Reads {
+			i := d.words.get(a) - 1
+			if i >= 0 && m.flags.get(i)&flagOwnRead == 0 {
+				m.reads = append(m.reads, i)
+			}
+		}
 	}
 	d.reads, d.writes = s.Reads, s.Writes
 	d.violations, d.injected = s.Violations, s.Injected
-}
-
-// wordStateFrom builds a wordState from its checkpoint form.
-func wordStateFrom(ws WordStateState) wordState {
-	w := wordState{versions: append([]ids.TaskID(nil), ws.Versions...)}
-	for _, rm := range ws.Readers {
-		w.readers = append(w.readers, readerMark{reader: rm.Reader, consumed: rm.Consumed})
-	}
-	return w
 }
