@@ -195,19 +195,17 @@ func main() {
 	runner := camp.Runner()
 	runner.FailLimit, runner.Runner.JobTimeout = 1, *timeout
 	if camp.Listen != "" {
-		runner.Metrics = new(exp.Metrics)
-		tel, err := camp.Telemetry(runner.Metrics)
+		stop, err := camp.Serve(runner)
 		if err != nil {
 			chaosLog.Error(err.Error())
 			os.Exit(1)
 		}
-		defer tel.Stop()
+		defer stop()
 		var done, failed atomic.Int64
-		tel.AddGauge("chaos_cases_total", func() float64 { return float64(len(cases)) })
-		tel.AddGauge("chaos_cases_done", func() float64 { return float64(done.Load()) })
-		tel.AddGauge("chaos_cases_failed", func() float64 { return float64(failed.Load()) })
+		runner.AddGauge("chaos_cases_total", func() float64 { return float64(len(cases)) })
+		runner.AddGauge("chaos_cases_done", func() float64 { return float64(done.Load()) })
+		runner.AddGauge("chaos_cases_failed", func() float64 { return float64(failed.Load()) })
 		runner.Progress = func(jr exp.JobResult) {
-			tel.ObserveJob(jr)
 			if o := outcomeFrom(chaosCase{}, jr, sd.Interrupted()); !o.Interrupted {
 				done.Add(1)
 				if o.failed(flips) {

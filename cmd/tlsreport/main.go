@@ -1,9 +1,10 @@
 // tlsreport regenerates the tables and figures of the paper's evaluation.
 //
-// All simulations run as job batches on an in-process coordinator running
+// All simulations run as job batches on one in-process coordinator running
 // -jobs simulations at a time, with an optional persistent result cache
-// (-cache) and a run metrics summary (-metrics). Output is byte-identical at
-// any worker count.
+// (-cache) and a run metrics summary (-metrics). A simulation repeated by a
+// later artifact is answered from the coordinator, not run again. Output is
+// byte-identical at any worker count.
 //
 // Usage:
 //
@@ -74,25 +75,44 @@ func main() {
 		os.Exit(1)
 	}
 	defer camp.Close()
-	opt := repro.Options{
-		Seed: *seed, Jobs: camp.Jobs, CacheDir: *cache, JobTimeout: *timeout,
-		Journal: camp.Journal, Resume: camp.State,
-		CheckpointDir: camp.CheckpointDir, CheckpointEvery: camp.CheckpointEvery,
+
+	var progress func(repro.JobResult)
+	if *verbose {
+		progress = func(jr repro.JobResult) {
+			if jr.Err == nil && !jr.Job.Sequential {
+				fmt.Fprintf(os.Stderr, "  ran %s/%s/%v: %d cycles\n",
+					jr.Job.Machine.Name, jr.Job.Profile.Name, jr.Job.Scheme, jr.Result.ExecCycles)
+			}
+		}
 	}
+	// Every artifact's batches run on one executor, so a simulation two
+	// artifacts share runs once.
+	runner := camp.Runner()
+	runner.Runner.JobTimeout = *timeout
+	runner.Progress = progress
+	if *cache != "" {
+		// Fail fast on an unusable cache directory rather than silently
+		// running uncached.
+		c, err := repro.NewResultCache(*cache)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "tlsreport: cache: %v\n", err)
+			os.Exit(1)
+		}
+		runner.Cache = c
+	}
+	opt := repro.Options{Seed: *seed, Batcher: runner}
 	if camp.Coordinator != "" {
 		// Every batch travels to the coordinator; the rendered artifacts
 		// are identical to a local run because each simulation is a pure
 		// function of the job's content.
-		opt.Batcher = camp.Client(nil)
+		opt.Batcher = camp.Client(progress)
 	}
-	if *cache != "" {
-		// Fail fast on an unusable cache directory rather than silently
-		// running uncached.
-		if _, err := repro.NewResultCache(*cache); err != nil {
-			fmt.Fprintf(os.Stderr, "tlsreport: cache: %v\n", err)
-			os.Exit(1)
-		}
+	stopDashboard, err := camp.Serve(runner)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "tlsreport: %v\n", err)
+		os.Exit(1)
 	}
+	defer stopDashboard()
 
 	// Graceful shutdown: the first SIGINT/SIGTERM cancels the campaign
 	// context (in-flight simulations checkpoint and drain, the journal is
@@ -100,19 +120,6 @@ func main() {
 	sd := repro.NewShutdown(nil)
 	defer sd.Stop()
 	opt.Context = sd.Context()
-
-	if *metrics || camp.Listen != "" {
-		opt.Metrics = new(repro.RunMetrics)
-	}
-	tel, err := camp.Telemetry(opt.Metrics)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "tlsreport: %v\n", err)
-		os.Exit(1)
-	}
-	if tel != nil {
-		opt.JobObserver = tel.ObserveJob
-		defer tel.Stop()
-	}
 	if *apps != "" {
 		for _, name := range strings.Split(*apps, ",") {
 			p, ok := repro.AppByName(strings.TrimSpace(name))
@@ -126,11 +133,6 @@ func main() {
 		// StandardSuite would.
 		for i := range opt.Apps {
 			opt.Apps[i] = scale(opt.Apps[i])
-		}
-	}
-	if *verbose {
-		opt.Progress = func(m, a string, s repro.Scheme, r repro.Result) {
-			fmt.Fprintf(os.Stderr, "  ran %s/%s/%v: %d cycles\n", m, a, s, r.ExecCycles)
 		}
 	}
 
@@ -234,7 +236,9 @@ func main() {
 	}
 
 	if *metrics {
-		fmt.Fprintln(os.Stderr, "tlsreport "+opt.Metrics.Snapshot().String())
+		if line := camp.MetricsLine(runner); line != "" {
+			fmt.Fprintln(os.Stderr, line)
+		}
 	}
 	if sd.Interrupted() {
 		camp.LogInterrupted()

@@ -163,6 +163,11 @@ func main() {
 
 	tick := time.NewTicker(500 * time.Millisecond)
 	defer tick.Stop()
+	// -exit-when-done waits for the campaign to look finished on two ticks
+	// in a row: a client polls every 200ms, so the extra tick lets it
+	// collect the last outcomes (or submit its next batch) before the
+	// coordinator goes away.
+	finished := false
 	for {
 		select {
 		case <-sd.Context().Done():
@@ -176,7 +181,9 @@ func main() {
 				continue
 			}
 			n := co.Counts()
-			if n.Total > 0 && n.Pending == 0 && n.Leased == 0 {
+			wasFinished := finished
+			finished = n.Total > 0 && n.Pending == 0 && n.Leased == 0
+			if finished && wasFinished {
 				co.Stop()
 				writeTrace()
 				logger.Info("campaign complete", "done", n.Done, "failed", n.Failed)

@@ -143,27 +143,24 @@ func main() {
 	defer camp.Close()
 	runner := camp.Runner()
 	runner.Runner.FS = fsys
-	if camp.Listen != "" {
-		runner.Metrics = new(repro.RunMetrics)
-		tel, err := camp.Telemetry(runner.Metrics)
-		die(err)
-		defer tel.Stop()
-		runner.Progress = tel.ObserveJob
-		// Each job gets its own obs registry (they are not safe to share
-		// across workers); ObserveJob aggregates them into the /metrics
-		// tls_run_* counters. Obs is not part of the job key, so caching
-		// is unaffected. On a fleet run the registries stay local — workers
-		// observe with their own (-observe) and the coordinator merges them.
-		if camp.Coordinator == "" {
-			for i := range jobs {
-				jobs[i].Obs = &repro.ObsConfig{Registry: repro.NewObsRegistry()}
-			}
-		}
-	}
 	if *cacheDir != "" {
 		cache, err := repro.NewResultCacheFS(fsys, *cacheDir)
 		die(err)
 		runner.Cache = cache
+	}
+	if camp.Listen != "" {
+		stop, err := camp.Serve(runner)
+		die(err)
+		defer stop()
+		// Each job gets its own obs registry (they are not safe to share
+		// across workers); the worker folds each finished run's counters
+		// into the dashboard's tls_run_* totals. Obs is not part of the job
+		// key, so caching is unaffected. A fleet run never gets here
+		// (-coordinator ignores -listen): its workers observe with their own
+		// registries (-observe) and the fleet coordinator merges them.
+		for i := range jobs {
+			jobs[i].Obs = &repro.ObsConfig{Registry: repro.NewObsRegistry()}
+		}
 	}
 
 	// Graceful shutdown: first SIGINT/SIGTERM cancels the sweep (in-flight

@@ -34,17 +34,16 @@ import (
 
 func main() {
 	var (
-		coord    = flag.String("coordinator", "", "coordinator base URL (http://host:port); required")
-		name     = flag.String("name", "", "worker name (default host-pid)")
-		jobs     = flag.Int("jobs", 1, "concurrent leased jobs")
-		poll     = flag.Duration("poll", 500*time.Millisecond, "idle wait between empty lease pulls")
-		timeout  = flag.Duration("job-timeout", 0, "per-job watchdog deadline (0 disables)")
-		observe  = flag.Bool("observe", false, "attach an obs registry to every job and report counters on heartbeats")
-		traceF   = flag.Bool("trace", false, "record attempt/retry/checkpoint spans and ship them to the coordinator's fleet trace")
-		ckptDir  = flag.String("checkpoint-dir", "", "mid-run simulator checkpoint directory")
-		ckptN    = flag.Int("checkpoint-every", 50, "auto-checkpoint cadence in committed tasks (0 = only at interrupts)")
-		drain    = flag.Bool("drain", true, "on the first signal, drain gracefully: interrupt in-flight simulations, release leases, exit 130")
-		metricsF = flag.Bool("metrics", false, "print a local run-metrics summary line to stderr at exit")
+		coord   = flag.String("coordinator", "", "coordinator base URL (http://host:port); required")
+		name    = flag.String("name", "", "worker name (default host-pid)")
+		jobs    = flag.Int("jobs", 1, "concurrent leased jobs")
+		poll    = flag.Duration("poll", 500*time.Millisecond, "idle wait between empty lease pulls")
+		timeout = flag.Duration("job-timeout", 0, "per-job watchdog deadline (0 disables)")
+		observe = flag.Bool("observe", false, "attach an obs registry to every job and report counters on heartbeats")
+		traceF  = flag.Bool("trace", false, "record attempt/retry/checkpoint spans and ship them to the coordinator's fleet trace")
+		ckptDir = flag.String("checkpoint-dir", "", "mid-run simulator checkpoint directory")
+		ckptN   = flag.Int("checkpoint-every", 50, "auto-checkpoint cadence in committed tasks (0 = only at interrupts)")
+		drain   = flag.Bool("drain", true, "on the first signal, drain gracefully: interrupt in-flight simulations, release leases, exit 130")
 
 		rpcTimeout  = flag.Duration("rpc-timeout", 30*time.Second, "total per-RPC deadline against the coordinator")
 		dialTimeout = flag.Duration("dial-timeout", 5*time.Second, "connection-attempt deadline against the coordinator")
@@ -66,10 +65,6 @@ func main() {
 		wname = fmt.Sprintf("%s-%d", host, os.Getpid())
 	}
 
-	var metrics *exp.Metrics
-	if *metricsF {
-		metrics = new(exp.Metrics)
-	}
 	logger := obs.NewLogger(os.Stderr, "tlsworker", "worker", wname)
 	logf := obs.Logf(logger)
 	runner := &exp.Runner{JobTimeout: *timeout, CheckpointDir: *ckptDir, CheckpointEvery: *ckptN}
@@ -86,7 +81,6 @@ func main() {
 		Poll:        *poll,
 		Runner:      runner,
 		Observe:     *observe,
-		Metrics:     metrics,
 		RPCTimeout:  *rpcTimeout,
 		DialTimeout: *dialTimeout,
 		Logf:        logf,
@@ -118,9 +112,6 @@ func main() {
 
 	logger.Info("pulling", "coordinator", *coord, "slots", *jobs)
 	err := w.Run(sd.Context())
-	if metrics != nil {
-		fmt.Fprintln(os.Stderr, "tlsworker "+metrics.Snapshot().String())
-	}
 	if sd.Interrupted() {
 		logger.Info("drained")
 		sd.Stop()

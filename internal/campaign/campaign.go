@@ -1,7 +1,7 @@
 // Package campaign is the setup the campaign CLIs (tlsreport, tlssweep,
 // tlschaos) share: the execution and durability flags, the journal and the
-// resumed state behind -journal/-resume, the -listen telemetry endpoint and
-// the -coordinator fleet client. Each CLI adds only its own flags and job
+// resumed state behind -journal/-resume, the -listen dashboard and the
+// -coordinator fleet client. Each CLI adds only its own flags and job
 // list; where and how the jobs run is decided here, once.
 package campaign
 
@@ -9,6 +9,8 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"net"
+	"net/http"
 	"time"
 
 	"repro/internal/cluster"
@@ -38,8 +40,8 @@ func Register(fs *flag.FlagSet) *Flags {
 	fs.StringVar(&f.Resume, "resume", "", "resume a crashed or interrupted campaign from its journal (implies -journal)")
 	fs.StringVar(&f.CheckpointDir, "checkpoint-dir", "", "mid-run simulator checkpoint directory (default <journal>.ckpt when journaling)")
 	fs.IntVar(&f.CheckpointEvery, "checkpoint-every", 50, "auto-checkpoint cadence in committed tasks (0 = only at interrupts)")
-	fs.StringVar(&f.Listen, "listen", "", "serve live telemetry on this address (/metrics Prometheus text, /progress JSON)")
-	fs.StringVar(&f.Coordinator, "coordinator", "", "run the campaign on a distributed fleet via this tlsserve URL (local journal, checkpoint and cache flags are then ignored: they apply coordinator/worker-side)")
+	fs.StringVar(&f.Listen, "listen", "", "serve the live campaign dashboard on this address (/metrics Prometheus text, /progress JSON)")
+	fs.StringVar(&f.Coordinator, "coordinator", "", "run the campaign on a distributed fleet via this tlsserve URL (local journal, checkpoint, cache and listen flags are then ignored: they apply coordinator/worker-side)")
 	fs.DurationVar(&f.RPCTimeout, "rpc-timeout", 30*time.Second, "total per-RPC deadline against the coordinator")
 	fs.DurationVar(&f.DialTimeout, "dial-timeout", 5*time.Second, "connection-attempt deadline against the coordinator")
 	return f
@@ -50,8 +52,8 @@ func Register(fs *flag.FlagSet) *Flags {
 // replayed state of the journal being resumed.
 type Campaign struct {
 	*Flags
-	// Name labels the campaign: the journal header, the telemetry
-	// endpoint and the fleet client identity.
+	// Name labels the campaign: the journal header, the dashboard's
+	// /progress and the fleet client identity.
 	Name string
 	Log  *slog.Logger
 	// Journal is the open campaign WAL; nil when not journaling.
@@ -62,8 +64,9 @@ type Campaign struct {
 
 // Open resolves the flags into a campaign. Under -coordinator every local
 // durability flag — -journal, -resume, -checkpoint-dir and, when the CLI has
-// one, the cache directory *cache — is ignored with a warning: the
-// coordinator and its workers own durability. Otherwise -resume implies
+// one, the cache directory *cache — and -listen are ignored with a warning:
+// the coordinator and its workers own durability, and the fleet
+// coordinator serves the dashboard. Otherwise -resume implies
 // -journal and replays it, a fresh journal gets its campaign header, and the
 // checkpoint directory defaults to <journal>.ckpt. A header that cannot be
 // made durable is an error: the campaign could never be resumed. fsys is the
@@ -75,10 +78,10 @@ func Open(name string, f *Flags, cache *string, fsys iofault.FS, log *slog.Logge
 		cache = new(string)
 	}
 	if f.Coordinator != "" {
-		if f.Journal != "" || f.Resume != "" || f.CheckpointDir != "" || *cache != "" {
-			log.Warn("-coordinator set; local journal, resume, checkpoint and cache flags apply coordinator/worker-side, ignoring them")
+		if f.Journal != "" || f.Resume != "" || f.CheckpointDir != "" || *cache != "" || f.Listen != "" {
+			log.Warn("-coordinator set; local journal, resume, checkpoint, cache and listen flags apply coordinator/worker-side, ignoring them")
 		}
-		f.Journal, f.Resume, f.CheckpointDir, *cache = "", "", "", ""
+		f.Journal, f.Resume, f.CheckpointDir, *cache, f.Listen = "", "", "", "", ""
 		return c, nil
 	}
 	if f.Resume != "" {
@@ -145,19 +148,31 @@ func (c *Campaign) Client(progress func(exp.JobResult)) *cluster.Client {
 	}
 }
 
-// Telemetry starts the -listen endpoint over m (nil when -listen is unset);
-// the caller chains ObserveJob into its progress hook and Stops it at exit.
-func (c *Campaign) Telemetry(m *exp.Metrics) (*exp.Telemetry, error) {
+// Serve serves l's dashboard on the -listen address (a no-op without
+// -listen); the caller defers the returned stop.
+func (c *Campaign) Serve(l *cluster.Local) (stop func(), err error) {
 	if c.Listen == "" {
-		return nil, nil
+		return func() {}, nil
 	}
-	tel := &exp.Telemetry{Name: c.Name, Metrics: m}
-	addr, err := tel.Start(c.Listen)
+	ln, err := net.Listen("tcp", c.Listen)
 	if err != nil {
 		return nil, fmt.Errorf("listen: %w", err)
 	}
-	c.Log.Info("telemetry serving", "url", "http://"+addr+"/metrics")
-	return tel, nil
+	srv := &http.Server{Handler: l.Dashboard(c.Name), ReadHeaderTimeout: 5 * time.Second}
+	go srv.Serve(ln)
+	c.Log.Info("dashboard serving", "url", "http://"+ln.Addr().String()+"/metrics")
+	return func() { srv.Close() }, nil
+}
+
+// MetricsLine returns l's -metrics summary line, prefixed with the campaign
+// name. Under -coordinator it warns and returns "": the local executor ran
+// nothing, and the fleet coordinator's /progress holds the counts.
+func (c *Campaign) MetricsLine(l *cluster.Local) string {
+	if c.Coordinator != "" {
+		c.Log.Warn("-coordinator set; -metrics counts live on the coordinator's /progress, ignoring it")
+		return ""
+	}
+	return c.Name + " " + l.Snapshot().String()
 }
 
 // LogInterrupted tells the operator how to continue an interrupted

@@ -37,28 +37,45 @@ func TestHeaderWriteFailureIsFatal(t *testing.T) {
 }
 
 // TestCoordinatorIgnoresLocalDurability: under -coordinator the local
-// journal, resume, checkpoint and cache flags are dropped with a warning,
-// and nothing is written locally.
+// journal, resume, checkpoint, cache and listen flags are dropped with a
+// warning, nothing is written locally and no listener is bound; -metrics is
+// ignored with a warning too rather than printing the idle local executor's
+// 0/0 jobs.
 func TestCoordinatorIgnoresLocalDurability(t *testing.T) {
 	dir := t.TempDir()
 	journal := filepath.Join(dir, "journal.jsonl")
 	cache := filepath.Join(dir, "cache")
 	var log bytes.Buffer
 	c, err := Open("test", parse(t, "-coordinator", "http://127.0.0.1:1", "-journal", journal,
-		"-checkpoint-dir", filepath.Join(dir, "ckpt")), &cache, nil, slog.New(slog.NewTextHandler(&log, nil)))
+		"-checkpoint-dir", filepath.Join(dir, "ckpt"), "-listen", "127.0.0.1:0"), &cache, nil, slog.New(slog.NewTextHandler(&log, nil)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if c.Journal != nil || c.Flags.Journal != "" || c.CheckpointDir != "" || cache != "" {
-		t.Fatalf("local durability survived -coordinator: journal %q, ckpt %q, cache %q",
-			c.Flags.Journal, c.CheckpointDir, cache)
+	if c.Journal != nil || c.Flags.Journal != "" || c.CheckpointDir != "" || cache != "" || c.Listen != "" {
+		t.Fatalf("local durability survived -coordinator: journal %q, ckpt %q, cache %q, listen %q",
+			c.Flags.Journal, c.CheckpointDir, cache, c.Listen)
 	}
 	if _, err := os.Stat(journal); !os.IsNotExist(err) {
 		t.Fatalf("-coordinator still created the local journal (stat err %v)", err)
 	}
-	if !strings.Contains(log.String(), "ignoring") {
-		t.Fatalf("no warning logged: %q", log.String())
+	if !strings.Contains(log.String(), "ignoring") || strings.Count(log.String(), "level=WARN") != 1 {
+		t.Fatalf("want one warning: %q", log.String())
+	}
+	l := c.Runner()
+	stop, err := c.Serve(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop()
+	if strings.Contains(log.String(), "dashboard serving") {
+		t.Fatalf("-listen bound a listener under -coordinator: %q", log.String())
+	}
+	if line := c.MetricsLine(l); line != "" {
+		t.Fatalf("-metrics under -coordinator printed %q", line)
+	}
+	if !strings.Contains(log.String(), "-metrics") {
+		t.Fatalf("-metrics ignored without a warning: %q", log.String())
 	}
 }
 

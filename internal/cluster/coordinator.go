@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -177,6 +176,7 @@ type jobEntry struct {
 	issues      int  // leases ever granted
 	failures    int  // failed executions so far
 	reissued    bool // a straggler re-issue was already queued
+	joins       int  // later submissions of the same key joined to this entry
 	firstLeased time.Time
 
 	outcome Envelope // sealed Outcome once state is jobDone or jobFailed
@@ -262,6 +262,11 @@ type fleetCounters struct {
 	breakerOpens      uint64
 	breakerProbations uint64
 	breakerCloses     uint64
+	executed          uint64 // jobs settled by a successful execution
+	retries           uint64 // executions issued beyond a settled job's first
+	timeouts          uint64 // jobs failed by the watchdog
+	simCycles         uint64 // simulated cycles of executed jobs
+	maxWallMS         int64  // longest settling execution
 }
 
 // Coordinator owns a campaign: the job set, the lease table, the journal and
@@ -297,6 +302,13 @@ type Coordinator struct {
 	delivery   *obs.Histogram
 	fleetSpans []trace.Span // spans shipped by workers, bounded
 	spansLost  uint64       // worker spans dropped by the bound
+
+	// Dashboard state: when the first job was submitted, the ring of the
+	// latest settled jobs, and caller-registered gauges.
+	firstSubmit time.Time
+	recent      []recentJob
+	recentNext  int // ring write cursor (the oldest entry once full)
+	gauges      []gauge
 
 	ln   net.Listener
 	srv  *http.Server
@@ -446,8 +458,12 @@ func (c *Coordinator) submitLocked(specs []JobSpec, admit bool) (SubmitResponse,
 		if spec.Key == "" {
 			continue
 		}
+		if c.firstSubmit.IsZero() {
+			c.firstSubmit = c.now()
+		}
 		if e, ok := c.jobs[spec.Key]; ok {
 			c.ctr.dedupeHits++
+			e.joins++
 			if e.state == jobDone || e.state == jobFailed {
 				resp.Done++
 			}
@@ -502,13 +518,15 @@ func (c *Coordinator) settleWithoutRunLocked(e *jobEntry) bool {
 				e.outcome = env
 				e.state = jobDone
 				c.ctr.resumeHits++
+				c.noteRecentLocked(e, o)
 				return true
 			}
 		}
 	}
 	if c.cfg.Cache != nil && !e.spec.Chaotic() {
 		if res, ok := c.cfg.Cache.Get(e.job); ok {
-			env, err := Seal(Outcome{Key: key, Result: res, Cached: true})
+			o := Outcome{Key: key, Result: res, Cached: true}
+			env, err := Seal(o)
 			if err == nil {
 				e.outcome = env
 				e.state = jobDone
@@ -523,6 +541,7 @@ func (c *Coordinator) settleWithoutRunLocked(e *jobEntry) bool {
 						T: exp.RecJobDone, Key: key, Label: e.job.Label(), Cached: true,
 					})
 				}
+				c.noteRecentLocked(e, o)
 				return true
 			}
 		}
@@ -843,6 +862,9 @@ func (c *Coordinator) Complete(req CompleteRequest) CompleteResponse {
 	e.outcome = c.settledLocked(e, req.Env, o)
 	e.state = jobDone
 	w.completed++
+	c.ctr.executed++
+	c.ctr.simCycles += uint64(o.Result.ExecCycles)
+	c.ctr.maxWallMS = max(c.ctr.maxWallMS, o.WallMS)
 	if c.cfg.Cache != nil && !e.spec.Chaotic() {
 		if err := c.cfg.Cache.Put(e.job, o.Result); err != nil {
 			// The campaign survives a failed write (the result is in hand),
@@ -865,8 +887,14 @@ func (c *Coordinator) Complete(req CompleteRequest) CompleteResponse {
 
 // settledLocked returns the envelope a settling outcome is published under:
 // its Attempts counts every execution the coordinator issued for the key,
-// not just the settling lease's one.
+// not just the settling lease's one. It also records the settlement on the
+// dashboard.
 func (c *Coordinator) settledLocked(e *jobEntry, env Envelope, o Outcome) Envelope {
+	c.ctr.retries += uint64(max(e.issues-1, 0))
+	if o.TimedOut {
+		c.ctr.timeouts++
+	}
+	c.noteRecentLocked(e, Outcome{Err: o.Err, Attempts: e.issues, WallMS: o.WallMS, Result: o.Result})
 	if o.Attempts == e.issues {
 		return env
 	}
@@ -885,13 +913,6 @@ func (c *Coordinator) failLocked(e *jobEntry, env Envelope, o Outcome) {
 		T: exp.RecJobDone, Key: e.spec.Key, Label: e.label(), Worker: o.Worker, Err: o.Err,
 	})
 	c.cancelSiblingsLocked(e)
-}
-
-// writeErrors returns how many journal appends and cache writes failed.
-func (c *Coordinator) writeErrors() (cachePut, journal int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return int(c.ctr.cachePutErrors), int(c.ctr.journalErrors)
 }
 
 // cancelSiblingsLocked voids every remaining lease of a finished entry and
@@ -1091,7 +1112,7 @@ func (c *Coordinator) countsLocked() Counts {
 // Handler returns the coordinator's HTTP handler: the /v1 API plus the
 // merged fleet dashboard (/metrics, /progress).
 func (c *Coordinator) Handler() http.Handler {
-	mux := http.NewServeMux()
+	mux := c.dashboard(c.cfg.Name, c.cfg.Name+" campaign coordinator: /metrics (Prometheus text), /progress (JSON), /v1/* (fabric API)")
 	mux.HandleFunc("/v1/submit", c.serveSubmit)
 	mux.HandleFunc("/v1/lease", post(c.LeaseJobs))
 	mux.HandleFunc("/v1/heartbeat", post(c.Heartbeat))
@@ -1101,15 +1122,6 @@ func (c *Coordinator) Handler() http.Handler {
 		return struct{}{}
 	}))
 	mux.HandleFunc("/v1/results", post(c.Results))
-	mux.HandleFunc("/metrics", c.serveMetrics)
-	mux.HandleFunc("/progress", c.serveProgress)
-	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/" {
-			http.NotFound(w, r)
-			return
-		}
-		fmt.Fprintf(w, "%s campaign coordinator: /metrics (Prometheus text), /progress (JSON), /v1/* (fabric API)\n", c.cfg.Name)
-	})
 	return mux
 }
 
@@ -1155,142 +1167,6 @@ func post[Req, Resp any](fn func(Req) Resp) http.HandlerFunc {
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(fn(req))
 	}
-}
-
-func (c *Coordinator) serveMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	c.mu.Lock()
-	c.sweepLocked()
-	n := c.countsLocked()
-	ctr := c.ctr
-	sums := make(map[string]uint64)
-	for _, ws := range c.workers {
-		obs.MergeCounters(sums, ws.counters)
-	}
-	// Render the phase-latency histograms while still holding mu (the
-	// registry is single-goroutine by contract), emit after unlock.
-	var phases bytes.Buffer
-	c.phases.WritePrometheus(&phases, "tls_fleet_")
-	spansCollected := len(c.fleetSpans)
-	spansLost := c.spansLost
-	c.mu.Unlock()
-
-	obs.PromMetric(w, "tls_fleet_jobs_total", "gauge", float64(n.Total))
-	obs.PromMetric(w, "tls_fleet_jobs_pending", "gauge", float64(n.Pending))
-	obs.PromMetric(w, "tls_fleet_jobs_leased", "gauge", float64(n.Leased))
-	obs.PromMetric(w, "tls_fleet_jobs_done", "gauge", float64(n.Done))
-	obs.PromMetric(w, "tls_fleet_jobs_failed", "gauge", float64(n.Failed))
-	obs.PromMetric(w, "tls_fleet_leases_active", "gauge", float64(n.ActiveLeases))
-	obs.PromMetric(w, "tls_fleet_workers", "gauge", float64(n.Workers))
-	obs.PromMetric(w, "tls_fleet_leases_granted", "counter", float64(ctr.leasesGranted))
-	obs.PromMetric(w, "tls_fleet_leases_expired", "counter", float64(ctr.leasesExpired))
-	obs.PromMetric(w, "tls_fleet_leases_returned", "counter", float64(ctr.leasesReturned))
-	obs.PromMetric(w, "tls_fleet_steals", "counter", float64(ctr.steals))
-	obs.PromMetric(w, "tls_fleet_straggler_reissues", "counter", float64(ctr.stragglerReissues))
-	obs.PromMetric(w, "tls_fleet_dedupe_hits", "counter", float64(ctr.dedupeHits))
-	obs.PromMetric(w, "tls_fleet_cache_hits", "counter", float64(ctr.cacheHits))
-	obs.PromMetric(w, "tls_fleet_resume_hits", "counter", float64(ctr.resumeHits))
-	obs.PromMetric(w, "tls_fleet_dup_results", "counter", float64(ctr.dupResults))
-	obs.PromMetric(w, "tls_fleet_crc_rejected", "counter", float64(ctr.crcRejected))
-	obs.PromMetric(w, "tls_fleet_requeues", "counter", float64(ctr.requeues))
-	obs.PromMetric(w, "tls_fleet_journal_errors", "counter", float64(ctr.journalErrors))
-	obs.PromMetric(w, "tls_fleet_cache_put_errors", "counter", float64(ctr.cachePutErrors))
-	obs.PromMetric(w, "tls_fleet_workers_quarantined", "gauge", float64(n.Quarantined))
-	obs.PromMetric(w, "tls_fleet_shed_submits", "counter", float64(ctr.shedSubmits))
-	obs.PromMetric(w, "tls_fleet_rate_limited", "counter", float64(ctr.rateLimited))
-	obs.PromMetric(w, "tls_fleet_spec_rejects", "counter", float64(ctr.specRejects))
-	obs.PromMetric(w, "tls_fleet_breaker_opens", "counter", float64(ctr.breakerOpens))
-	obs.PromMetric(w, "tls_fleet_breaker_probations", "counter", float64(ctr.breakerProbations))
-	obs.PromMetric(w, "tls_fleet_breaker_closes", "counter", float64(ctr.breakerCloses))
-	obs.PromMetric(w, "tls_fleet_spans_collected", "gauge", float64(spansCollected))
-	obs.PromMetric(w, "tls_fleet_spans_lost", "counter", float64(spansLost))
-	w.Write(phases.Bytes())
-
-	// Fleet-aggregated per-run obs counters, sorted for a stable scrape.
-	names := make([]string, 0, len(sums))
-	for name := range sums {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		obs.PromMetric(w, "tls_run_"+name, "counter", float64(sums[name]))
-	}
-}
-
-// progressWorker is one worker's row in the /progress document.
-type progressWorker struct {
-	Name         string `json:"name"`
-	LastSeenMS   int64  `json:"last_seen_ms"`
-	ActiveLeases int    `json:"active_leases"`
-	Completed    int    `json:"completed"`
-	// Breaker is "open" or "probation" when the worker is quarantined or
-	// probing its way back in; omitted for a healthy (closed) breaker.
-	Breaker string `json:"breaker,omitempty"`
-}
-
-// fleetProgress is the /progress JSON document.
-type fleetProgress struct {
-	Campaign          string           `json:"campaign"`
-	Total             int              `json:"total"`
-	Pending           int              `json:"pending"`
-	Leased            int              `json:"leased"`
-	Done              int              `json:"done"`
-	Failed            int              `json:"failed"`
-	ActiveLeases      int              `json:"active_leases"`
-	LeasesGranted     uint64           `json:"leases_granted"`
-	LeasesExpired     uint64           `json:"leases_expired"`
-	Steals            uint64           `json:"steals"`
-	StragglerReissues uint64           `json:"straggler_reissues"`
-	DedupeHits        uint64           `json:"dedupe_hits"`
-	CacheHits         uint64           `json:"cache_hits"`
-	ResumeHits        uint64           `json:"resume_hits"`
-	DupResults        uint64           `json:"dup_results"`
-	Workers           []progressWorker `json:"workers"`
-}
-
-func (c *Coordinator) serveProgress(w http.ResponseWriter, _ *http.Request) {
-	c.mu.Lock()
-	c.sweepLocked()
-	n := c.countsLocked()
-	now := c.now()
-	view := fleetProgress{
-		Campaign: c.cfg.Name,
-		Total:    n.Total, Pending: n.Pending, Leased: n.Leased,
-		Done: n.Done, Failed: n.Failed, ActiveLeases: n.ActiveLeases,
-		LeasesGranted: c.ctr.leasesGranted, LeasesExpired: c.ctr.leasesExpired,
-		Steals: c.ctr.steals, StragglerReissues: c.ctr.stragglerReissues,
-		DedupeHits: c.ctr.dedupeHits, CacheHits: c.ctr.cacheHits,
-		ResumeHits: c.ctr.resumeHits, DupResults: c.ctr.dupResults,
-	}
-	names := make([]string, 0, len(c.workers))
-	for name := range c.workers {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		ws := c.workers[name]
-		active := 0
-		for _, l := range c.leases {
-			if l.worker == name {
-				active++
-			}
-		}
-		row := progressWorker{
-			Name:         name,
-			LastSeenMS:   now.Sub(ws.lastSeen).Milliseconds(),
-			ActiveLeases: active,
-			Completed:    ws.completed,
-		}
-		if ws.brk.phase != breakerClosed {
-			row.Breaker = ws.brk.phase.String()
-		}
-		view.Workers = append(view.Workers, row)
-	}
-	c.mu.Unlock()
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(view)
 }
 
 // Start binds addr (":0" picks a free port), serves in the background, and

@@ -5,19 +5,27 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"sync"
 	"time"
 
 	"repro/internal/exp"
 )
 
-// Local is the `-jobs N` executor: it runs each batch through a fresh
-// in-process Coordinator, one Worker executing Workers leases at a time,
-// and a Client, all three talking through an http.Client whose transport
-// calls the coordinator's handler directly (no listener, no socket). A local
-// campaign therefore has exactly the lifecycle of a fleet campaign: one
-// dedupe (by key), one retry policy (FailLimit), one resume path and one
-// journal format. Results come back in submission order and are
-// byte-identical to a serial run at any worker count.
+// Local is the `-jobs N` executor: an in-process Coordinator, one Worker
+// executing Workers leases at a time, and a Client, all three talking through
+// an http.Client whose transport calls the coordinator's handler directly (no
+// listener, no socket). A local campaign therefore has exactly the lifecycle
+// of a fleet campaign: one dedupe (by key), one retry policy (FailLimit), one
+// resume path, one journal format and one dashboard. Results come back in
+// submission order and are byte-identical to a serial run at any worker
+// count.
+//
+// The coordinator and the worker live as long as the Local: they are built
+// on first use (a batch, Dashboard, AddGauge or Snapshot), so Cache,
+// FailLimit and Runner must be set before then. Batches on one Local run
+// one at a time, and a key settled in an earlier batch is answered from the
+// coordinator instead of executing again, exactly as a fleet coordinator
+// answers a resubmission.
 type Local struct {
 	// Workers is how many jobs execute concurrently; <= 0 selects
 	// GOMAXPROCS, 1 runs serially.
@@ -25,8 +33,6 @@ type Local struct {
 	// Cache, when non-nil, answers repeated jobs without executing them and
 	// absorbs every completed plain (non-chaotic) result.
 	Cache *exp.Cache
-	// Metrics, when non-nil, accumulates run statistics across batches.
-	Metrics *exp.Metrics
 	// Progress, when non-nil, is called once per job as its outcome
 	// arrives. Calls are serialized; arrival order is nondeterministic.
 	Progress func(exp.JobResult)
@@ -35,10 +41,20 @@ type Local struct {
 	FailLimit int
 	// Runner executes every attempt: watchdog deadline, checkpoint
 	// directory and cadence, filesystem seam and the flight recorder that
-	// post-mortems dump. Its Journal and Resume are also the batch
-	// coordinator's WAL (lease, lease-return, job-done records) and resumed
-	// state (completed keys and chaotic outcomes are served, not re-run).
+	// post-mortems dump. Its Journal and Resume are also the coordinator's
+	// WAL (lease, lease-return, job-done records) and resumed state
+	// (completed keys and chaotic outcomes are served, not re-run).
 	Runner exp.Runner
+
+	once  sync.Once
+	co    *Coordinator
+	w     *Worker // one worker, so its heartbeat counter totals accumulate
+	hc    *http.Client
+	batch sync.Mutex // serializes RunBatch
+	// byKey holds every submitted job by key, so the coordinator and the
+	// worker resolve specs to the caller's own jobs (Obs included). It is
+	// written only between batches, while no worker goroutine runs.
+	byKey map[string]exp.Job
 }
 
 // localURL is the base URL of the in-process coordinator; the transport
@@ -58,6 +74,38 @@ func (l *Local) workers(jobs int) int {
 	return max(1, min(n, jobs))
 }
 
+// coordinator builds the coordinator and the worker on first use.
+func (l *Local) coordinator() *Coordinator {
+	l.once.Do(func() {
+		// Every batch of a journaled campaign, and its resumes, share the
+		// journal's campaign ID.
+		campaign := l.Runner.Resume.Campaign
+		if j := l.Runner.Journal; j != nil && j.Campaign() != "" {
+			campaign = j.Campaign()
+		}
+		l.co = NewCoordinator(Config{
+			Cache: l.Cache, Journal: l.Runner.Journal, State: l.Runner.Resume,
+			FailLimit: l.FailLimit, Campaign: campaign,
+			// A speculative duplicate on the same host only burns a slot.
+			StragglerAfter: -1, StealAfter: -1,
+		})
+		l.byKey = make(map[string]exp.Job)
+		resolve := func(s JobSpec) (exp.Job, error) {
+			if j, ok := l.byKey[s.Key]; ok {
+				return j, nil
+			}
+			return s.Job()
+		}
+		l.co.resolve = resolve
+		l.hc = &http.Client{Transport: handlerTransport{l.co.Handler()}}
+		l.w = NewWorker(WorkerConfig{
+			Name: "local", Coordinator: localURL, Poll: localPoll, HTTP: l.hc, Runner: &l.Runner,
+		})
+		l.w.resolve = resolve
+	})
+	return l.co
+}
+
 // RunBatch executes the jobs and returns their results in submission order.
 // A crashed simulation is re-executed up to FailLimit times and then
 // reported as that job's Err without disturbing the rest of the batch; a
@@ -69,73 +117,44 @@ func (l *Local) RunBatch(ctx context.Context, jobs []exp.Job) ([]exp.JobResult, 
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if l.Metrics != nil {
-		l.Metrics.Queue(len(jobs))
-		if l.Cache != nil {
-			// Surface the startup heal scan (quarantined torn entries, and
-			// entries that could not be quarantined) in the run metrics.
-			l.Metrics.ObserveHeal(l.Cache.LastHeal())
-		}
-	}
-	byKey := make(map[string]exp.Job, len(jobs))
+	l.coordinator()
+	l.batch.Lock()
+	defer l.batch.Unlock()
 	for _, j := range jobs {
 		k := j.Key()
-		if _, ok := byKey[k]; !ok {
-			byKey[k] = j
+		if _, ok := l.byKey[k]; !ok {
+			l.byKey[k] = j
 		}
 	}
-	resolve := func(s JobSpec) (exp.Job, error) {
-		if j, ok := byKey[s.Key]; ok {
-			return j, nil
-		}
-		return s.Job()
-	}
 
-	// Every batch of a journaled campaign, and its resumes, share the
-	// journal's campaign ID; the first batch mints it.
-	campaign := l.Runner.Resume.Campaign
-	if j := l.Runner.Journal; j != nil && j.Campaign() != "" {
-		campaign = j.Campaign()
-	}
-	co := NewCoordinator(Config{
-		Cache: l.Cache, Journal: l.Runner.Journal, State: l.Runner.Resume,
-		FailLimit: l.FailLimit, Campaign: campaign,
-		// A speculative duplicate on the same host only burns a slot.
-		StragglerAfter: -1, StealAfter: -1,
-	})
-	co.resolve = resolve
-	hc := &http.Client{Transport: handlerTransport{co.Handler()}}
-
-	w := NewWorker(WorkerConfig{
-		Name: "local", Coordinator: localURL, Parallel: l.workers(len(jobs)),
-		Poll: localPoll, HTTP: hc, Runner: &l.Runner,
-	})
-	w.resolve = resolve
+	l.w.cfg.Parallel = l.workers(len(jobs))
 	wctx, stop := context.WithCancel(ctx)
 	drained := make(chan struct{})
 	go func() {
 		defer close(drained)
-		w.Run(wctx)
+		l.w.Run(wctx)
 	}()
 
-	client := &Client{URL: localURL, Poll: localPoll, HTTP: hc, Progress: l.observe}
+	client := &Client{URL: localURL, Poll: localPoll, HTTP: l.hc, Progress: l.Progress}
 	out, err := client.RunBatch(ctx, jobs)
 	stop()
 	<-drained
-	if l.Metrics != nil {
-		l.Metrics.AddWriteErrors(co.writeErrors())
-	}
 	return out, err
 }
 
-// observe feeds one arriving outcome to the metrics and the Progress hook.
-func (l *Local) observe(jr exp.JobResult) {
-	if l.Metrics != nil {
-		l.Metrics.Observe(jr)
-	}
-	if l.Progress != nil {
-		l.Progress(jr)
-	}
+// Snapshot returns the campaign's job accounting across every batch so far:
+// the -metrics line.
+func (l *Local) Snapshot() exp.Snapshot { return l.coordinator().Snapshot() }
+
+// AddGauge registers a campaign gauge on the dashboard (Coordinator.AddGauge).
+func (l *Local) AddGauge(name string, fn func() float64) { l.coordinator().AddGauge(name, fn) }
+
+// Dashboard returns the handler serving the campaign's dashboard, the
+// coordinator's /metrics and /progress with /progress naming campaign. The
+// /v1 fabric API is not exposed: serving a local campaign's dashboard never
+// makes it joinable by remote workers.
+func (l *Local) Dashboard(campaign string) http.Handler {
+	return l.coordinator().dashboard(campaign, campaign+" campaign dashboard: /metrics (Prometheus text), /progress (JSON)")
 }
 
 // handlerTransport is an http.RoundTripper that serves every request with an

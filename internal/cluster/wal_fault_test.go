@@ -115,7 +115,7 @@ func TestCompleteCountsCachePutFailure(t *testing.T) {
 	if !resp.Accepted || co.Counts().Done != 1 {
 		t.Fatalf("a failed cache write must not fail the job: %+v", resp)
 	}
-	if put, _ := co.writeErrors(); put != 1 {
+	if put := co.Snapshot().CachePutErrors; put != 1 {
 		t.Fatalf("cache-put errors = %d, want 1", put)
 	}
 	rec := httptest.NewRecorder()

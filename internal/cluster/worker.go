@@ -34,13 +34,13 @@ type WorkerConfig struct {
 	// stream the worker ships home on heartbeats and completions. Retry is
 	// the coordinator's policy (Config.FailLimit), not the worker's.
 	Runner *exp.Runner
-	// Observe attaches a fresh obs registry to every executed job and
-	// reports the accumulated counter totals on heartbeats. Observability is
-	// per-worker and never part of a job's identity, so observed and
-	// unobserved workers produce identical results.
+	// Observe attaches a fresh obs registry to every executed job. Every
+	// observed job's counters (a caller-attached registry too) are folded
+	// into the worker's totals, which heartbeats report to the coordinator's
+	// tls_run_* metrics. Observability is per-worker and never part of a
+	// job's identity, so observed and unobserved workers produce identical
+	// results.
 	Observe bool
-	// Metrics, when non-nil, accumulates local run statistics.
-	Metrics *exp.Metrics
 	// Logf, when non-nil, receives operational log lines.
 	Logf func(format string, args ...any)
 	// HTTP overrides the transport (tests, chaos injection); nil builds a
@@ -250,11 +250,7 @@ func (w *Worker) runLease(ctx context.Context, l Lease) {
 		w.release(l.ID)
 		return
 	}
-	if w.cfg.Metrics != nil {
-		w.cfg.Metrics.Queue(1)
-		w.cfg.Metrics.Observe(jr)
-	}
-	if w.cfg.Observe && jr.Err == nil && job.Obs != nil {
+	if jr.Err == nil && job.Obs != nil {
 		w.foldObs(job.Obs.Registry)
 		// Push the new totals now rather than waiting for the timer, so the
 		// fleet dashboard tracks completed jobs, not heartbeat boundaries.

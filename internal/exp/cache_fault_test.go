@@ -76,24 +76,6 @@ func TestCacheHealRemoveFailureCounted(t *testing.T) {
 	}
 }
 
-// Metrics surface the heal counters (satellite: quarantine failures must be
-// visible, not just logged).
-func TestMetricsObserveHeal(t *testing.T) {
-	var m Metrics
-	m.ObserveHeal(HealReport{Quarantined: 2, QuarantineFailures: 1, RemoveFailures: 1})
-	s := m.Snapshot()
-	if s.CacheQuarantined != 2 {
-		t.Fatalf("CacheQuarantined = %d, want 2", s.CacheQuarantined)
-	}
-	if s.CacheQuarantineErrors != 2 {
-		t.Fatalf("CacheQuarantineErrors = %d, want 2", s.CacheQuarantineErrors)
-	}
-	line := s.String()
-	if !strings.Contains(line, "2 cache entries quarantined") || !strings.Contains(line, "2 cache quarantine errors") {
-		t.Fatalf("metrics line missing heal counters: %s", line)
-	}
-}
-
 // Put must propagate a failed directory sync: without it the rename that
 // published the entry may not survive a power cut.
 func TestCachePutPropagatesDirSyncFailure(t *testing.T) {

@@ -80,8 +80,23 @@ func TestQuarantineManifestOnlyOnFirst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A repeat on the same executor is answered from its coordinator: the
+	// failure is reported again without executing.
+	again, err := l.RunBatch(context.Background(), jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := l.Snapshot(); again[0].Err == nil || s.Total != 2 || s.Errors != 2 || s.Retries != 1 {
+		t.Fatalf("repeat on the same executor: err %v, snapshot %+v", again[0].Err, s)
+	}
+	// A fresh executor over the same checkpoint directory executes the job
+	// again, and the first manifest survives.
+	l = &cluster.Local{Workers: 1, Runner: exp.Runner{CheckpointDir: dir}}
 	if _, err := l.RunBatch(context.Background(), jobs); err != nil {
 		t.Fatal(err)
+	}
+	if s := l.Snapshot(); s.Errors != 1 || s.Retries != 1 {
+		t.Fatalf("fresh executor did not re-execute the failing job: %+v", s)
 	}
 	after, err := os.ReadFile(path)
 	if err != nil {

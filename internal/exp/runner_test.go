@@ -64,8 +64,8 @@ func TestRunBatchDeterministicOrdering(t *testing.T) {
 func TestPanicIsolationAndRetry(t *testing.T) {
 	jobs := testBatch()[:3]
 	jobs[1].Machine = nil // a nil machine crashes the simulator
-	m := &exp.Metrics{}
-	results, err := (&cluster.Local{Workers: 2, Metrics: m}).RunBatch(context.Background(), jobs)
+	l := &cluster.Local{Workers: 2}
+	results, err := l.RunBatch(context.Background(), jobs)
 	if err != nil {
 		t.Fatalf("a crashed job must not fail the batch: %v", err)
 	}
@@ -83,7 +83,7 @@ func TestPanicIsolationAndRetry(t *testing.T) {
 			t.Fatalf("healthy job %d disturbed by the crash: %+v", i, results[i].Err)
 		}
 	}
-	s := m.Snapshot()
+	s := l.Snapshot()
 	if s.Errors != 1 || s.Executed != 2 || s.Retries != 1 {
 		t.Fatalf("metrics wrong after crash: %+v", s)
 	}
@@ -155,8 +155,7 @@ func TestWatchdogKillsHungJob(t *testing.T) {
 		{Machine: cfg, Scheme: core.MultiTMVLazy, Profile: prof, Seed: 1}, // hangs
 		{Machine: cfg, Scheme: core.MultiTSVLazy, Profile: prof, Seed: 1},
 	}
-	m := &exp.Metrics{}
-	l := &cluster.Local{Workers: 2, Metrics: m, Runner: exp.Runner{JobTimeout: deadline}}
+	l := &cluster.Local{Workers: 2, Runner: exp.Runner{JobTimeout: deadline}}
 	exp.SetExecOverride(&l.Runner, hangOn(core.MultiTMVLazy))
 
 	start := time.Now()
@@ -189,7 +188,7 @@ func TestWatchdogKillsHungJob(t *testing.T) {
 	if manifest == "" || !strings.Contains(manifest, "[timeout]") {
 		t.Fatalf("failure manifest missing the timeout entry:\n%s", manifest)
 	}
-	s := m.Snapshot()
+	s := l.Snapshot()
 	if s.Timeouts != 1 || s.Errors != 1 {
 		t.Fatalf("metrics wrong after hang: %+v", s)
 	}
@@ -222,8 +221,7 @@ func TestCrashQuarantine(t *testing.T) {
 func TestFlakyJobRecoversOnReexecution(t *testing.T) {
 	var mu sync.Mutex
 	calls := 0
-	m := &exp.Metrics{}
-	l := &cluster.Local{Workers: 1, Metrics: m}
+	l := &cluster.Local{Workers: 1}
 	exp.SetExecOverride(&l.Runner, func(j exp.Job) sim.Result {
 		mu.Lock()
 		calls++
@@ -248,7 +246,7 @@ func TestFlakyJobRecoversOnReexecution(t *testing.T) {
 		t.Fatalf("attempts %d+%d, want one job executed twice",
 			results[0].Attempts, results[1].Attempts)
 	}
-	if s := m.Snapshot(); s.Retries != 1 || s.Errors != 0 {
+	if s := l.Snapshot(); s.Retries != 1 || s.Errors != 0 {
 		t.Fatalf("metrics: %+v", s)
 	}
 }
@@ -265,13 +263,12 @@ func TestCachePutFailureCounted(t *testing.T) {
 	if err := os.RemoveAll(dir); err != nil {
 		t.Fatal(err)
 	}
-	m := &exp.Metrics{}
-	l := &cluster.Local{Workers: 1, Cache: c, Metrics: m}
+	l := &cluster.Local{Workers: 1, Cache: c}
 	results, err := l.RunBatch(context.Background(), testBatch()[:1])
 	if err != nil || results[0].Err != nil {
 		t.Fatalf("a failed cache write must not fail the job: %v / %v", err, results[0].Err)
 	}
-	s := m.Snapshot()
+	s := l.Snapshot()
 	if s.CachePutErrors != 1 {
 		t.Fatalf("CachePutErrors = %d, want 1", s.CachePutErrors)
 	}
@@ -287,8 +284,8 @@ func TestWarmBatchExecutesNothing(t *testing.T) {
 	}
 	jobs := testBatch()
 
-	cold := &exp.Metrics{}
-	first, err := (&cluster.Local{Workers: 4, Cache: cache, Metrics: cold}).RunBatch(context.Background(), jobs)
+	cold := &cluster.Local{Workers: 4, Cache: cache}
+	first, err := cold.RunBatch(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,8 +294,8 @@ func TestWarmBatchExecutesNothing(t *testing.T) {
 		t.Fatalf("cold run: %+v", cs)
 	}
 
-	warm := &exp.Metrics{}
-	second, err := (&cluster.Local{Workers: 4, Cache: cache, Metrics: warm}).RunBatch(context.Background(), jobs)
+	warm := &cluster.Local{Workers: 4, Cache: cache}
+	second, err := warm.RunBatch(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,5 +320,63 @@ func TestEmptyBatch(t *testing.T) {
 	results, err := new(cluster.Local).RunBatch(context.Background(), nil)
 	if err != nil || len(results) != 0 {
 		t.Fatalf("empty batch: %v, %d results", err, len(results))
+	}
+}
+
+// TestMetricsAccounting pins the -metrics line's classification, now read
+// from the coordinator: a cache hit, a clean execution, a retried execution
+// and a permanent failure each land in their own count, executions carry
+// their wall time and simulated cycles, and a repeat batch on the same
+// executor is deduped rather than executed.
+func TestMetricsAccounting(t *testing.T) {
+	cache, err := exp.NewCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := testBatch()
+	jobs := []exp.Job{all[1], all[2], all[3], {Machine: nil, Profile: exp.TinyProfile(), Seed: 9}}
+	if err := cache.Put(jobs[0], sim.Result{ExecCycles: 5}); err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	flaked := false
+	l := &cluster.Local{Workers: 1, Cache: cache}
+	exp.SetExecOverride(&l.Runner, func(j exp.Job) sim.Result {
+		mu.Lock()
+		flake := j.Key() == jobs[2].Key() && !flaked
+		flaked = flaked || flake
+		mu.Unlock()
+		if flake {
+			panic("transient crash")
+		}
+		time.Sleep(2 * time.Millisecond) // a measurable wall time
+		return j.Execute()
+	})
+	results, err := l.RunBatch(context.Background(), jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := l.Snapshot()
+	if s.Total != 4 || s.Done != 4 || s.Remaining() != 0 {
+		t.Fatalf("counts wrong: %+v", s)
+	}
+	if s.CacheHits != 1 || s.Executed != 2 || s.Errors != 1 || s.Retries != 2 || s.Deduped != 0 {
+		t.Fatalf("classification wrong: %+v", s)
+	}
+	if want := uint64(results[1].Result.ExecCycles + results[2].Result.ExecCycles); s.SimCycles != want {
+		t.Fatalf("sim cycles = %d, want %d", s.SimCycles, want)
+	}
+	if s.JobWallMax <= 0 || s.JobWallMean <= 0 || s.Elapsed <= 0 || s.CyclesPerSecond() <= 0 {
+		t.Fatalf("walls and throughput not measured: %+v", s)
+	}
+
+	// The same jobs again on the same executor: every key is answered from
+	// the coordinator, nothing executes, and the counts add up.
+	if _, err := l.RunBatch(context.Background(), jobs); err != nil {
+		t.Fatal(err)
+	}
+	s = l.Snapshot()
+	if s.Total != 8 || s.Done != 8 || s.Executed != 2 || s.CacheHits != 1 || s.Deduped != 3 || s.Errors != 2 {
+		t.Fatalf("repeat batch: %+v", s)
 	}
 }

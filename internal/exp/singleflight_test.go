@@ -22,8 +22,7 @@ func TestSingleflightSharesOneExecution(t *testing.T) {
 	jobs := []exp.Job{job, job, job, job}
 
 	var execs atomic.Int64
-	m := &exp.Metrics{}
-	l := &cluster.Local{Workers: len(jobs), Metrics: m}
+	l := &cluster.Local{Workers: len(jobs)}
 	exp.SetExecOverride(&l.Runner, func(j exp.Job) sim.Result {
 		execs.Add(1)
 		return sim.Result{ExecCycles: 42}
@@ -53,7 +52,7 @@ func TestSingleflightSharesOneExecution(t *testing.T) {
 	if deduped != 3 || results[0].Deduped {
 		t.Fatalf("%d results marked Deduped (first %v), want the 3 followers", deduped, results[0].Deduped)
 	}
-	s := m.Snapshot()
+	s := l.Snapshot()
 	if s.Executed != 1 || s.Deduped != 3 {
 		t.Fatalf("metrics: executed %d deduped %d, want 1 and 3", s.Executed, s.Deduped)
 	}

@@ -2,6 +2,10 @@ package report
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/exp"
@@ -46,23 +50,62 @@ func TestGoldenWarmCacheRerun(t *testing.T) {
 	dir := t.TempDir()
 	apps := fastApps()[:2]
 
-	cold := &exp.Metrics{}
-	first := renderFig9Equivalent(t, Options{Apps: apps, Seed: 22, Jobs: 4, CacheDir: dir, Metrics: cold})
-	cs := cold.Snapshot()
-	if cs.Executed == 0 || cs.CacheHits != 0 || cs.Errors != 0 {
-		t.Fatalf("cold run metrics: %+v", cs)
+	var cold jobTally
+	first := renderFig9Equivalent(t, Options{Apps: apps, Seed: 22, Jobs: 4, CacheDir: dir, JobObserver: cold.observe})
+	if cold.executed == 0 || cold.cached != 0 || cold.errors != 0 {
+		t.Fatalf("cold run: %d executed, %d cached, %d errors", cold.executed, cold.cached, cold.errors)
 	}
 
-	warm := &exp.Metrics{}
-	second := renderFig9Equivalent(t, Options{Apps: apps, Seed: 22, Jobs: 4, CacheDir: dir, Metrics: warm})
-	ws := warm.Snapshot()
-	if ws.Executed != 0 {
-		t.Fatalf("warm rerun executed %d simulations, want 0 (snapshot %+v)", ws.Executed, ws)
+	var warm jobTally
+	second := renderFig9Equivalent(t, Options{Apps: apps, Seed: 22, Jobs: 4, CacheDir: dir, JobObserver: warm.observe})
+	if warm.executed != 0 {
+		t.Fatalf("warm rerun executed %d simulations, want 0", warm.executed)
 	}
-	if ws.CacheHits != ws.Total || ws.Total == 0 {
-		t.Fatalf("warm rerun: %d/%d cache hits", ws.CacheHits, ws.Total)
+	if warm.cached != warm.total || warm.total == 0 {
+		t.Fatalf("warm rerun: %d/%d cache hits", warm.cached, warm.total)
 	}
 	if first != second {
 		t.Fatal("warm-cache report text differs from cold run")
+	}
+}
+
+// jobTally counts finished jobs by outcome through Options.JobObserver.
+type jobTally struct {
+	mu                                       sync.Mutex
+	total, cached, deduped, executed, errors int
+}
+
+func (t *jobTally) observe(jr exp.JobResult) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.total++
+	switch {
+	case jr.Err != nil:
+		t.errors++
+	case jr.Cached:
+		t.cached++
+	case jr.Deduped:
+		t.deduped++
+	default:
+		t.executed++
+	}
+}
+
+// TestUnusableCacheDirFailsTheBatch: a CacheDir that cannot be opened (here
+// a regular file) must not run silently uncached; every job of the batch
+// fails with the open error, so it lands in the grid's failure manifest.
+func TestUnusableCacheDirFailsTheBatch(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "not-a-dir")
+	if err := os.WriteFile(file, []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	g := RunGrid(machine.CMP8(), Figure9Schemes(), Options{Apps: fastApps()[:1], Seed: 22, Jobs: 1, CacheDir: file})
+	if len(g.Failures) == 0 || len(g.Failures) != len(g.Errors) {
+		t.Fatalf("failures %d, errors %d: want every job failed", len(g.Failures), len(g.Errors))
+	}
+	for _, f := range g.Failures {
+		if !strings.Contains(f.Err, "cache") {
+			t.Fatalf("failure does not name the cache error: %s", f.Err)
+		}
 	}
 }

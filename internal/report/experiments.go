@@ -21,9 +21,8 @@ import (
 )
 
 // Options parameterizes an experiment sweep. All sweeps execute as batches
-// of canonical exp.Jobs — by default on the in-process coordinator
-// (cluster.Local), optionally memoized by a persistent cache and observed by
-// a metrics layer.
+// of canonical exp.Jobs — by default on an in-process coordinator
+// (cluster.Local) per batch, optionally memoized by a persistent cache.
 type Options struct {
 	// Seed for the deterministic workload generators.
 	Seed uint64
@@ -33,8 +32,7 @@ type Options struct {
 	// (from the goroutine that ran it; calls are serialized).
 	Progress func(machine, app string, scheme core.Scheme, r sim.Result)
 	// JobObserver, if non-nil, receives every finished job — cached,
-	// executed, sequential, or failed — before Progress filtering. It is
-	// the hook the -listen telemetry endpoint chains into.
+	// executed, sequential, or failed — before Progress filtering.
 	JobObserver func(exp.JobResult)
 	// Serial disables the default run-level parallelism. Results are
 	// identical either way — each simulation is an isolated deterministic
@@ -45,12 +43,9 @@ type Options struct {
 	Jobs int
 	// CacheDir, when non-empty, enables exp's persistent result cache
 	// rooted at that directory: a warm rerun only re-simulates jobs whose
-	// inputs (machine, profile, scheme, seed, knobs) changed.
+	// inputs (machine, profile, scheme, seed, knobs) changed. A directory
+	// that cannot be opened fails every job of the batch with the error.
 	CacheDir string
-	// Metrics, when non-nil, accumulates orchestration metrics (job
-	// counts, cache hits, wall times, simulated-cycle throughput) across
-	// every sweep run with these options.
-	Metrics *exp.Metrics
 	// JobTimeout, when positive, arms exp's per-job watchdog: a simulation
 	// still running after this long is abandoned and reported in the
 	// grid's failure manifest instead of hanging the sweep.
@@ -97,13 +92,13 @@ func (o *Options) ctx() context.Context {
 }
 
 // runner builds the local executor these options describe.
-func (o *Options) runner() *cluster.Local {
+func (o *Options) runner() (*cluster.Local, error) {
 	workers := o.Jobs
 	if o.Serial {
 		workers = 1
 	}
 	r := &cluster.Local{
-		Workers: workers, Metrics: o.Metrics,
+		Workers: workers,
 		Runner: exp.Runner{
 			JobTimeout: o.JobTimeout, Journal: o.Journal,
 			CheckpointDir: o.CheckpointDir, CheckpointEvery: o.CheckpointEvery,
@@ -111,9 +106,11 @@ func (o *Options) runner() *cluster.Local {
 		},
 	}
 	if o.CacheDir != "" {
-		if c, err := exp.NewCache(o.CacheDir); err == nil {
-			r.Cache = c
+		c, err := exp.NewCache(o.CacheDir)
+		if err != nil {
+			return nil, fmt.Errorf("cache: %w", err)
 		}
+		r.Cache = c
 	}
 	if o.Progress != nil || o.JobObserver != nil {
 		p, observe := o.Progress, o.JobObserver
@@ -127,7 +124,7 @@ func (o *Options) runner() *cluster.Local {
 			p(jr.Job.Machine.Name, jr.Job.Profile.Name, jr.Job.Scheme, jr.Result)
 		}
 	}
-	return r
+	return r, nil
 }
 
 // runBatch executes jobs through the configured Batcher, or a locally built
@@ -135,7 +132,17 @@ func (o *Options) runner() *cluster.Local {
 // redirecting Options.Batcher redirects the whole report layer.
 func (o *Options) runBatch(jobs []exp.Job) []exp.JobResult {
 	if o.Batcher == nil {
-		results, _ := o.runner().RunBatch(o.ctx(), jobs)
+		r, err := o.runner()
+		if err != nil {
+			// Running uncached would silently lose the warm rerun; fail the
+			// batch so the error lands in the grid's failure manifest.
+			results := make([]exp.JobResult, len(jobs))
+			for i, j := range jobs {
+				results[i] = exp.JobResult{Job: j, Err: fmt.Errorf("job %s: %w", j.Label(), err)}
+			}
+			return results
+		}
+		results, _ := r.RunBatch(o.ctx(), jobs)
 		return results
 	}
 	results, _ := o.Batcher.RunBatch(o.ctx(), jobs)

@@ -258,15 +258,8 @@ type (
 	Ablation = exp.Ablation
 	// Runner executes Job batches on an in-process coordinator: a pool of
 	// Workers with panic isolation and re-execution, optional persistent
-	// caching, and run metrics.
+	// caching, and the campaign's job accounting (Snapshot) and dashboard.
 	Runner = cluster.Local
-	// RunMetrics accumulates orchestration metrics across batches.
-	RunMetrics = exp.Metrics
-	// MetricsSnapshot is a point-in-time view of RunMetrics.
-	MetricsSnapshot = exp.Snapshot
-	// Telemetry serves live campaign state over HTTP: Prometheus-text
-	// /metrics and a JSON /progress view (the CLIs' -listen flag).
-	Telemetry = exp.Telemetry
 	// ResultCache is the persistent on-disk result cache.
 	ResultCache = exp.Cache
 	// JobFailure is one entry of a sweep's failure manifest.

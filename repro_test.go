@@ -135,20 +135,29 @@ func TestPublicCachedRunner(t *testing.T) {
 	}
 	prof := repro.Tree().Scale(0.05, 0.05, 0.25)
 	jobs := []repro.Job{{Machine: repro.CMP8(), Scheme: repro.SingleTEager, Profile: prof, Seed: 3}}
-	m := new(repro.RunMetrics)
-	r := &repro.Runner{Cache: cache, Metrics: m}
+	r := &repro.Runner{Cache: cache}
 	if _, err := r.RunBatch(context.Background(), jobs); err != nil {
 		t.Fatal(err)
 	}
-	warm, err := r.RunBatch(context.Background(), jobs)
+	// A repeat on the same runner is answered by its coordinator without
+	// executing; a fresh runner over the same cache gets a cache hit.
+	if _, err := r.RunBatch(context.Background(), jobs); err != nil {
+		t.Fatal(err)
+	}
+	s := r.Snapshot()
+	if s.Executed != 1 || s.Deduped != 1 || s.Total != 2 {
+		t.Fatalf("repeat on the same runner: %+v", s)
+	}
+	fresh := &repro.Runner{Cache: cache}
+	warm, err := fresh.RunBatch(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !warm[0].Cached {
-		t.Fatal("second run must be a cache hit")
+		t.Fatal("a fresh runner's run must be a cache hit")
 	}
-	s := m.Snapshot()
-	if s.Executed != 1 || s.CacheHits != 1 || s.Total != 2 {
+	s = fresh.Snapshot()
+	if s.Executed != 0 || s.CacheHits != 1 || s.Total != 1 {
 		t.Fatalf("metrics: %+v", s)
 	}
 	if s.String() == "" {

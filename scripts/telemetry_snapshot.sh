@@ -1,5 +1,5 @@
 #!/bin/sh
-# Telemetry snapshot for CI: run a small sweep with the -listen endpoint
+# Telemetry snapshot for CI: run a small sweep with the -listen dashboard
 # enabled and capture /metrics (Prometheus text) and /progress (JSON) while
 # the worker pool drains. The snapshots land in $1 (default
 # telemetry-snapshot/) for artifact upload.
@@ -48,12 +48,19 @@ if [ -z "$got" ]; then
 	cat "$out/sweep.err" >&2
 	exit 1
 fi
-grep -q '^tls_jobs_total' "$out/metrics.txt" || {
-	echo "telemetry_snapshot: /metrics is missing tls_jobs_total" >&2
-	exit 1
-}
-grep -q '"campaign"' "$out/progress.json" || {
-	echo "telemetry_snapshot: /progress is missing the campaign field" >&2
-	exit 1
-}
+# The folded dashboard: the coordinator's job census and simulated cycles,
+# and at least one tls_run_* counter (the sweep's per-job obs registries
+# reached the dashboard through the local worker's heartbeats).
+for want in '^tls_fleet_jobs_total ' '^tls_run_' '^tls_fleet_sim_cycles '; do
+	grep -q "$want" "$out/metrics.txt" || {
+		echo "telemetry_snapshot: /metrics has no line matching $want" >&2
+		exit 1
+	}
+done
+for want in '"campaign"' '"recent"' '"summary"'; do
+	grep -q "$want" "$out/progress.json" || {
+		echo "telemetry_snapshot: /progress is missing the $want field" >&2
+		exit 1
+	}
+done
 echo "telemetry_snapshot: wrote $out/metrics.txt and $out/progress.json"
