@@ -2,7 +2,8 @@
 // hands time-bounded leases to tlsworker processes, dedupes submissions
 // through the persistent result cache, journals every lease and completion
 // to the campaign WAL (a SIGKILL'd coordinator resumes mid-campaign with
-// -resume), speculatively re-issues stragglers, and serves the merged fleet
+// -resume), lets an idle worker steal one duplicate of a long-held lease,
+// sheds submissions past -max-pending, and serves the merged fleet
 // dashboard on /metrics and /progress.
 //
 // Usage:
@@ -10,7 +11,7 @@
 //	tlsserve -listen :8100 -cache .tlscache -journal fleet.wal
 //	tlsserve -resume fleet.wal -cache .tlscache          # after a crash
 //	tlsserve -grid NUMA16 -apps Tree,Euler -seed 2        # preload a sweep
-//	tlsserve -lease-ttl 30s -straggler 2m -steal-after 30s
+//	tlsserve -lease-ttl 30s -steal-after 30s -max-pending 5000
 //
 // Clients (tlsreport/tlssweep/tlschaos with -coordinator, or raw HTTP)
 // submit jobs; workers (tlsworker -coordinator URL) pull, execute and
@@ -39,26 +40,22 @@ import (
 
 func main() {
 	var (
-		listen    = flag.String("listen", "127.0.0.1:8100", "coordinator listen address")
-		cacheDir  = flag.String("cache", "", "persistent result-cache directory (dedupes submissions, absorbs fleet results)")
-		journalF  = flag.String("journal", "", "append the campaign WAL to this JSONL file (crash recovery via -resume)")
-		resumeF   = flag.String("resume", "", "resume a crashed coordinator from its journal (implies -journal)")
-		leaseTTL  = flag.Duration("lease-ttl", 30*time.Second, "lease lifetime without a heartbeat")
-		straggler = flag.Duration("straggler", 2*time.Minute, "re-issue a speculative duplicate of jobs leased this long (0 disables)")
-		stealW    = flag.Duration("steal-after", 30*time.Second, "idle workers steal duplicates of leases this old (0 disables)")
-		maxIssues = flag.Int("max-issues", 2, "max concurrent leases per job")
-		gridF     = flag.String("grid", "", "preload a grid campaign on this machine (NUMA16, NUMA16.L2, CMP8, NUMA<n>)")
-		schemesF  = flag.String("schemes", "", "semicolon-separated schemes for -grid (default: the Figure 9 set)")
-		appsF     = flag.String("apps", "", "comma-separated application subset for -grid (default: full standard suite)")
-		seed      = flag.Uint64("seed", 1, "workload seed for -grid")
-		exitDone  = flag.Bool("exit-when-done", false, "exit 0 once every submitted job has a final outcome")
-		name      = flag.String("name", "tlsserve", "campaign name (journal header, dashboard)")
-		traceF    = flag.String("trace", "", "write the merged fleet Perfetto trace to this file at exit (workers need -trace to contribute lanes)")
+		listen   = flag.String("listen", "127.0.0.1:8100", "coordinator listen address")
+		cacheDir = flag.String("cache", "", "persistent result-cache directory (dedupes submissions, absorbs fleet results)")
+		journalF = flag.String("journal", "", "append the campaign WAL to this JSONL file (crash recovery via -resume)")
+		resumeF  = flag.String("resume", "", "resume a crashed coordinator from its journal (implies -journal)")
+		leaseTTL = flag.Duration("lease-ttl", 30*time.Second, "lease lifetime without a heartbeat")
+		stealW   = flag.Duration("steal-after", 30*time.Second, "an idle worker steals the one duplicate of a lease this old (0 disables)")
+		gridF    = flag.String("grid", "", "preload a grid campaign on this machine (NUMA16, NUMA16.L2, CMP8, NUMA<n>)")
+		schemesF = flag.String("schemes", "", "semicolon-separated schemes for -grid (default: the Figure 9 set)")
+		appsF    = flag.String("apps", "", "comma-separated application subset for -grid (default: full standard suite)")
+		seed     = flag.Uint64("seed", 1, "workload seed for -grid")
+		exitDone = flag.Bool("exit-when-done", false, "exit 0 once every submitted job has a final outcome")
+		name     = flag.String("name", "tlsserve", "campaign name (journal header, dashboard)")
+		traceF   = flag.String("trace", "", "write the merged fleet Perfetto trace to this file at exit (workers need -trace to contribute lanes)")
 
-		maxPending  = flag.Int("max-pending", 0, "bound the pending queue; excess submissions are shed with 429 + Retry-After (0 = unbounded)")
-		submitRate  = flag.Float64("submit-rate", 0, "per-client submit admission: job tokens per second (0 = unlimited)")
-		submitBurst = flag.Int("submit-burst", 0, "per-client submit burst size (default 400)")
-		quarantine  = flag.Duration("quarantine-for", 30*time.Second, "circuit-breaker base quarantine for flapping/byzantine workers")
+		maxPending = flag.Int("max-pending", 0, "bound the pending queue; excess submissions are shed with 429 + Retry-After (0 = unbounded)")
+		quarantine = flag.Duration("quarantine-for", 30*time.Second, "circuit-breaker base quarantine for flapping/byzantine workers")
 
 		chaosNet  = flag.String("chaos-net", "", "inject seeded accept-side network chaos: hostile, campaign, or byzantine")
 		chaosSeed = flag.Uint64("chaos-seed", 1, "seed for the -chaos-net fault plan")
@@ -74,15 +71,11 @@ func main() {
 	}
 
 	cfg := cluster.Config{
-		Name:           *name,
-		LeaseTTL:       *leaseTTL,
-		StragglerAfter: durOff(*straggler),
-		StealAfter:     durOff(*stealW),
-		MaxIssues:      *maxIssues,
-		MaxPending:     *maxPending,
-		SubmitRate:     *submitRate,
-		SubmitBurst:    *submitBurst,
-		QuarantineFor:  *quarantine,
+		Name:          *name,
+		LeaseTTL:      *leaseTTL,
+		StealAfter:    durOff(*stealW),
+		MaxPending:    *maxPending,
+		QuarantineFor: *quarantine,
 	}
 	if *cacheDir != "" {
 		cache, err := exp.NewCache(*cacheDir)

@@ -25,8 +25,8 @@ import (
 type Client struct {
 	// URL is the coordinator's base URL (http://host:port).
 	URL string
-	// Name identifies this client to the coordinator's fair per-client
-	// submit admission; unnamed clients are exempt from rate limiting.
+	// Name identifies this client; it seeds the retry jitter (see Seed), so
+	// two clients of one coordinator do not retry in lockstep.
 	Name string
 	// Poll is the result-polling interval (default 200ms).
 	Poll time.Duration
@@ -54,8 +54,8 @@ type Client struct {
 	hc     *http.Client
 }
 
-// ClientName derives a fleet-unique client identity (prefix-host-pid) for
-// the coordinator's fair per-client submit admission.
+// ClientName derives a fleet-unique client identity (prefix-host-pid), so
+// clients on different hosts or processes draw different retry jitter.
 func ClientName(prefix string) string {
 	host, _ := os.Hostname()
 	if host == "" {
@@ -279,7 +279,7 @@ func (c *Client) submit(ctx context.Context, specs []JobSpec) ([]string, error) 
 		bo.reset()
 		for {
 			var resp SubmitResponse
-			err := postJSON(hc, c.URL+"/v1/submit", SubmitRequest{Jobs: specs[start:end], Client: c.Name}, &resp)
+			err := postJSON(hc, c.URL+"/v1/submit", SubmitRequest{Jobs: specs[start:end]}, &resp)
 			if err == nil {
 				rejected = append(rejected, resp.Rejected...)
 				break

@@ -183,7 +183,7 @@ func TestFabricParity(t *testing.T) {
 	text := string(body)
 	for _, want := range []string{
 		"tls_fleet_jobs_done 5", "tls_fleet_leases_granted", "tls_fleet_steals",
-		"tls_fleet_straggler_reissues", "tls_fleet_dedupe_hits", "tls_run_",
+		"tls_fleet_dedupe_hits", "tls_run_",
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("/metrics missing %q:\n%s", want, text)
@@ -246,7 +246,7 @@ func sealOutcome(t *testing.T, o Outcome) Envelope {
 
 func TestLeaseExpiryRequeues(t *testing.T) {
 	clk := &fixedClock{t: time.Unix(1000, 0)}
-	co := NewCoordinator(Config{LeaseTTL: time.Second, StragglerAfter: -1, StealAfter: -1})
+	co := NewCoordinator(Config{LeaseTTL: time.Second, StealAfter: -1})
 	co.now = clk.now
 	spec := submitOne(t, co, 1)
 
@@ -287,7 +287,7 @@ func TestLeaseExpiryRequeues(t *testing.T) {
 
 func TestHeartbeatKeepsLeaseAlive(t *testing.T) {
 	clk := &fixedClock{t: time.Unix(1000, 0)}
-	co := NewCoordinator(Config{LeaseTTL: time.Second, StragglerAfter: -1, StealAfter: -1})
+	co := NewCoordinator(Config{LeaseTTL: time.Second, StealAfter: -1})
 	co.now = clk.now
 	submitOne(t, co, 1)
 	lr := co.LeaseJobs(LeaseRequest{Worker: "w1", Max: 1})
@@ -300,36 +300,84 @@ func TestHeartbeatKeepsLeaseAlive(t *testing.T) {
 	}
 }
 
-func TestStragglerReissueAndSteal(t *testing.T) {
+// TestStealGrantsOneDuplicate walks idle-worker stealing, the coordinator's
+// only duplicate execution, with an injected clock: a young lease and the
+// holder's own job are not stolen, an idle worker gets the one speculative
+// duplicate, the cap and a probation breaker refuse any more, the steal does
+// not re-measure the queue wait, and the winner cancels its sibling.
+func TestStealGrantsOneDuplicate(t *testing.T) {
 	clk := &fixedClock{t: time.Unix(1000, 0)}
-	co := NewCoordinator(Config{LeaseTTL: time.Minute, StragglerAfter: 5 * time.Second, StealAfter: 5 * time.Second})
+	co := NewCoordinator(Config{
+		LeaseTTL: time.Minute, StealAfter: 5 * time.Second,
+		BreakerCRCLimit: 1, QuarantineFor: time.Second,
+	})
 	co.now = clk.now
-	spec := submitOne(t, co, 1)
 
+	// "prob" delivers one corrupt result, which trips its breaker; "helper"
+	// then settles that job, so it is no steal candidate.
+	other := submitOne(t, co, 2)
+	lp := co.LeaseJobs(LeaseRequest{Worker: "prob", Max: 1})
+	if len(lp.Leases) != 1 {
+		t.Fatalf("lease: %+v", lp)
+	}
+	corruptComplete(t, co, "prob", lp.Leases[0])
+	lh := co.LeaseJobs(LeaseRequest{Worker: "helper", Max: 1})
+	if len(lh.Leases) != 1 {
+		t.Fatalf("requeued job not leased: %+v", lh)
+	}
+	co.Complete(CompleteRequest{
+		Worker: "helper", Lease: lh.Leases[0].ID, Key: other.Key,
+		Env: sealOutcome(t, Outcome{Key: other.Key, Worker: "helper"}),
+	})
+
+	spec := submitOne(t, co, 1)
 	lr := co.LeaseJobs(LeaseRequest{Worker: "slow", Max: 1})
-	if len(lr.Leases) != 1 {
+	if len(lr.Leases) != 1 || lr.Leases[0].Spec.Key != spec.Key || lr.Leases[0].Speculative {
 		t.Fatalf("lease: %+v", lr)
 	}
-	// Not a straggler yet: an idle worker gets nothing.
+	waits := co.queueWait.Count()
+
+	// Younger than StealAfter: an idle worker gets nothing.
+	clk.advance(time.Second)
 	if got := co.LeaseJobs(LeaseRequest{Worker: "idle", Max: 1}); len(got.Leases) != 0 {
-		t.Fatalf("stole a healthy lease: %+v", got)
+		t.Fatalf("stole a young lease: %+v", got)
 	}
-	// Past the threshold (heartbeats keep the lease itself alive) the job is
-	// re-issued speculatively to the idle worker.
-	clk.advance(6 * time.Second)
-	co.Heartbeat(HeartbeatRequest{Worker: "slow", Leases: []uint64{lr.Leases[0].ID}})
+	clk.advance(5 * time.Second)
+	// The holder cannot steal its own job.
+	if got := co.LeaseJobs(LeaseRequest{Worker: "slow", Max: 1}); len(got.Leases) != 0 {
+		t.Fatalf("holder stole its own job: %+v", got)
+	}
+	// A worker on probation gets at most a probe from the queue, never a
+	// steal.
+	if got := co.LeaseJobs(LeaseRequest{Worker: "prob", Max: 1}); len(got.Leases) != 0 {
+		t.Fatalf("probation worker stole: %+v", got)
+	}
+	if co.workers["prob"].brk.phase != breakerHalfOpen {
+		t.Fatalf("prob breaker = %v, want probation", co.workers["prob"].brk.phase)
+	}
+	if co.ctr.steals != 0 {
+		t.Fatalf("steals before the grant: %d", co.ctr.steals)
+	}
+
 	got := co.LeaseJobs(LeaseRequest{Worker: "idle", Max: 1})
-	if len(got.Leases) != 1 || !got.Leases[0].Speculative || got.Leases[0].Spec.Key != spec.Key {
-		t.Fatalf("straggler not re-issued: %+v", got)
+	if len(got.Leases) != 1 {
+		t.Fatalf("idle worker stole nothing: %+v", got)
 	}
-	if co.ctr.stragglerReissues != 1 {
-		t.Fatalf("counters: %+v", co.ctr)
+	if l := got.Leases[0]; !l.Speculative || l.Attempt != 2 || l.Spec.Key != spec.Key {
+		t.Fatalf("stolen lease: %+v", l)
 	}
-	// MaxIssues (default 2) caps further duplicates.
+	if co.ctr.steals != 1 {
+		t.Fatalf("steals = %d, want 1", co.ctr.steals)
+	}
+	if n := co.queueWait.Count(); n != waits {
+		t.Fatalf("queue_wait_ms observed %d times, want %d: the steal re-measured it", n, waits)
+	}
+	// One duplicate per job: a third worker gets nothing.
 	if extra := co.LeaseJobs(LeaseRequest{Worker: "third", Max: 1}); len(extra.Leases) != 0 {
-		t.Fatalf("issued past MaxIssues: %+v", extra)
+		t.Fatalf("stole past the one-duplicate cap: %+v", extra)
 	}
-	// The speculative copy wins; the straggler is told to abandon its lease.
+
+	// The duplicate wins; the holder is told to abandon its lease.
 	win := co.Complete(CompleteRequest{
 		Worker: "idle", Lease: got.Leases[0].ID, Key: spec.Key,
 		Env: sealOutcome(t, Outcome{Key: spec.Key, Worker: "idle"}),
@@ -339,13 +387,13 @@ func TestStragglerReissueAndSteal(t *testing.T) {
 	}
 	hb := co.Heartbeat(HeartbeatRequest{Worker: "slow", Leases: []uint64{lr.Leases[0].ID}})
 	if len(hb.Cancel) != 1 || hb.Cancel[0] != lr.Leases[0].ID {
-		t.Fatalf("straggler not cancelled: %+v", hb)
+		t.Fatalf("sibling not cancelled: %+v", hb)
 	}
 }
 
 func TestCompleteRejectsCorruptEnvelope(t *testing.T) {
 	clk := &fixedClock{t: time.Unix(1000, 0)}
-	co := NewCoordinator(Config{LeaseTTL: time.Minute, StragglerAfter: -1, StealAfter: -1})
+	co := NewCoordinator(Config{LeaseTTL: time.Minute, StealAfter: -1})
 	co.now = clk.now
 	spec := submitOne(t, co, 1)
 	lr := co.LeaseJobs(LeaseRequest{Worker: "w1", Max: 1})
@@ -367,7 +415,7 @@ func TestCompleteRejectsCorruptEnvelope(t *testing.T) {
 
 func TestTimeoutFailsPermanently(t *testing.T) {
 	clk := &fixedClock{t: time.Unix(1000, 0)}
-	co := NewCoordinator(Config{LeaseTTL: time.Minute, StragglerAfter: -1, StealAfter: -1})
+	co := NewCoordinator(Config{LeaseTTL: time.Minute, StealAfter: -1})
 	co.now = clk.now
 	spec := submitOne(t, co, 1)
 	lr := co.LeaseJobs(LeaseRequest{Worker: "w1", Max: 1})
@@ -391,7 +439,7 @@ func TestTimeoutFailsPermanently(t *testing.T) {
 
 func TestTransientFailureRetriesThenFails(t *testing.T) {
 	clk := &fixedClock{t: time.Unix(1000, 0)}
-	co := NewCoordinator(Config{LeaseTTL: time.Minute, StragglerAfter: -1, StealAfter: -1})
+	co := NewCoordinator(Config{LeaseTTL: time.Minute, StealAfter: -1})
 	co.now = clk.now
 	spec := submitOne(t, co, 1)
 	for round := 1; round <= 2; round++ {

@@ -35,15 +35,11 @@ type Config struct {
 	State exp.CampaignState
 	// LeaseTTL is how long a lease survives without a heartbeat (default 30s).
 	LeaseTTL time.Duration
-	// StragglerAfter re-queues a speculative duplicate of any job whose
-	// oldest lease is this old (default 2m; < 0 disables).
-	StragglerAfter time.Duration
 	// StealAfter lets an idle worker steal a duplicate of a job another
-	// worker has held this long (default 30s; < 0 disables).
+	// worker has held this long (default 30s; < 0 disables). Stealing is
+	// the coordinator's only duplicate execution, capped at one duplicate
+	// per job (maxLeases).
 	StealAfter time.Duration
-	// MaxIssues caps concurrent leases per job (default 2: the original
-	// plus one speculative re-execution).
-	MaxIssues int
 	// FailLimit is how many distinct failed executions a job gets before it
 	// is failed permanently (default 2: one re-execution). Watchdog timeouts
 	// fail immediately: a deterministic simulation that hung once will hang
@@ -53,12 +49,6 @@ type Config struct {
 	// would grow the queue past the bound are shed with an OverloadError
 	// (HTTP 429 + Retry-After) instead of accepted into an ever-longer line.
 	MaxPending int
-	// SubmitRate and SubmitBurst arm fair per-client admission: each named
-	// client refills SubmitRate job tokens per second up to SubmitBurst
-	// (default 400). Zero SubmitRate disables rate limiting. Unnamed clients
-	// (the coordinator's own preload, legacy clients) are exempt.
-	SubmitRate  float64
-	SubmitBurst int
 	// QuarantineFor is the circuit breaker's base quarantine (default 30s);
 	// each repeat trip doubles it, capped at 8x. BreakerCRCLimit consecutive
 	// CRC-invalid completions (default 3) or BreakerExpiryLimit consecutive
@@ -67,9 +57,9 @@ type Config struct {
 	BreakerCRCLimit    int
 	BreakerExpiryLimit int
 	// Tracer, when non-nil, records the coordinator's scheduling decisions
-	// (queue waits, lease holds, straggler re-issues, completions) as fleet
-	// spans. Workers' spans shipped on heartbeats and completions are
-	// collected regardless, so WriteFleetTrace can merge the whole fleet.
+	// (queue waits, lease holds, steals, completions) as fleet spans.
+	// Workers' spans shipped on heartbeats and completions are collected
+	// regardless, so WriteFleetTrace can merge the whole fleet.
 	Tracer *trace.Tracer
 	// Campaign overrides the minted campaign correlation ID (tests, resume
 	// of a known campaign). Empty mints one from Name at first submission.
@@ -83,17 +73,6 @@ func (c Config) leaseTTL() time.Duration {
 	return c.LeaseTTL
 }
 
-func (c Config) stragglerAfter() time.Duration {
-	switch {
-	case c.StragglerAfter < 0:
-		return 0
-	case c.StragglerAfter == 0:
-		return 2 * time.Minute
-	default:
-		return c.StragglerAfter
-	}
-}
-
 func (c Config) stealAfter() time.Duration {
 	switch {
 	case c.StealAfter < 0:
@@ -105,25 +84,11 @@ func (c Config) stealAfter() time.Duration {
 	}
 }
 
-func (c Config) maxIssues() int {
-	if c.MaxIssues <= 0 {
-		return 2
-	}
-	return c.MaxIssues
-}
-
 func (c Config) failLimit() int {
 	if c.FailLimit <= 0 {
 		return 2
 	}
 	return c.FailLimit
-}
-
-func (c Config) submitBurst() int {
-	if c.SubmitBurst <= 0 {
-		return 400
-	}
-	return c.SubmitBurst
 }
 
 func (c Config) quarantineFor() time.Duration {
@@ -173,10 +138,9 @@ type jobEntry struct {
 	queued      bool // present in the pending queue
 	queuedAt    time.Time
 	leases      map[uint64]*lease
-	issues      int  // leases ever granted
-	failures    int  // failed executions so far
-	reissued    bool // a straggler re-issue was already queued
-	joins       int  // later submissions of the same key joined to this entry
+	issues      int // leases ever granted
+	failures    int // failed executions so far
+	joins       int // later submissions of the same key joined to this entry
 	firstLeased time.Time
 
 	outcome Envelope // sealed Outcome once state is jobDone or jobFailed
@@ -195,8 +159,7 @@ type lease struct {
 // workerState tracks one fleet worker as seen from the coordinator.
 type workerState struct {
 	lastSeen  time.Time
-	counters  map[string]uint64 // absolute obs totals from heartbeats
-	cancel    []uint64          // leases to abandon, drained by heartbeat
+	cancel    []uint64 // leases to abandon, drained by heartbeat
 	completed int
 	brk       breaker
 }
@@ -235,19 +198,12 @@ type breaker struct {
 	probation    uint64    // the single outstanding probe lease, if half-open
 }
 
-// bucketState is one client's submit-admission token bucket.
-type bucketState struct {
-	tokens float64
-	last   time.Time
-}
-
 // fleetCounters are the dashboard's scheduling counters.
 type fleetCounters struct {
 	leasesGranted     uint64
 	leasesExpired     uint64
 	leasesReturned    uint64
 	steals            uint64
-	stragglerReissues uint64
 	dedupeHits        uint64 // submissions joined to an already-tracked key
 	cacheHits         uint64 // submissions answered by the result cache
 	resumeHits        uint64 // submissions answered by the replayed journal
@@ -257,7 +213,6 @@ type fleetCounters struct {
 	journalErrors     uint64
 	cachePutErrors    uint64 // completed results the cache could not persist
 	shedSubmits       uint64 // submissions shed by the queue bound
-	rateLimited       uint64 // submissions refused by per-client admission
 	specRejects       uint64 // specs that did not re-hash to their own key
 	breakerOpens      uint64
 	breakerProbations uint64
@@ -286,8 +241,11 @@ type Coordinator struct {
 	leases   map[uint64]*lease
 	leaseSeq uint64
 	workers  map[string]*workerState
-	buckets  map[string]*bucketState // per-client submit admission
 	ctr      fleetCounters
+	// runCounters sums the obs counters of every settling execution: the
+	// fleet's tls_run_* series. A duplicate, rejected or failed execution
+	// adds nothing, so each job's run counts once.
+	runCounters map[string]uint64
 
 	campaign string // correlation ID minted at first submission
 
@@ -316,26 +274,30 @@ type Coordinator struct {
 }
 
 // phaseBuckets are the phase-latency histogram bounds in milliseconds: fine
-// enough to separate loopback microseconds from straggler minutes.
+// enough to separate loopback microseconds from minutes-long leases.
 var phaseBuckets = []uint64{1, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000, 30000, 60000, 120000}
 
 // maxFleetSpans bounds the coordinator's merged span store; a long campaign
 // past the bound keeps the earliest spans and counts the drops.
 const maxFleetSpans = 1 << 17
 
+// maxLeases caps concurrent leases per job: the original plus the one
+// duplicate an idle worker may steal.
+const maxLeases = 2
+
 // NewCoordinator builds a coordinator, stamps its campaign ID on the journal
 // and, for a named campaign, journals the campaign header.
 func NewCoordinator(cfg Config) *Coordinator {
 	c := &Coordinator{
-		cfg:      cfg,
-		now:      time.Now,
-		resolve:  JobSpec.Job,
-		jobs:     make(map[string]*jobEntry),
-		leases:   make(map[uint64]*lease),
-		workers:  make(map[string]*workerState),
-		buckets:  make(map[string]*bucketState),
-		campaign: cfg.Campaign,
-		phases:   obs.NewRegistry(),
+		cfg:         cfg,
+		now:         time.Now,
+		resolve:     JobSpec.Job,
+		jobs:        make(map[string]*jobEntry),
+		leases:      make(map[uint64]*lease),
+		workers:     make(map[string]*workerState),
+		campaign:    cfg.Campaign,
+		phases:      obs.NewRegistry(),
+		runCounters: make(map[string]uint64),
 	}
 	c.queueWait = c.phases.Histogram("queue_wait_ms", phaseBuckets)
 	c.leaseHold = c.phases.Histogram("lease_hold_ms", phaseBuckets)
@@ -382,9 +344,9 @@ func (c *Coordinator) journalAppend(rec exp.JournalRecord) {
 	}
 }
 
-// OverloadError reports an admission-control refusal (queue bound hit, or a
-// client over its submit rate) and how long to wait before retrying. The
-// HTTP layer renders it as 429 + Retry-After.
+// OverloadError reports a submission shed by the -max-pending queue bound
+// and how long to wait before retrying. The HTTP layer renders it as 429 +
+// Retry-After.
 type OverloadError struct {
 	RetryAfter time.Duration
 }
@@ -403,53 +365,17 @@ func (c *Coordinator) Submit(req SubmitRequest) (SubmitResponse, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.sweepLocked()
-	if err := c.admitLocked(req.Client, len(req.Jobs)); err != nil {
-		return SubmitResponse{}, err
-	}
 	return c.submitLocked(req.Jobs, true)
 }
 
-// Preload registers jobs bypassing admission control — the coordinator's own
-// grid preload and resume seeding must never be shed or rate limited.
+// Preload registers jobs bypassing the queue bound — the coordinator's own
+// grid preload and resume seeding must never be shed.
 func (c *Coordinator) Preload(specs []JobSpec) SubmitResponse {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.sweepLocked()
 	resp, _ := c.submitLocked(specs, false)
 	return resp
-}
-
-// admitLocked charges the client's token bucket for an n-job submission.
-// Unnamed clients are exempt; the charge is capped at the burst size so one
-// oversized chunk cannot starve itself forever.
-func (c *Coordinator) admitLocked(client string, n int) error {
-	rate := c.cfg.SubmitRate
-	if rate <= 0 || client == "" || n <= 0 {
-		return nil
-	}
-	burst := float64(c.cfg.submitBurst())
-	now := c.now()
-	b := c.buckets[client]
-	if b == nil {
-		b = &bucketState{tokens: burst, last: now}
-		c.buckets[client] = b
-	}
-	b.tokens += rate * now.Sub(b.last).Seconds()
-	if b.tokens > burst {
-		b.tokens = burst
-	}
-	b.last = now
-	cost := float64(n)
-	if cost > burst {
-		cost = burst
-	}
-	if b.tokens < cost {
-		c.ctr.rateLimited++
-		wait := time.Duration((cost - b.tokens) / rate * float64(time.Second))
-		return &OverloadError{RetryAfter: wait}
-	}
-	b.tokens -= cost
-	return nil
 }
 
 func (c *Coordinator) submitLocked(specs []JobSpec, admit bool) (SubmitResponse, error) {
@@ -720,14 +646,14 @@ func (c *Coordinator) settleLeaseLocked(l *lease, how, errText string) {
 func (e *jobEntry) label() string { return e.job.Label() }
 
 // stealCandidateLocked picks the entry with the oldest lease older than
-// StealAfter that can take another issue and is not already running on this
+// StealAfter that has no duplicate yet and is not already running on this
 // worker.
 func (c *Coordinator) stealCandidateLocked(worker string) *jobEntry {
 	now := c.now()
 	var best *jobEntry
 	for _, key := range c.order {
 		e := c.jobs[key]
-		if e.state != jobLeased || e.queued || len(e.leases) == 0 || len(e.leases) >= c.cfg.maxIssues() {
+		if e.state != jobLeased || len(e.leases) >= maxLeases {
 			continue
 		}
 		if now.Sub(e.firstLeased) < c.cfg.stealAfter() {
@@ -750,8 +676,8 @@ func (c *Coordinator) stealCandidateLocked(worker string) *jobEntry {
 	return best
 }
 
-// Heartbeat extends the worker's leases and absorbs its obs counter totals;
-// the response lists leases whose jobs finished elsewhere.
+// Heartbeat extends the worker's leases and collects its shipped spans; the
+// response lists leases whose jobs finished elsewhere.
 func (c *Coordinator) Heartbeat(req HeartbeatRequest) HeartbeatResponse {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -762,9 +688,6 @@ func (c *Coordinator) Heartbeat(req HeartbeatRequest) HeartbeatResponse {
 		if l := c.leases[id]; l != nil && l.worker == req.Worker {
 			l.deadline = deadline
 		}
-	}
-	if req.Counters != nil {
-		w.counters = req.Counters
 	}
 	c.ingestSpansLocked(req.Spans)
 	resp := HeartbeatResponse{Cancel: w.cancel}
@@ -865,6 +788,7 @@ func (c *Coordinator) Complete(req CompleteRequest) CompleteResponse {
 	c.ctr.executed++
 	c.ctr.simCycles += uint64(o.Result.ExecCycles)
 	c.ctr.maxWallMS = max(c.ctr.maxWallMS, o.WallMS)
+	obs.MergeCounters(c.runCounters, o.Counters)
 	if c.cfg.Cache != nil && !e.spec.Chaotic() {
 		if err := c.cfg.Cache.Put(e.job, o.Result); err != nil {
 			// The campaign survives a failed write (the result is in hand),
@@ -1004,8 +928,8 @@ func (c *Coordinator) maybeRequeueLocked(e *jobEntry) {
 	c.enqueueLocked(e)
 }
 
-// sweepLocked expires dead leases and queues straggler re-issues. Called on
-// every API mutation and by the background ticker.
+// sweepLocked expires dead leases. Called on every API mutation and by the
+// background ticker.
 func (c *Coordinator) sweepLocked() {
 	now := c.now()
 	for _, l := range c.leases {
@@ -1031,27 +955,6 @@ func (c *Coordinator) sweepLocked() {
 				T: exp.RecLeaseReturn, Key: key, Label: e.label(), Worker: worker, Lease: id,
 			})
 			c.maybeRequeueLocked(e)
-		}
-	}
-	if after := c.cfg.stragglerAfter(); after > 0 {
-		for _, key := range c.order {
-			e := c.jobs[key]
-			if e.state != jobLeased || e.queued || e.reissued {
-				continue
-			}
-			if len(e.leases) == 0 || len(e.leases) >= c.cfg.maxIssues() {
-				continue
-			}
-			if now.Sub(e.firstLeased) < after {
-				continue
-			}
-			e.reissued = true
-			c.ctr.stragglerReissues++
-			c.cfg.Tracer.Instant(trace.Span{
-				Name: e.label(), Kind: trace.KindStraggler, Campaign: c.campaignLocked(),
-				Key: key, Note: "speculative re-issue",
-			})
-			c.enqueueLocked(e)
 		}
 	}
 }

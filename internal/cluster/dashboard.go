@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"net/http"
 	"sort"
 	"time"
@@ -139,10 +140,7 @@ func (c *Coordinator) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 	n := c.countsLocked()
 	s := c.snapshotLocked()
 	ctr := c.ctr
-	sums := make(map[string]uint64)
-	for _, ws := range c.workers {
-		obs.MergeCounters(sums, ws.counters)
-	}
+	runs := maps.Clone(c.runCounters)
 	gauges := append([]gauge(nil), c.gauges...)
 	// Render the phase-latency histograms while still holding mu (the
 	// registry is single-goroutine by contract), emit after unlock.
@@ -169,7 +167,6 @@ func (c *Coordinator) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 	obs.PromMetric(w, "tls_fleet_leases_expired", "counter", float64(ctr.leasesExpired))
 	obs.PromMetric(w, "tls_fleet_leases_returned", "counter", float64(ctr.leasesReturned))
 	obs.PromMetric(w, "tls_fleet_steals", "counter", float64(ctr.steals))
-	obs.PromMetric(w, "tls_fleet_straggler_reissues", "counter", float64(ctr.stragglerReissues))
 	obs.PromMetric(w, "tls_fleet_dedupe_hits", "counter", float64(ctr.dedupeHits))
 	obs.PromMetric(w, "tls_fleet_cache_hits", "counter", float64(ctr.cacheHits))
 	obs.PromMetric(w, "tls_fleet_resume_hits", "counter", float64(ctr.resumeHits))
@@ -182,7 +179,6 @@ func (c *Coordinator) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 	obs.PromMetric(w, "tls_fleet_cache_quarantine_errors", "counter", float64(s.CacheQuarantineErrors))
 	obs.PromMetric(w, "tls_fleet_workers_quarantined", "gauge", float64(n.Quarantined))
 	obs.PromMetric(w, "tls_fleet_shed_submits", "counter", float64(ctr.shedSubmits))
-	obs.PromMetric(w, "tls_fleet_rate_limited", "counter", float64(ctr.rateLimited))
 	obs.PromMetric(w, "tls_fleet_spec_rejects", "counter", float64(ctr.specRejects))
 	obs.PromMetric(w, "tls_fleet_breaker_opens", "counter", float64(ctr.breakerOpens))
 	obs.PromMetric(w, "tls_fleet_breaker_probations", "counter", float64(ctr.breakerProbations))
@@ -194,14 +190,14 @@ func (c *Coordinator) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 	for _, g := range gauges {
 		obs.PromMetric(w, "tls_"+g.name, "gauge", g.fn())
 	}
-	// Fleet-aggregated per-run obs counters, sorted for a stable scrape.
-	names := make([]string, 0, len(sums))
-	for name := range sums {
+	// Settled runs' obs counters, sorted for a stable scrape.
+	names := make([]string, 0, len(runs))
+	for name := range runs {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		obs.PromMetric(w, "tls_run_"+name, "counter", float64(sums[name]))
+		obs.PromMetric(w, "tls_run_"+name, "counter", float64(runs[name]))
 	}
 }
 
@@ -218,27 +214,26 @@ type progressWorker struct {
 
 // fleetProgress is the /progress JSON document.
 type fleetProgress struct {
-	Campaign          string           `json:"campaign"`
-	Total             int              `json:"total"`
-	Pending           int              `json:"pending"`
-	Leased            int              `json:"leased"`
-	Done              int              `json:"done"`
-	Failed            int              `json:"failed"`
-	Executed          int              `json:"executed"`
-	Retries           int              `json:"retries"`
-	Timeouts          int              `json:"timeouts"`
-	SimCycles         uint64           `json:"sim_cycles"`
-	ElapsedSeconds    float64          `json:"elapsed_seconds"`
-	ActiveLeases      int              `json:"active_leases"`
-	LeasesGranted     uint64           `json:"leases_granted"`
-	LeasesExpired     uint64           `json:"leases_expired"`
-	Steals            uint64           `json:"steals"`
-	StragglerReissues uint64           `json:"straggler_reissues"`
-	DedupeHits        uint64           `json:"dedupe_hits"`
-	CacheHits         uint64           `json:"cache_hits"`
-	ResumeHits        uint64           `json:"resume_hits"`
-	DupResults        uint64           `json:"dup_results"`
-	Workers           []progressWorker `json:"workers"`
+	Campaign       string           `json:"campaign"`
+	Total          int              `json:"total"`
+	Pending        int              `json:"pending"`
+	Leased         int              `json:"leased"`
+	Done           int              `json:"done"`
+	Failed         int              `json:"failed"`
+	Executed       int              `json:"executed"`
+	Retries        int              `json:"retries"`
+	Timeouts       int              `json:"timeouts"`
+	SimCycles      uint64           `json:"sim_cycles"`
+	ElapsedSeconds float64          `json:"elapsed_seconds"`
+	ActiveLeases   int              `json:"active_leases"`
+	LeasesGranted  uint64           `json:"leases_granted"`
+	LeasesExpired  uint64           `json:"leases_expired"`
+	Steals         uint64           `json:"steals"`
+	DedupeHits     uint64           `json:"dedupe_hits"`
+	CacheHits      uint64           `json:"cache_hits"`
+	ResumeHits     uint64           `json:"resume_hits"`
+	DupResults     uint64           `json:"dup_results"`
+	Workers        []progressWorker `json:"workers"`
 	// Summary is the -metrics line; Recent the latest settled jobs,
 	// oldest first.
 	Summary string      `json:"summary"`
@@ -259,8 +254,7 @@ func (c *Coordinator) serveProgress(w http.ResponseWriter, campaign string) {
 		SimCycles: s.SimCycles, ElapsedSeconds: s.Elapsed.Seconds(),
 		ActiveLeases:  n.ActiveLeases,
 		LeasesGranted: c.ctr.leasesGranted, LeasesExpired: c.ctr.leasesExpired,
-		Steals: c.ctr.steals, StragglerReissues: c.ctr.stragglerReissues,
-		DedupeHits: c.ctr.dedupeHits, CacheHits: c.ctr.cacheHits,
+		Steals: c.ctr.steals, DedupeHits: c.ctr.dedupeHits, CacheHits: c.ctr.cacheHits,
 		ResumeHits: c.ctr.resumeHits, DupResults: c.ctr.dupResults,
 		Summary: s.String(),
 		Recent:  c.recentLocked(),

@@ -12,12 +12,14 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/iofault"
 	"repro/internal/machine"
 	"repro/internal/obs"
+	"repro/internal/workload"
 )
 
 // get fetches path from the handler and returns the status and body.
@@ -128,8 +130,8 @@ func TestDashboardRecentRing(t *testing.T) {
 // keys and caller-attached obs registries on one Local, scraping its
 // dashboard. The counts add up across batches, the repeated keys are
 // deduped instead of executed, and tls_run_* holds both batches' registries:
-// the local worker reports absolute counter totals, so a worker rebuilt per
-// batch would lose the first batch's counters.
+// the coordinator merges each settling run's counters, so the dashboard
+// spans every batch of the Local.
 func TestLocalDashboardServesCampaignState(t *testing.T) {
 	prof := tinyProfile()
 	cfg := machine.CMP8()
@@ -258,5 +260,137 @@ func TestDashboardHealInSummary(t *testing.T) {
 	metrics, _ := scrapeDashboard(t, l.Dashboard("heal"))
 	if metricValue(t, metrics, "tls_fleet_cache_quarantined") != 1 || metricValue(t, metrics, "tls_fleet_cache_quarantine_errors") != 2 {
 		t.Fatalf("/metrics missing heal counters:\n%s", metrics)
+	}
+}
+
+// TestRunCountersCountSettlingRunOnly: tls_run_* merges the counters of the
+// one execution that settles a job. A CRC-rejected body, a failed
+// execution, a losing duplicate and a permanent failure add nothing, and
+// neither does a job settled from the result cache or the resumed journal.
+func TestRunCountersCountSettlingRunOnly(t *testing.T) {
+	cache, err := exp.NewCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk := &fixedClock{t: time.Unix(1000, 0)}
+	co := NewCoordinator(Config{Cache: cache, LeaseTTL: time.Minute, StealAfter: 5 * time.Second})
+	co.now = clk.now
+	run := map[string]uint64{"sim_commits": 7}
+	commits := func(co *Coordinator) uint64 {
+		co.mu.Lock()
+		defer co.mu.Unlock()
+		return co.runCounters["sim_commits"]
+	}
+	lease := func(worker string) Lease {
+		t.Helper()
+		lr := co.LeaseJobs(LeaseRequest{Worker: worker, Max: 1})
+		if len(lr.Leases) != 1 {
+			t.Fatalf("%s: no lease: %+v", worker, lr)
+		}
+		return lr.Leases[0]
+	}
+	complete := func(worker string, l Lease, o Outcome) CompleteResponse {
+		o.Key, o.Worker, o.Counters = l.Spec.Key, worker, run
+		return co.Complete(CompleteRequest{Worker: worker, Lease: l.ID, Key: l.Spec.Key, Env: sealOutcome(t, o)})
+	}
+
+	spec := submitOne(t, co, 1)
+	env := sealOutcome(t, Outcome{Key: spec.Key, Worker: "w1", Counters: run})
+	env.Payload[2] ^= 0x40
+	if resp := co.Complete(CompleteRequest{Worker: "w1", Lease: lease("w1").ID, Key: spec.Key, Env: env}); resp.Accepted {
+		t.Fatal("corrupt envelope accepted")
+	}
+	if resp := complete("w1", lease("w1"), Outcome{Err: "panic"}); !resp.Accepted || resp.Failed {
+		t.Fatalf("failed execution: %+v", resp)
+	}
+	if n := commits(co); n != 0 {
+		t.Fatalf("after a CRC reject and a failed run: sim_commits %d, want 0", n)
+	}
+	slow := lease("slow")
+	clk.advance(6 * time.Second)
+	stolen := lease("idle")
+	if resp := complete("idle", stolen, Outcome{}); !resp.Accepted || resp.Duplicate {
+		t.Fatalf("settling run: %+v", resp)
+	}
+	if resp := complete("slow", slow, Outcome{}); !resp.Duplicate {
+		t.Fatalf("losing run: %+v", resp)
+	}
+	if n := commits(co); n != 7 {
+		t.Fatalf("after the settling run and its duplicate: sim_commits %d, want 7", n)
+	}
+	submitOne(t, co, 2)
+	if resp := complete("w1", lease("w1"), Outcome{Err: "job hung", TimedOut: true}); !resp.Failed {
+		t.Fatalf("timeout: %+v", resp)
+	}
+	if n := commits(co); n != 7 {
+		t.Fatalf("after a permanent failure: sim_commits %d, want 7", n)
+	}
+
+	// A fresh coordinator answers the settled job from the cache, and the
+	// journaled outcome of another from its resumed state: no run, no count.
+	journaled := SpecOf(exp.Job{Machine: machine.CMP8(), Scheme: core.MultiTMVLazy, Profile: tinyProfile(), Seed: 3})
+	data, err := json.Marshal(sealOutcome(t, Outcome{Key: journaled.Key, Counters: run}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed := NewCoordinator(Config{Cache: cache, State: exp.CampaignState{
+		Outcomes: map[string]json.RawMessage{journaled.Key: data},
+	}})
+	resp, err := resumed.Submit(SubmitRequest{Jobs: []JobSpec{spec, journaled}})
+	if err != nil || resp.Done != 2 {
+		t.Fatalf("cache and journal settles: %+v %v", resp, err)
+	}
+	if resumed.ctr.cacheHits != 1 || resumed.ctr.resumeHits != 1 {
+		t.Fatalf("settle counters: %+v", resumed.ctr)
+	}
+	if n := commits(resumed); n != 0 {
+		t.Fatalf("after cache and journal settles: sim_commits %d, want 0", n)
+	}
+}
+
+// TestStolenDuplicateCountsOnce runs one standard-scale job on a loopback
+// fleet of two observing workers that steal after 1 ms: one worker runs the
+// job and the other steals a duplicate. Both runs finish, and the duplicate
+// result is discarded, so tls_run_* must hold exactly one run's counters.
+func TestStolenDuplicateCountsOnce(t *testing.T) {
+	job := exp.Job{Machine: machine.NUMA16(), Scheme: core.MultiTMVLazy,
+		Profile: workload.StandardScale(workload.Tree()), Seed: 1}
+	ref := job
+	ref.Obs = &obs.Config{Registry: obs.NewRegistry()}
+	ref.Execute()
+	one := ref.Obs.Registry.CounterValue("sim_commits")
+	if one == 0 {
+		t.Fatal("observed run recorded no commits")
+	}
+
+	co, url, stop := startFabric(t, Config{Name: "steal-once", LeaseTTL: 30 * time.Second, StealAfter: time.Millisecond},
+		2, WorkerConfig{Observe: true, Poll: 2 * time.Millisecond})
+	defer stop()
+	client := &Client{URL: url, Poll: 2 * time.Millisecond}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	res, err := client.RunBatch(ctx, []exp.Job{job})
+	if err != nil || res[0].Err != nil {
+		t.Fatalf("batch: %v %v", err, res[0].Err)
+	}
+	// The losing run finishes too: its heartbeat (every 5 s at this TTL)
+	// comes too late to cancel it, so it delivers a duplicate result.
+	for deadline := time.Now().Add(time.Minute); ; time.Sleep(5 * time.Millisecond) {
+		co.mu.Lock()
+		steals, dups := co.ctr.steals, co.ctr.dupResults
+		co.mu.Unlock()
+		if steals >= 1 && dups >= 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("steals %d, duplicate results %d: want a stolen duplicate that finished", steals, dups)
+		}
+	}
+	metrics, _ := scrapeDashboard(t, co.Handler())
+	if got := metricValue(t, metrics, "tls_fleet_jobs_executed"); got != 1 {
+		t.Fatalf("tls_fleet_jobs_executed = %v, want 1", got)
+	}
+	if got := metricValue(t, metrics, "tls_run_sim_commits"); got != float64(one) {
+		t.Fatalf("tls_run_sim_commits = %v, want one run's %d", got, one)
 	}
 }

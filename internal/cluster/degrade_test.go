@@ -15,13 +15,13 @@ import (
 )
 
 // degradeCoordinator builds an injected-clock coordinator for breaker and
-// admission tests (no speculation, so lease accounting stays exact).
+// overload tests (no stealing, so lease accounting stays exact).
 func degradeCoordinator(t *testing.T, cfg Config) (*Coordinator, *fixedClock) {
 	t.Helper()
 	if cfg.LeaseTTL == 0 {
 		cfg.LeaseTTL = time.Minute
 	}
-	cfg.StragglerAfter, cfg.StealAfter = -1, -1
+	cfg.StealAfter = -1
 	co := NewCoordinator(cfg)
 	clk := &fixedClock{t: time.Unix(1000, 0)}
 	co.now = clk.now
@@ -176,7 +176,7 @@ func degradeSpecs(n int) []JobSpec {
 func TestSubmitShedsOverload(t *testing.T) {
 	co, _ := degradeCoordinator(t, Config{MaxPending: 2})
 	specs := degradeSpecs(5)
-	resp, err := co.Submit(SubmitRequest{Jobs: specs, Client: "c1"})
+	resp, err := co.Submit(SubmitRequest{Jobs: specs})
 	over, ok := err.(*OverloadError)
 	if !ok || over.RetryAfter <= 0 {
 		t.Fatalf("overload not shed: %+v %v", resp, err)
@@ -185,7 +185,7 @@ func TestSubmitShedsOverload(t *testing.T) {
 		t.Fatalf("partial accept: %+v %+v", resp, co.ctr)
 	}
 	// Accepted keys joined on retry; the rest still shed until drained.
-	resp2, err2 := co.Submit(SubmitRequest{Jobs: specs, Client: "c1"})
+	resp2, err2 := co.Submit(SubmitRequest{Jobs: specs})
 	if _, ok := err2.(*OverloadError); !ok || resp2.Accepted != 0 || co.ctr.dedupeHits != 2 {
 		t.Fatalf("retry: %+v %v %+v", resp2, err2, co.ctr)
 	}
@@ -199,7 +199,7 @@ func TestSubmitShedsOverload(t *testing.T) {
 	co2, _ := degradeCoordinator(t, Config{MaxPending: 2})
 	srv := httptest.NewServer(co2.Handler())
 	defer srv.Close()
-	body, _ := json.Marshal(SubmitRequest{Jobs: degradeSpecs(5), Client: "c1"})
+	body, _ := json.Marshal(SubmitRequest{Jobs: degradeSpecs(5)})
 	r, err := http.Post(srv.URL+"/v1/submit", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -217,36 +217,6 @@ func TestSubmitShedsOverload(t *testing.T) {
 	}
 }
 
-// TestSubmitRateLimitIsPerClient verifies fair admission: one client
-// draining its bucket does not affect another, unnamed clients are exempt,
-// and tokens refill with time.
-func TestSubmitRateLimitIsPerClient(t *testing.T) {
-	co, clk := degradeCoordinator(t, Config{SubmitRate: 10, SubmitBurst: 5})
-	if _, err := co.Submit(SubmitRequest{Jobs: degradeSpecs(5), Client: "a"}); err != nil {
-		t.Fatalf("burst refused: %v", err)
-	}
-	_, err := co.Submit(SubmitRequest{Jobs: degradeSpecs(6)[5:], Client: "a"})
-	over, ok := err.(*OverloadError)
-	if !ok || over.RetryAfter <= 0 {
-		t.Fatalf("drained bucket not limited: %v", err)
-	}
-	if co.ctr.rateLimited != 1 {
-		t.Fatalf("counters: %+v", co.ctr)
-	}
-	// Fairness: client b has its own bucket; unnamed clients are exempt.
-	if _, err := co.Submit(SubmitRequest{Jobs: degradeSpecs(10)[5:], Client: "b"}); err != nil {
-		t.Fatalf("client b starved by client a: %v", err)
-	}
-	if _, err := co.Submit(SubmitRequest{Jobs: degradeSpecs(11)[10:]}); err != nil {
-		t.Fatalf("unnamed client limited: %v", err)
-	}
-	// Refill: a second of clock restores client a.
-	clk.advance(time.Second)
-	if _, err := co.Submit(SubmitRequest{Jobs: degradeSpecs(12)[11:], Client: "a"}); err != nil {
-		t.Fatalf("bucket did not refill: %v", err)
-	}
-}
-
 // TestSubmitRejectsUnresolvableSpec: a spec that does not re-hash to its
 // own key is rejected, not registered — so a later clean submission of the
 // real spec heals what transport corruption broke.
@@ -256,7 +226,7 @@ func TestSubmitRejectsUnresolvableSpec(t *testing.T) {
 	bad := good
 	bad.Seed++ // corrupted in flight: key no longer matches the payload
 
-	resp, err := co.Submit(SubmitRequest{Jobs: []JobSpec{bad}, Client: "c"})
+	resp, err := co.Submit(SubmitRequest{Jobs: []JobSpec{bad}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +242,7 @@ func TestSubmitRejectsUnresolvableSpec(t *testing.T) {
 		t.Fatalf("rejected key should be unknown: %+v", res)
 	}
 	// The clean spec heals it.
-	resp2, err := co.Submit(SubmitRequest{Jobs: []JobSpec{good}, Client: "c"})
+	resp2, err := co.Submit(SubmitRequest{Jobs: []JobSpec{good}})
 	if err != nil || resp2.Accepted != 1 {
 		t.Fatalf("clean resubmission refused: %+v %v", resp2, err)
 	}

@@ -48,7 +48,7 @@ type Local struct {
 
 	once  sync.Once
 	co    *Coordinator
-	w     *Worker // one worker, so its heartbeat counter totals accumulate
+	w     *Worker
 	hc    *http.Client
 	batch sync.Mutex // serializes RunBatch
 	// byKey holds every submitted job by key, so the coordinator and the
@@ -86,8 +86,8 @@ func (l *Local) coordinator() *Coordinator {
 		l.co = NewCoordinator(Config{
 			Cache: l.Cache, Journal: l.Runner.Journal, State: l.Runner.Resume,
 			FailLimit: l.FailLimit, Campaign: campaign,
-			// A speculative duplicate on the same host only burns a slot.
-			StragglerAfter: -1, StealAfter: -1,
+			// A stolen duplicate on the same host only burns a slot.
+			StealAfter: -1,
 		})
 		l.byKey = make(map[string]exp.Job)
 		resolve := func(s JobSpec) (exp.Job, error) {

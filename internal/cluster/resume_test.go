@@ -102,7 +102,7 @@ func TestCoordinatorResume(t *testing.T) {
 // the in-flight job's lease is returned to the coordinator and re-queued
 // rather than completed or lost.
 func TestWorkerDrainReleasesLease(t *testing.T) {
-	co := NewCoordinator(Config{Name: "drain", StragglerAfter: -1, StealAfter: -1})
+	co := NewCoordinator(Config{Name: "drain", StealAfter: -1})
 	addr, err := co.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -104,7 +104,7 @@ func TestCompleteCountsCachePutFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	co := NewCoordinator(Config{Cache: cache, StragglerAfter: -1, StealAfter: -1})
+	co := NewCoordinator(Config{Cache: cache, StealAfter: -1})
 	spec := submitOne(t, co, 1)
 	lr := co.LeaseJobs(LeaseRequest{Worker: "w1", Max: 1})
 	inj.SetSyncFailures(1)

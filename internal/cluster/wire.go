@@ -14,7 +14,7 @@ import (
 //
 //	/v1/submit    client -> coordinator: register jobs (idempotent by Key)
 //	/v1/lease     worker -> coordinator: pull a batch of leased jobs
-//	/v1/heartbeat worker -> coordinator: extend leases, report obs counters
+//	/v1/heartbeat worker -> coordinator: extend leases, ship trace spans
 //	/v1/complete  worker -> coordinator: deliver one job's sealed outcome
 //	/v1/release   worker -> coordinator: return leases without an outcome
 //	/v1/results   client -> coordinator: poll sealed outcomes by key
@@ -70,6 +70,11 @@ type Outcome struct {
 	Attempts int    `json:"attempts,omitempty"`
 	WallMS   int64  `json:"wall_ms,omitempty"`
 	Worker   string `json:"worker,omitempty"`
+	// Counters are the observed run's obs counters (a worker with Observe
+	// on, or a caller-attached registry). The coordinator merges them into
+	// its tls_run_* series only when this outcome settles the job, so a
+	// duplicate or rejected execution never counts twice.
+	Counters map[string]uint64 `json:"counters,omitempty"`
 }
 
 // SubmitRequest registers jobs with the coordinator. Submission is
@@ -78,9 +83,6 @@ type Outcome struct {
 // simply submit again.
 type SubmitRequest struct {
 	Jobs []JobSpec `json:"jobs"`
-	// Client names the submitter for fair per-client rate limiting; an empty
-	// name (the coordinator's own grid preload, legacy clients) is exempt.
-	Client string `json:"client,omitempty"`
 }
 
 // SubmitResponse reports how many of the submitted jobs were new and how
@@ -112,8 +114,8 @@ type Lease struct {
 	TTLMS int64 `json:"ttl_ms"`
 	// Attempt is the job's 1-based execution number (spans, post-mortems).
 	Attempt int `json:"attempt,omitempty"`
-	// Speculative marks a duplicate issue of a job another worker already
-	// holds (straggler re-execution / steal); first valid result wins.
+	// Speculative marks the one duplicate of a job another worker already
+	// holds, stolen by an idle worker; first valid result wins.
 	Speculative bool `json:"speculative,omitempty"`
 }
 
@@ -125,13 +127,10 @@ type LeaseResponse struct {
 	RetryAfterMS int64   `json:"retry_after_ms,omitempty"`
 }
 
-// HeartbeatRequest extends the named leases and reports the worker's
-// cumulative obs counter totals (absolute values, so a lost or repeated
-// heartbeat cannot double-count).
+// HeartbeatRequest extends the named leases and ships trace spans.
 type HeartbeatRequest struct {
-	Worker   string            `json:"worker"`
-	Leases   []uint64          `json:"leases"`
-	Counters map[string]uint64 `json:"counters,omitempty"`
+	Worker string   `json:"worker"`
+	Leases []uint64 `json:"leases"`
 	// Spans ships the worker's retained trace spans since the last
 	// successful heartbeat; the coordinator folds them into the merged fleet
 	// trace. A failed heartbeat requeues them locally, so spans are

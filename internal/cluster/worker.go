@@ -35,11 +35,10 @@ type WorkerConfig struct {
 	// the coordinator's policy (Config.FailLimit), not the worker's.
 	Runner *exp.Runner
 	// Observe attaches a fresh obs registry to every executed job. Every
-	// observed job's counters (a caller-attached registry too) are folded
-	// into the worker's totals, which heartbeats report to the coordinator's
-	// tls_run_* metrics. Observability is per-worker and never part of a
-	// job's identity, so observed and unobserved workers produce identical
-	// results.
+	// observed run's counters (a caller-attached registry too) ride its
+	// sealed Outcome to the coordinator's tls_run_* metrics. Observability
+	// is per-worker and never part of a job's identity, so observed and
+	// unobserved workers produce identical results.
 	Observe bool
 	// Logf, when non-nil, receives operational log lines.
 	Logf func(format string, args ...any)
@@ -85,10 +84,9 @@ type Worker struct {
 	// in-process executor hands back the caller's own job, Obs included.
 	resolve func(JobSpec) (exp.Job, error)
 
-	mu        sync.Mutex
-	cancels   map[uint64]context.CancelFunc // per-lease job cancellation
-	ttl       time.Duration                 // latest lease TTL seen
-	obsTotals map[string]uint64             // cumulative observed counters
+	mu      sync.Mutex
+	cancels map[uint64]context.CancelFunc // per-lease job cancellation
+	ttl     time.Duration                 // latest lease TTL seen
 }
 
 // NewWorker builds a worker for the config.
@@ -133,7 +131,7 @@ func (w *Worker) logf(format string, args ...any) {
 // Run pulls and executes jobs until ctx dies, then drains: in-flight
 // simulations are interrupted (checkpointing at their next commit when
 // checkpointing is on), unfinished leases are returned to the coordinator,
-// and one final heartbeat delivers the closing counter totals.
+// and one final heartbeat ships the last trace spans.
 func (w *Worker) Run(ctx context.Context) error {
 	hbCtx, hbStop := context.WithCancel(context.Background())
 	var hbWG sync.WaitGroup
@@ -204,7 +202,7 @@ pull:
 	wg.Wait()
 	hbStop()
 	hbWG.Wait()
-	w.heartbeat() // final counter totals, best-effort
+	w.heartbeat() // final spans, best-effort
 	return ctx.Err()
 }
 
@@ -250,12 +248,6 @@ func (w *Worker) runLease(ctx context.Context, l Lease) {
 		w.release(l.ID)
 		return
 	}
-	if jr.Err == nil && job.Obs != nil {
-		w.foldObs(job.Obs.Registry)
-		// Push the new totals now rather than waiting for the timer, so the
-		// fleet dashboard tracks completed jobs, not heartbeat boundaries.
-		defer w.heartbeat()
-	}
 	o := Outcome{
 		Key: l.Spec.Key, Result: jr.Result, Chaos: jr.Chaos,
 		Attempts: jr.Attempts, WallMS: jr.Wall.Milliseconds(), Worker: w.cfg.Name,
@@ -264,29 +256,17 @@ func (w *Worker) runLease(ctx context.Context, l Lease) {
 		o.Result, o.Chaos = sim.Result{}, nil
 		o.Err = jr.Err.Error()
 		o.TimedOut = jr.TimedOut
+	} else if job.Obs != nil {
+		// The registry is only read here, after its simulation finished, so
+		// the zero-synchronization hot path is preserved.
+		o.Counters = job.Obs.Registry.CounterSnapshot()
 	}
 	if w.complete(ctx, l, o).Failed {
 		w.cfg.Runner.PostMortem(job, l.Spec.Campaign, o.Err)
 	}
 }
 
-// foldObs accumulates one finished run's counters into the worker totals.
-// The registry is only read here, after its simulation completed, so the
-// zero-synchronization hot path is preserved.
-func (w *Worker) foldObs(reg *obs.Registry) {
-	snap := reg.CounterSnapshot()
-	if snap == nil {
-		return
-	}
-	w.mu.Lock()
-	if w.obsTotals == nil {
-		w.obsTotals = make(map[string]uint64)
-	}
-	obs.MergeCounters(w.obsTotals, snap)
-	w.mu.Unlock()
-}
-
-// heartbeatLoop extends leases and reports counters until stopped.
+// heartbeatLoop extends leases and ships spans until stopped.
 func (w *Worker) heartbeatLoop(ctx context.Context) {
 	for {
 		w.mu.Lock()
@@ -313,19 +293,12 @@ func (w *Worker) heartbeat() {
 	for id := range w.cancels {
 		ids = append(ids, id)
 	}
-	var counters map[string]uint64
-	if len(w.obsTotals) > 0 {
-		counters = make(map[string]uint64, len(w.obsTotals))
-		for k, v := range w.obsTotals {
-			counters[k] = v
-		}
-	}
 	w.mu.Unlock()
 	// Ship retained spans with the heartbeat; a failed post requeues them so
 	// a flaky network delays the fleet trace instead of losing pieces of it.
 	spans := w.tracer.Drain()
 	var resp HeartbeatResponse
-	err := w.post("/v1/heartbeat", HeartbeatRequest{Worker: w.cfg.Name, Leases: ids, Counters: counters, Spans: spans}, &resp)
+	err := w.post("/v1/heartbeat", HeartbeatRequest{Worker: w.cfg.Name, Leases: ids, Spans: spans}, &resp)
 	if err != nil {
 		w.tracer.Requeue(spans)
 		return

@@ -149,8 +149,8 @@ func TestReplayJournalClusterRecords(t *testing.T) {
 		{T: RecLease, Key: "a", Worker: "w1", Lease: 1},
 		{T: RecLease, Key: "b", Worker: "w2", Lease: 2},
 		{T: RecLease, Key: "c", Worker: "w1", Lease: 3},
-		// a completes on w1; b is re-leased speculatively to w1 (straggler)
-		// and the duplicate wins there.
+		// a completes on w1; the idle w1 steals a duplicate of b, and the
+		// duplicate wins there.
 		{T: RecJobDone, Key: "a", Worker: "w1"},
 		{T: RecLease, Key: "b", Worker: "w1", Lease: 4},
 		{T: RecJobDone, Key: "b", Worker: "w1"},

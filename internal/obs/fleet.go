@@ -1,12 +1,12 @@
 package obs
 
 // Fleet-level aggregation helpers. A distributed campaign has one registry
-// per observed run on each worker; workers fold finished runs into a plain
-// name→value map and report absolute totals, and the coordinator merges the
-// per-worker maps at scrape time. Maps (not registries) cross these
-// boundaries: a Registry's counters are deliberately unsynchronized for the
-// zero-overhead hot path, so they are only read after the run that owns them
-// has finished.
+// per observed run on each worker; a worker snapshots a finished run into a
+// plain name→value map that rides the run's sealed outcome, and the
+// coordinator merges the map of each job's settling run. Maps (not
+// registries) cross these boundaries: a Registry's counters are
+// deliberately unsynchronized for the zero-overhead hot path, so they are
+// only read after the run that owns them has finished.
 
 // CounterSnapshot copies every counter of the registry into a map. The
 // registry must be quiescent (its simulation finished); returns nil for a

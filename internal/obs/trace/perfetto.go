@@ -213,7 +213,7 @@ func ExportPerfetto(w io.Writer, coordProc string, spans []Span) error {
 // "events" lane rather than spawning one lane each.
 func kindLane(kind string) string {
 	switch kind {
-	case KindQueue, KindLease, KindStraggler, KindSteal, KindComplete,
+	case KindQueue, KindLease, KindSteal, KindComplete,
 		KindAttempt, KindCheckpoint, KindQuarantine, KindCacheHit:
 		return kind
 	case "":
@@ -231,21 +231,19 @@ func laneOrder(kind string) int {
 		return 0
 	case KindLease:
 		return 1
-	case KindStraggler:
-		return 2
 	case KindSteal:
-		return 3
+		return 2
 	case KindComplete:
-		return 4
+		return 3
 	case KindAttempt:
-		return 5
+		return 4
 	case KindCheckpoint:
-		return 6
+		return 5
 	case KindCacheHit:
-		return 7
+		return 6
 	case KindQuarantine:
-		return 8
+		return 7
 	default:
-		return 9
+		return 8
 	}
 }

@@ -34,7 +34,6 @@ import (
 const (
 	KindQueue      = "queue"      // coordinator: submit -> first lease grant
 	KindLease      = "lease"      // coordinator: lease grant -> settle
-	KindStraggler  = "straggler"  // coordinator: speculative re-issue decision
 	KindSteal      = "steal"      // coordinator: work-steal grant decision
 	KindComplete   = "complete"   // coordinator: outcome ingested
 	KindAttempt    = "attempt"    // runner: one execution attempt
@@ -224,8 +223,8 @@ func (t *Tracer) Emit(sp Span) uint64 {
 }
 
 // Instant emits a zero-duration span at the current clock and returns its
-// ID. Convenience over Emit for decision points (retries, straggler
-// re-issues, quarantines).
+// ID. Convenience over Emit for decision points (retries, steals,
+// quarantines).
 func (t *Tracer) Instant(sp Span) uint64 {
 	if t == nil {
 		return 0

@@ -21,7 +21,7 @@ url="http://127.0.0.1:$port"
 report_args="-only fig9 -apps Tree,Euler,Track,Bdna -seed 3"
 # Short lease TTL so killed/flapping workers' leases requeue quickly, and a
 # short quarantine so breaker probation cycles happen within the drill.
-serve_args="-lease-ttl 2s -steal-after 1s -straggler 0 -quarantine-for 2s"
+serve_args="-lease-ttl 2s -steal-after 1s -quarantine-for 2s"
 
 rm -rf "$dir"
 mkdir -p "$dir"

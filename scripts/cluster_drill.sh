@@ -14,7 +14,7 @@ url="http://127.0.0.1:$port"
 # ~5s of serial simulation: enough runway for both kills to land mid-flight.
 report_args="-only fig9 -apps Tree,Euler,Track,Bdna -seed 3"
 # Short lease TTL so the killed worker's leases requeue within the drill.
-serve_args="-lease-ttl 2s -steal-after 1s -straggler 0"
+serve_args="-lease-ttl 2s -steal-after 1s"
 
 rm -rf "$dir"
 mkdir -p "$dir"
