@@ -21,8 +21,11 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
+# vet also covers the benchmark driver's own module (perfbench/), which the
+# root ./... skips because it is a nested module.
 vet:
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 
 # race exercises the packages that run jobs concurrently (the in-process
 # coordinator, its worker and the runner) and the sweeps built on them.

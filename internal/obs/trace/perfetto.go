@@ -8,39 +8,86 @@ import (
 	"strconv"
 )
 
-// This file renders a merged fleet span set as a Chrome/Perfetto
-// trace-event JSON file: one Perfetto process (pid) per fleet process lane
-// (the coordinator plus each worker), one thread (tid) per span kind inside
-// it, and flow arrows stitching lease→attempt→complete chains across
-// processes wherever spans share a Flow tag (the lease ID).
-//
-// The layout deliberately differs from report.ExportPerfetto (which renders
-// one simulation's cycle domain into a single pid): here each fleet process
-// gets its own pid so ui.perfetto.dev shows the coordinator's decision lanes
-// above a stack of worker lanes, all on one shared wall-clock axis.
+// This file is the repo's one writer of Chrome/Perfetto trace-event JSON
+// (the "JSON Object Format" both chrome://tracing and ui.perfetto.dev
+// load): the Event record, its encoder, and the metadata and flow-arrow
+// builders. Two layouts map onto it. report.ExportPerfetto renders one
+// simulation's cycle domain into a single pid; ExportPerfetto below renders
+// a merged fleet span set with one pid per fleet process lane (the
+// coordinator plus each worker), one tid per span kind inside it, and flow
+// arrows stitching lease→attempt→complete chains across processes wherever
+// spans share a Flow tag (the lease ID), all on one wall-clock axis.
+// report.ValidatePerfetto is the independent reader of both.
 
-type fleetEvent struct {
+// Event is one trace-event record. Field names follow the format; Ts and
+// Dur are µs (wall-clock µs for fleet spans, simulated cycles for a
+// simulation timeline).
+type Event struct {
 	Name string         `json:"name"`
 	Cat  string         `json:"cat,omitempty"`
 	Ph   string         `json:"ph"`
-	Ts   float64        `json:"ts"`
-	Dur  float64        `json:"dur,omitempty"`
+	Ts   uint64         `json:"ts"`
+	Dur  uint64         `json:"dur,omitempty"`
 	Pid  int            `json:"pid"`
 	Tid  int            `json:"tid"`
 	ID   string         `json:"id,omitempty"`
-	S    string         `json:"s,omitempty"`
-	BP   string         `json:"bp,omitempty"`
+	S    string         `json:"s,omitempty"`  // instant scope
+	BP   string         `json:"bp,omitempty"` // flow binding point
 	Args map[string]any `json:"args,omitempty"`
 }
 
-type fleetFile struct {
-	TraceEvents     []fleetEvent `json:"traceEvents"`
-	DisplayTimeUnit string       `json:"displayTimeUnit"`
+// WriteEvents writes evs as one compact trace-event JSON document.
+func WriteEvents(w io.Writer, evs []Event) error {
+	return json.NewEncoder(w).Encode(struct {
+		TraceEvents     []Event `json:"traceEvents"`
+		DisplayTimeUnit string  `json:"displayTimeUnit"`
+	}{evs, "ms"})
+}
+
+// LaneName returns the metadata event that labels a lane: meta is
+// "process_name" (naming pid) or "thread_name" (naming pid's tid).
+func LaneName(meta string, pid, tid int, name string) Event {
+	return Event{Name: meta, Ph: "M", Pid: pid, Tid: tid, Args: map[string]any{"name": name}}
+}
+
+// AppendFlow appends one flow arrow chained through the slices in chain
+// (only their Ts, Dur, Pid and Tid are read): an "s" at the first slice's
+// start, a "t" at each middle slice's start, and an "f" bound to the
+// enclosing slice at the last one's end. Perfetto pairs the events by cat
+// plus id.
+func AppendFlow(evs []Event, name, cat, id string, chain []Event) []Event {
+	for i, sl := range chain {
+		ev := Event{Name: name, Cat: cat, Ph: "t", Ts: sl.Ts, Pid: sl.Pid, Tid: sl.Tid, ID: id}
+		switch i {
+		case 0:
+			ev.Ph = "s"
+		case len(chain) - 1:
+			ev.Ph, ev.BP, ev.Ts = "f", "e", sl.Ts+sl.Dur
+		}
+		evs = append(evs, ev)
+	}
+	return evs
 }
 
 // flowCat is the category carried by every cross-process flow arrow; start
 // and finish events must agree on cat+id for Perfetto to draw the arrow.
 const flowCat = "fleet-flow"
+
+// lanes fixes the top-to-bottom lane layout inside each process: the
+// coordinator's decision lanes first, then the runner's execution lanes.
+// Kinds not listed share the last, "events" lane rather than spawning one
+// lane each.
+var lanes = [...]string{KindQueue, KindLease, KindSteal, KindComplete,
+	KindAttempt, KindCheckpoint, KindCacheHit, KindQuarantine, "events"}
+
+func laneOf(kind string) int {
+	for i, k := range lanes[:len(lanes)-1] {
+		if k == kind {
+			return i
+		}
+	}
+	return len(lanes) - 1
+}
 
 // ExportPerfetto writes the merged fleet trace for spans collected from any
 // number of fleet processes. Spans are grouped into one Perfetto process per
@@ -53,70 +100,10 @@ func ExportPerfetto(w io.Writer, coordProc string, spans []Span) error {
 		return fmt.Errorf("trace: no spans to export")
 	}
 
-	// Deterministic process lanes: coordinator first, workers alphabetical.
-	procSet := make(map[string]bool)
-	for _, sp := range spans {
-		procSet[sp.Proc] = true
-	}
-	procs := make([]string, 0, len(procSet))
-	for p := range procSet {
-		procs = append(procs, p)
-	}
-	sort.Slice(procs, func(i, j int) bool {
-		if (procs[i] == coordProc) != (procs[j] == coordProc) {
-			return procs[i] == coordProc
-		}
-		return procs[i] < procs[j]
-	})
-	pidOf := make(map[string]int, len(procs))
-	for i, p := range procs {
-		pidOf[p] = i
-	}
-
-	// One thread per (proc, kind), numbered in a stable order so the lane
-	// layout survives re-export.
-	kindSet := make(map[string]map[string]bool)
-	for _, sp := range spans {
-		if kindSet[sp.Proc] == nil {
-			kindSet[sp.Proc] = make(map[string]bool)
-		}
-		kindSet[sp.Proc][kindLane(sp.Kind)] = true
-	}
-	type lane struct{ proc, kind string }
-	tidOf := make(map[lane]int)
-	var events []fleetEvent
-	for _, p := range procs {
-		kinds := make([]string, 0, len(kindSet[p]))
-		for k := range kindSet[p] {
-			kinds = append(kinds, k)
-		}
-		sort.Slice(kinds, func(i, j int) bool {
-			return laneOrder(kinds[i]) < laneOrder(kinds[j])
-		})
-		events = append(events, fleetEvent{
-			Name: "process_name", Ph: "M", Pid: pidOf[p], Tid: 0,
-			Args: map[string]any{"name": p},
-		})
-		for i, k := range kinds {
-			tidOf[lane{p, k}] = i
-			events = append(events, fleetEvent{
-				Name: "thread_name", Ph: "M", Pid: pidOf[p], Tid: i,
-				Args: map[string]any{"name": k},
-			})
-		}
-	}
-
-	// Normalize the time axis: fleet spans carry µs-since-epoch stamps that
-	// dwarf the trace's extent; shift so the first span starts at 0.
-	base := spans[0].Start
-	for _, sp := range spans {
-		if sp.Start < base {
-			base = sp.Start
-		}
-	}
-
 	// Render spans in a deterministic order (start, then ID) regardless of
-	// the merge order the coordinator collected them in.
+	// the merge order the coordinator collected them in. Fleet spans carry
+	// µs-since-epoch stamps that dwarf the trace's extent, so the first
+	// span's start becomes 0.
 	ordered := append([]Span(nil), spans...)
 	sort.Slice(ordered, func(i, j int) bool {
 		if ordered[i].Start != ordered[j].Start {
@@ -124,11 +111,47 @@ func ExportPerfetto(w io.Writer, coordProc string, spans []Span) error {
 		}
 		return ordered[i].ID < ordered[j].ID
 	})
+	base := ordered[0].Start
 
-	flows := make(map[uint64][]Span)
+	// Deterministic process lanes: coordinator first, workers alphabetical;
+	// one thread per (proc, kind lane), numbered in lane-table order so the
+	// layout survives re-export.
+	type lane struct {
+		proc string
+		kind int
+	}
+	pidOf := make(map[string]int)
+	tidOf := make(map[lane]int)
+	var procs []string
 	for _, sp := range ordered {
-		pid := pidOf[sp.Proc]
-		tid := tidOf[lane{sp.Proc, kindLane(sp.Kind)}]
+		if _, seen := pidOf[sp.Proc]; !seen {
+			pidOf[sp.Proc] = 0
+			procs = append(procs, sp.Proc)
+		}
+		tidOf[lane{sp.Proc, laneOf(sp.Kind)}] = 0
+	}
+	sort.Slice(procs, func(i, j int) bool {
+		if (procs[i] == coordProc) != (procs[j] == coordProc) {
+			return procs[i] == coordProc
+		}
+		return procs[i] < procs[j]
+	})
+	var events []Event
+	for pid, p := range procs {
+		pidOf[p] = pid
+		events = append(events, LaneName("process_name", pid, 0, p))
+		tid := 0
+		for k, name := range lanes {
+			if _, used := tidOf[lane{p, k}]; used {
+				tidOf[lane{p, k}] = tid
+				events = append(events, LaneName("thread_name", pid, tid, name))
+				tid++
+			}
+		}
+	}
+
+	flows := make(map[uint64][]Event)
+	for _, sp := range ordered {
 		args := map[string]any{"span": strconv.FormatUint(sp.ID, 10)}
 		if sp.Campaign != "" {
 			args["campaign"] = sp.Campaign
@@ -148,102 +171,30 @@ func ExportPerfetto(w io.Writer, coordProc string, spans []Span) error {
 		if sp.Note != "" {
 			args["note"] = sp.Note
 		}
-		ev := fleetEvent{
-			Name: sp.Name, Cat: sp.Kind, Ts: float64(sp.Start - base),
-			Pid: pid, Tid: tid, Args: args,
+		ev := Event{
+			Name: sp.Name, Cat: sp.Kind, Ph: "i", S: "t", Ts: uint64(sp.Start - base),
+			Pid: pidOf[sp.Proc], Tid: tidOf[lane{sp.Proc, laneOf(sp.Kind)}], Args: args,
 		}
 		if sp.Dur > 0 {
-			ev.Ph = "X"
-			ev.Dur = float64(sp.Dur)
-		} else {
-			ev.Ph = "i"
-			ev.S = "t"
+			ev.Ph, ev.S, ev.Dur = "X", "", uint64(sp.Dur)
 		}
 		events = append(events, ev)
 		if sp.Flow != 0 {
-			flows[sp.Flow] = append(flows[sp.Flow], sp)
+			flows[sp.Flow] = append(flows[sp.Flow], ev)
 		}
 	}
 
-	// Flow arrows: each Flow tag's spans, in time order, become one chain of
-	// s → t... → f events. A chain needs at least two spans to draw.
+	// Flow arrows: each Flow tag's spans, already in time order, become one
+	// s → t... → f chain. A chain needs at least two spans to draw.
 	flowIDs := make([]uint64, 0, len(flows))
-	for id := range flows {
-		if len(flows[id]) >= 2 {
+	for id, chain := range flows {
+		if len(chain) >= 2 {
 			flowIDs = append(flowIDs, id)
 		}
 	}
 	sort.Slice(flowIDs, func(i, j int) bool { return flowIDs[i] < flowIDs[j] })
 	for _, id := range flowIDs {
-		chain := flows[id]
-		sort.Slice(chain, func(i, j int) bool {
-			if chain[i].Start != chain[j].Start {
-				return chain[i].Start < chain[j].Start
-			}
-			return chain[i].ID < chain[j].ID
-		})
-		fid := strconv.FormatUint(id, 10)
-		for i, sp := range chain {
-			ev := fleetEvent{
-				Name: "lease-flow", Cat: flowCat, ID: fid,
-				Pid: pidOf[sp.Proc], Tid: tidOf[lane{sp.Proc, kindLane(sp.Kind)}],
-			}
-			switch {
-			case i == 0:
-				ev.Ph = "s"
-				ev.Ts = float64(sp.Start - base)
-			case i == len(chain)-1:
-				ev.Ph = "f"
-				ev.BP = "e"
-				ev.Ts = float64(sp.End() - base)
-			default:
-				ev.Ph = "t"
-				ev.Ts = float64(sp.Start - base)
-			}
-			events = append(events, ev)
-		}
+		events = AppendFlow(events, "lease-flow", flowCat, strconv.FormatUint(id, 10), flows[id])
 	}
-
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(fleetFile{TraceEvents: events, DisplayTimeUnit: "ms"})
-}
-
-// kindLane maps a span kind to its thread lane name; unknown kinds share an
-// "events" lane rather than spawning one lane each.
-func kindLane(kind string) string {
-	switch kind {
-	case KindQueue, KindLease, KindSteal, KindComplete,
-		KindAttempt, KindCheckpoint, KindQuarantine, KindCacheHit:
-		return kind
-	case "":
-		return "events"
-	default:
-		return "events"
-	}
-}
-
-// laneOrder fixes the top-to-bottom lane layout inside each process: the
-// coordinator's decision lanes first, then the runner's execution lanes.
-func laneOrder(kind string) int {
-	switch kind {
-	case KindQueue:
-		return 0
-	case KindLease:
-		return 1
-	case KindSteal:
-		return 2
-	case KindComplete:
-		return 3
-	case KindAttempt:
-		return 4
-	case KindCheckpoint:
-		return 5
-	case KindCacheHit:
-		return 6
-	case KindQuarantine:
-		return 7
-	default:
-		return 8
-	}
+	return WriteEvents(w, events)
 }

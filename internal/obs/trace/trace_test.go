@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math/rand"
+	"os"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -256,6 +259,77 @@ func TestExportPerfettoLayout(t *testing.T) {
 	if starts != 1 || finishes != 1 || steps != 1 {
 		t.Fatalf("flow chain s/t/f = %d/%d/%d, want 1/1/1", starts, steps, finishes)
 	}
+
+	// Re-export contract: the merge order the coordinator collected spans
+	// in does not matter; the same spans always give the same bytes.
+	shuffled := append([]Span(nil), spans...)
+	rand.New(rand.NewSource(1)).Shuffle(len(shuffled), func(i, j int) {
+		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+	})
+	var again bytes.Buffer
+	if err := ExportPerfetto(&again, "coordinator", shuffled); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), again.Bytes()) {
+		t.Fatalf("re-export of shuffled spans differs:\n%s\n%s", buf.Bytes(), again.Bytes())
+	}
+}
+
+// TestExportPerfettoFixture pins the fleet layout: testdata/fleet_fixture.json
+// is the export of fleetFixture by the fleet exporter that predates the
+// shared trace-event writer (indented JSON). The current export must decode
+// to the same events in the same order, whatever the input order.
+func TestExportPerfettoFixture(t *testing.T) {
+	want, err := os.ReadFile("testdata/fleet_fixture.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spans := fleetFixture()
+	for i := 0; i < 2; i++ {
+		var buf bytes.Buffer
+		if err := ExportPerfetto(&buf, "coordinator", spans); err != nil {
+			t.Fatal(err)
+		}
+		if got, wantEvs := decodeEvents(t, buf.Bytes()), decodeEvents(t, want); !reflect.DeepEqual(got, wantEvs) {
+			t.Fatalf("export differs from the fixture:\ngot  %v\nwant %v", got, wantEvs)
+		}
+		for l, r := 0, len(spans)-1; l < r; l, r = l+1, r-1 {
+			spans[l], spans[r] = spans[r], spans[l]
+		}
+	}
+}
+
+// fleetFixture covers every layout rule: three processes (the coordinator
+// plus two workers that sort by name), a nameless span of a kind outside
+// the lane table, instants, start-time ties broken by ID, and flow chains
+// of three and two spans ending on an instant or a slice, and of one span
+// (which draws no arrow).
+func fleetFixture() []Span {
+	return []Span{
+		{ID: 11, Proc: "coordinator", Name: "job1", Kind: KindQueue, Start: 1_000_100, Dur: 50, Campaign: "c-1", Key: "k1"},
+		{ID: 12, Proc: "coordinator", Name: "job1", Kind: KindLease, Start: 1_000_150, Dur: 400, Campaign: "c-1", Key: "k1", Flow: 42},
+		{ID: 21, Proc: "worker-b", Name: "job1", Kind: KindAttempt, Start: 1_000_200, Dur: 250, Campaign: "c-1", Key: "k1", Attempt: 1, Flow: 42},
+		{ID: 13, Proc: "coordinator", Name: "job1", Kind: KindComplete, Start: 1_000_500, Campaign: "c-1", Key: "k1", Flow: 42},
+		{ID: 31, Proc: "worker-a", Name: "", Kind: "gc-pause", Start: 1_000_200, Dur: 30, Note: "unnamed, unknown kind"},
+		{ID: 32, Proc: "worker-a", Name: "job2", Kind: KindCheckpoint, Start: 1_000_300, Key: "k2", Flow: 7},
+		{ID: 14, Proc: "coordinator", Name: "job2", Kind: KindLease, Start: 1_000_120, Dur: 600, Key: "k2", Flow: 7, Err: "lease expired"},
+		{ID: 33, Proc: "worker-a", Name: "job2", Kind: KindQuarantine, Start: 1_000_700, Key: "k2", Attempt: 2, Note: "panic"},
+		{ID: 15, Proc: "coordinator", Name: "job3", Kind: KindCacheHit, Start: 1_000_100, Key: "k3"},
+		{ID: 16, Proc: "coordinator", Name: "lonely", Kind: KindSteal, Start: 1_000_400, Dur: 5, Flow: 99},
+		{ID: 17, Proc: "coordinator", Name: "job4", Kind: KindLease, Start: 1_000_600, Dur: 100, Key: "k4", Flow: 5},
+		{ID: 34, Proc: "worker-a", Name: "job4", Kind: KindAttempt, Start: 1_000_650, Dur: 40, Key: "k4", Attempt: 1, Flow: 5},
+	}
+}
+
+func decodeEvents(t *testing.T, doc []byte) []any {
+	t.Helper()
+	var file struct {
+		TraceEvents []any `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(doc, &file); err != nil {
+		t.Fatalf("not trace-event JSON: %v", err)
+	}
+	return file.TraceEvents
 }
 
 func TestExportPerfettoEmpty(t *testing.T) {

@@ -8,12 +8,13 @@ import (
 
 	"repro/internal/ids"
 	"repro/internal/obs"
+	"repro/internal/obs/trace"
 	"repro/internal/sim"
 )
 
-// Perfetto / Chrome trace-event export: one traced simulation run rendered
-// as trace-event JSON (the "JSON Array Format" both chrome://tracing and
-// ui.perfetto.dev load). The mapping is:
+// Perfetto / Chrome trace-event export: one traced simulation run mapped
+// onto trace.Event records, written by the one trace-event writer in
+// internal/obs/trace. The layout is:
 //
 //   - one process (pid 0) named after the run;
 //   - one "exec" thread lane per processor (tid = proc) carrying complete
@@ -32,48 +33,16 @@ import (
 // commitLaneBase offsets commit-lane thread IDs away from exec-lane ones.
 const commitLaneBase = 1000
 
-// perfettoEvent is one trace-event record. Field names follow the format.
-type perfettoEvent struct {
-	Name string         `json:"name,omitempty"`
-	Cat  string         `json:"cat,omitempty"`
-	Ph   string         `json:"ph"`
-	Ts   uint64         `json:"ts"`
-	Dur  uint64         `json:"dur,omitempty"`
-	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid"`
-	ID   string         `json:"id,omitempty"`
-	S    string         `json:"s,omitempty"`  // instant scope
-	BP   string         `json:"bp,omitempty"` // flow binding point
-	Args map[string]any `json:"args,omitempty"`
-}
-
-type perfettoFile struct {
-	TraceEvents     []perfettoEvent `json:"traceEvents"`
-	DisplayTimeUnit string          `json:"displayTimeUnit"`
-}
-
 // ExportPerfetto writes run r (traced via EnableTrace) and the optional obs
 // gauge series as Chrome trace-event JSON.
 func ExportPerfetto(w io.Writer, r sim.Result, series obs.Series) error {
 	nprocs := len(r.PerProc)
 	label := fmt.Sprintf("%s/%s/%v", r.Machine, r.App, r.Scheme)
-	var evs []perfettoEvent
-
-	// Metadata: process and per-processor lane names.
-	evs = append(evs, perfettoEvent{
-		Name: "process_name", Ph: "M", Pid: 0, Tid: 0,
-		Args: map[string]any{"name": label},
-	})
+	evs := []trace.Event{trace.LaneName("process_name", 0, 0, label)}
 	for p := 0; p < nprocs; p++ {
 		evs = append(evs,
-			perfettoEvent{
-				Name: "thread_name", Ph: "M", Pid: 0, Tid: p,
-				Args: map[string]any{"name": fmt.Sprintf("proc %d exec", p)},
-			},
-			perfettoEvent{
-				Name: "thread_name", Ph: "M", Pid: 0, Tid: commitLaneBase + p,
-				Args: map[string]any{"name": fmt.Sprintf("proc %d commit", p)},
-			},
+			trace.LaneName("thread_name", 0, p, fmt.Sprintf("proc %d exec", p)),
+			trace.LaneName("thread_name", 0, commitLaneBase+p, fmt.Sprintf("proc %d commit", p)),
 		)
 	}
 
@@ -98,14 +67,14 @@ func ExportPerfetto(w io.Writer, r sim.Result, series obs.Series) error {
 				if e.Kind == sim.TraceSquash {
 					cat = "squashed"
 				}
-				evs = append(evs, perfettoEvent{
+				evs = append(evs, trace.Event{
 					Name: name, Cat: cat, Ph: "X",
 					Ts: uint64(st.When), Dur: uint64(e.When - st.When),
 					Pid: 0, Tid: int(e.Proc),
 				})
 			}
 			if e.Kind == sim.TraceSquash {
-				evs = append(evs, perfettoEvent{
+				evs = append(evs, trace.Event{
 					Name: "squash " + e.Task.String(), Cat: "squash", Ph: "i",
 					Ts: uint64(e.When), Pid: 0, Tid: int(e.Proc), S: "t",
 					Args: map[string]any{
@@ -116,17 +85,10 @@ func ExportPerfetto(w io.Writer, r sim.Result, series obs.Series) error {
 				})
 				if wp, ok := procOf[e.Writer]; ok && e.Writer != ids.None {
 					flowID++
-					id := strconv.Itoa(flowID)
-					evs = append(evs,
-						perfettoEvent{
-							Name: "raw", Cat: "squash", Ph: "s", ID: id,
-							Ts: uint64(e.When), Pid: 0, Tid: int(wp),
-						},
-						perfettoEvent{
-							Name: "raw", Cat: "squash", Ph: "f", ID: id, BP: "e",
-							Ts: uint64(e.When), Pid: 0, Tid: int(e.Proc),
-						},
-					)
+					evs = trace.AppendFlow(evs, "raw", "squash", strconv.Itoa(flowID), []trace.Event{
+						{Ts: uint64(e.When), Pid: 0, Tid: int(wp)},
+						{Ts: uint64(e.When), Pid: 0, Tid: int(e.Proc)},
+					})
 				}
 			}
 		case sim.TraceCommitStart:
@@ -134,7 +96,7 @@ func ExportPerfetto(w io.Writer, r sim.Result, series obs.Series) error {
 		case sim.TraceCommitEnd:
 			if st, ok := openCommit[e.Task]; ok {
 				delete(openCommit, e.Task)
-				evs = append(evs, perfettoEvent{
+				evs = append(evs, trace.Event{
 					Name: "commit " + e.Task.String(), Cat: "commit", Ph: "X",
 					Ts: uint64(st.When), Dur: uint64(e.When - st.When),
 					Pid: 0, Tid: commitLaneBase + int(e.Proc),
@@ -147,15 +109,13 @@ func ExportPerfetto(w io.Writer, r sim.Result, series obs.Series) error {
 	// event per sample.
 	for col, name := range series.Names {
 		for _, row := range series.Samples {
-			evs = append(evs, perfettoEvent{
+			evs = append(evs, trace.Event{
 				Name: name, Cat: "gauge", Ph: "C", Ts: row.Cycle, Pid: 0, Tid: 0,
 				Args: map[string]any{"value": row.Values[col]},
 			})
 		}
 	}
-
-	enc := json.NewEncoder(w)
-	return enc.Encode(perfettoFile{TraceEvents: evs, DisplayTimeUnit: "ms"})
+	return trace.WriteEvents(w, evs)
 }
 
 // PerfettoStats summarizes a validated trace-event file.
@@ -176,7 +136,10 @@ type PerfettoStats struct {
 // ValidatePerfetto parses trace-event JSON produced by ExportPerfetto, the
 // fleet exporter (trace.ExportPerfetto), or any conforming producer and
 // checks its schema: a traceEvents array whose records carry a known phase,
-// with paired flow arrows and non-negative times. It understands both the
+// with non-negative ts and dur, and flow events paired by (cat, id): each
+// id has exactly one "s" and one "f", and its "t" steps, if any, share the
+// id of that "s". It reads generic JSON, never the writer's trace.Event, so
+// a writer bug cannot hide behind a shared type. It understands both the
 // single-process sim layout (pid 0, commit lanes offset by commitLaneBase)
 // and the multi-process fleet layout (one pid per coordinator/worker):
 // exec lanes are keyed by (pid, tid), and span correlation IDs stamped in
@@ -200,6 +163,9 @@ func ValidatePerfetto(r io.Reader) (PerfettoStats, error) {
 	execLanes := map[lane]bool{}
 	pids := map[int]bool{}
 	spans := map[string]int{} // span ID -> first event index
+	type flowKey struct{ cat, id string }
+	flows := map[flowKey]map[string]int{} // phase counts per flow
+	var flowKeys []flowKey                // in order of first appearance
 	for i, ev := range f.TraceEvents {
 		var ph string
 		if raw, ok := ev["ph"]; !ok || json.Unmarshal(raw, &ph) != nil {
@@ -226,6 +192,12 @@ func ValidatePerfetto(r io.Reader) (PerfettoStats, error) {
 				return st, fmt.Errorf("report: perfetto: event %d (%s): negative ts", i, ph)
 			}
 		}
+		if raw, ok := ev["dur"]; ok {
+			var dur float64
+			if json.Unmarshal(raw, &dur) != nil || dur < 0 {
+				return st, fmt.Errorf("report: perfetto: event %d (%s): bad or negative dur %s", i, ph, raw)
+			}
+		}
 		if raw, ok := ev["args"]; ok {
 			var args struct {
 				Span string `json:"span"`
@@ -247,23 +219,31 @@ func ValidatePerfetto(r io.Reader) (PerfettoStats, error) {
 			}
 		case "i", "I":
 			st.Instants++
-		case "s":
-			st.FlowStarts++
-		case "f":
-			st.FlowEnds++
+		case "s", "t", "f":
+			k := flowKey{string(ev["cat"]), string(ev["id"])}
+			if flows[k] == nil {
+				flows[k] = map[string]int{}
+				flowKeys = append(flowKeys, k)
+			}
+			flows[k][ph]++
 		case "C":
 			st.CounterEvents++
 			counters[name] = true
 		case "M":
 			st.Metadata++
-		case "B", "E", "b", "e", "n", "t":
+		case "B", "E", "b", "e", "n":
 			// Legal phases we don't emit; accept them.
 		default:
 			return st, fmt.Errorf("report: perfetto: event %d: unknown phase %q", i, ph)
 		}
 	}
-	if st.FlowStarts != st.FlowEnds {
-		return st, fmt.Errorf("report: perfetto: %d flow starts, %d flow ends", st.FlowStarts, st.FlowEnds)
+	for _, k := range flowKeys {
+		n := flows[k]
+		st.FlowStarts += n["s"]
+		st.FlowEnds += n["f"]
+		if n["s"] != 1 || n["f"] != 1 {
+			return st, fmt.Errorf("report: perfetto: flow cat %s id %s: %d starts, %d steps, %d ends; want one start and one end", k.cat, k.id, n["s"], n["t"], n["f"])
+		}
 	}
 	st.CounterTracks = len(counters)
 	st.ExecLanes = len(execLanes)

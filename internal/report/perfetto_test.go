@@ -75,6 +75,11 @@ func TestValidatePerfettoRejectsGarbage(t *testing.T) {
 		"duplicate span across processes": `{"traceEvents":[
 			{"ph":"X","ts":1,"dur":2,"pid":0,"tid":0,"args":{"span":"42"}},
 			{"ph":"i","ts":5,"pid":1,"tid":0,"s":"t","args":{"span":"42"}}]}`,
+		"flow ids do not pair": `{"traceEvents":[
+			{"ph":"s","cat":"a","id":"1","ts":1,"pid":0,"tid":0},
+			{"ph":"f","cat":"a","id":"2","bp":"e","ts":2,"pid":0,"tid":0}]}`,
+		"negative dur":   `{"traceEvents":[{"ph":"X","ts":1,"dur":-3,"pid":0,"tid":0}]}`,
+		"lone flow step": `{"traceEvents":[{"ph":"t","cat":"a","id":"9","ts":1,"pid":0,"tid":0}]}`,
 	}
 	for name, in := range cases {
 		if _, err := ValidatePerfetto(strings.NewReader(in)); err == nil {
