@@ -1,8 +1,8 @@
 GO ?= go
 
 # BENCH is the checked-in benchmark-baseline document; override to cut or
-# gate against a different one (make bench BENCH=BENCH_20.json).
-BENCH ?= BENCH_19.json
+# gate against a different one (make bench BENCH=BENCH_25.json).
+BENCH ?= BENCH_24.json
 
 .PHONY: build test fmt vet race race-short chaos cluster cluster-chaos fsck-drill verify report bench bench-baseline trace fleet-trace
 
@@ -105,4 +105,4 @@ bench:
 # performance change (run on a quiet machine, then commit $(BENCH)).
 bench-baseline:
 	$(GO) run ./cmd/tlsbench -baseline $(BENCH) -out \
-		-note "baseline after own-version reads moved to per-task entry flags in the version directory; adds directory/privatized (0 allocs/op); sim/full-run fell from ~35.1k to ~27.6k allocs/op; previous baseline BENCH_14.json"
+		-note "baseline after FMM restore ordering moved to a stable sort and main memory's MTID tags onto the paged table the version directory uses; adds memory/write-back (0 allocs/op); previous baseline BENCH_19.json"

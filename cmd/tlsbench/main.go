@@ -1,6 +1,6 @@
 // tlsbench is the repeatable performance harness for the simulator itself:
 // it runs the hot-path microbenchmarks (event queue, version directory,
-// cache) and one full (app, machine, scheme) simulation through
+// cache, main memory) and one full (app, machine, scheme) simulation through
 // testing.Benchmark, prints the measurements, and can write them as a JSON
 // baseline or compare them against a checked-in one.
 //
@@ -11,7 +11,7 @@
 //	tlsbench -compare                 # run and gate against the baseline
 //	tlsbench -baseline BENCH_4.json -out   # cut the next baseline
 //
-// The baseline lives at -baseline (default BENCH_19.json, the checked-in
+// The baseline lives at -baseline (default BENCH_24.json, the checked-in
 // document); -out and -compare write and read that path, so cutting a new
 // baseline is a flag change, not a code edit.
 //
@@ -74,6 +74,7 @@ var suite = []struct {
 	{"workload/task-gen", benchTaskGen},
 	{"cache/probe-hit", benchCacheProbeHit},
 	{"cache/insert-evict", benchCacheInsertEvict},
+	{"memory/write-back", benchMemWriteBack},
 	{"sim/full-run", benchFullRun},
 	{"sim/full-run-parallel", benchFullRunParallel},
 }
@@ -208,6 +209,23 @@ func benchCacheInsertEvict(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Insert(memsys.LineAddr(i), ids.TaskID(i%8+1), memsys.KindOwnVersion)
+	}
+}
+
+// benchMemWriteBack merges one version per op into MTID-filtered main
+// memory: a stream over 4096 lines (four pages of tags) whose producers
+// rise every pass, where every third write-back offers an older version
+// for the filter to judge. Steady state is allocation-free.
+func benchMemWriteBack(b *testing.B) {
+	b.ReportAllocs()
+	m := memsys.NewMemory(true)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		producer := ids.TaskID(i>>12 + 2)
+		if i%3 == 0 {
+			producer--
+		}
+		m.WriteBack(memsys.LineAddr(i&4095), producer)
 	}
 }
 
@@ -424,7 +442,7 @@ func compare(baseline Baseline, cur []Measurement, band float64) int {
 
 func main() {
 	var (
-		basePath = flag.String("baseline", "BENCH_19.json", "path of the JSON benchmark baseline (-out writes it, -compare reads it)")
+		basePath = flag.String("baseline", "BENCH_24.json", "path of the JSON benchmark baseline (-out writes it, -compare reads it)")
 		out      = flag.Bool("out", false, "write measurements to the -baseline file")
 		against  = flag.Bool("compare", false, "compare against the -baseline file; exit 1 outside the band")
 		band     = flag.Float64("band", 0.30, "guard band for the allocs/op comparison")

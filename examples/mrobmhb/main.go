@@ -67,7 +67,7 @@ func main() {
 		fmt.Printf("           %-8v %-10v\n", l.Producer, l.Tag)
 	})
 	fmt.Printf("    MHB:   %-10s %-10s %-10s\n", "Overwriter", "Producer", "Tag")
-	undo := mhb.PopForRecovery(ids.TaskID(1)) // drain for display
+	undo := mhb.PopForRecovery(nil, ids.TaskID(1)) // drain for display
 	for _, e := range undo {
 		fmt.Printf("           %-10v %-10v %-10v\n", e.Overwriter, e.Producer, e.Tag)
 	}

@@ -13,7 +13,7 @@
 //
 // The bookkeeping is arena-backed and allocation-free in steady state: word
 // entries live in one slice, are found through a paged address index
-// (index.go), and are recycled through a free list (their version and
+// (memsys.PageTable), and are recycled through a free list (their version and
 // reader slices keep their capacity), per-task footprint marks
 // are recycled through a ring keyed by task ID, and the hot paths
 // (RecordRead, RecordWrite, VersionFor, Squash, Commit) use manual binary
@@ -131,7 +131,7 @@ type taskSlot struct {
 // Directory is the global version directory of one speculative section.
 type Directory struct {
 	// words maps a word address to its entry's index in states, plus one.
-	words  wordIndex
+	words  memsys.PageTable[memsys.Addr, int32]
 	states []wordState
 	// freeWords indexes recycled (emptied) entries of states.
 	freeWords []int32
@@ -215,7 +215,7 @@ func (d *Directory) entryFor(a memsys.Addr, e int32) int32 {
 		i = int32(len(d.states) - 1)
 	}
 	d.states[i].addr = a
-	d.words.set(a, i+1)
+	d.words.Put(a, i+1)
 	return i
 }
 
@@ -227,7 +227,7 @@ func (d *Directory) releaseIfEmpty(i int32) {
 	if len(w.versions) != 0 || len(w.readers) != 0 {
 		return
 	}
-	d.words.del(w.addr)
+	d.words.Put(w.addr, 0)
 	d.freeWords = append(d.freeWords, i)
 }
 
@@ -315,7 +315,7 @@ func (d *Directory) releaseMarks(m *taskMarks) {
 // observe: the highest-ID producer at or before reader. None means the
 // architectural (pre-section) value.
 func (d *Directory) VersionFor(a memsys.Addr, reader ids.TaskID) ids.TaskID {
-	e := d.words.get(a)
+	e := d.words.Get(a)
 	if e == 0 {
 		return ids.None
 	}
@@ -338,7 +338,7 @@ func versionFor(v []ids.TaskID, reader ids.TaskID) ids.TaskID {
 func (d *Directory) RecordRead(a memsys.Addr, reader ids.TaskID) ids.TaskID {
 	d.reads++
 	d.obsReads.Inc()
-	e := d.words.get(a)
+	e := d.words.Get(a)
 	if e != 0 {
 		// Own-version read: the reader's live version is the latest at or
 		// before it, and nothing can violate the read.
@@ -373,7 +373,7 @@ func (d *Directory) RecordRead(a memsys.Addr, reader ids.TaskID) ids.TaskID {
 func (d *Directory) RecordWrite(a memsys.Addr, writer ids.TaskID) ids.TaskID {
 	d.writes++
 	d.obsWrites.Inc()
-	e := d.words.get(a)
+	e := d.words.Get(a)
 	var i int32
 	if m := d.lookupMarks(writer); e != 0 && m != nil && m.flags.get(e-1)&flagWrote != 0 {
 		i = e - 1 // repeat write: the version is already in place
@@ -532,7 +532,7 @@ func (d *Directory) Commit(t ids.TaskID) {
 	// Where an out-of-order commit pruned t's version, the versions before
 	// t written since still go.
 	for _, a := range m.pruned {
-		if e := d.words.get(a); e != 0 {
+		if e := d.words.Get(a); e != 0 {
 			d.pruneBefore(e-1, t)
 		}
 	}
@@ -587,14 +587,14 @@ func (d *Directory) WordsWritten(t ids.TaskID) int {
 // LiveWords returns the number of directory entries (for memory-bound
 // tests). Entries emptied by squash or commit cleanup are deleted, so this
 // shrinks when words stop being live.
-func (d *Directory) LiveWords() int { return d.words.live }
+func (d *Directory) LiveWords() int { return d.words.Len() }
 
 // LiveTasks returns the number of tasks with live footprint marks.
 func (d *Directory) LiveTasks() int { return len(d.live) }
 
 // VersionCount returns the number of live versions of word a.
 func (d *Directory) VersionCount(a memsys.Addr) int {
-	if e := d.words.get(a); e != 0 {
+	if e := d.words.Get(a); e != 0 {
 		return len(d.states[e-1].versions)
 	}
 	return 0

@@ -63,29 +63,21 @@ func (d *Directory) State() DirectoryState {
 	}
 	tasks := slices.Clone(d.live)
 	slices.SortFunc(tasks, func(a, b *taskMarks) int { return cmp.Compare(a.id, b.id) })
-	for _, p := range d.words.pages() {
-		for off, e := range p.slots {
-			if e == 0 {
-				continue
-			}
-			i := e - 1
-			w := &d.states[i]
-			ws := WordStateState{
-				Addr:     memsys.Addr(p.num<<pageShift | uint64(off)),
-				Versions: append([]ids.TaskID(nil), w.versions...),
-			}
-			for _, rm := range w.readers {
-				ws.Readers = append(ws.Readers, ReaderMarkState{Reader: rm.reader, Consumed: rm.consumed})
-			}
-			for _, m := range tasks {
-				if m.flags.get(i)&flagOwnRead != 0 && findReader(w, m.id) < 0 {
-					ws.Readers = append(ws.Readers, ReaderMarkState{Reader: m.id, Consumed: m.id})
-				}
-			}
-			slices.SortFunc(ws.Readers, func(a, b ReaderMarkState) int { return cmp.Compare(a.Reader, b.Reader) })
-			s.Words = append(s.Words, ws)
+	d.words.Ascend(func(a memsys.Addr, e int32) {
+		i := e - 1
+		w := &d.states[i]
+		ws := WordStateState{Addr: a, Versions: append([]ids.TaskID(nil), w.versions...)}
+		for _, rm := range w.readers {
+			ws.Readers = append(ws.Readers, ReaderMarkState{Reader: rm.reader, Consumed: rm.consumed})
 		}
-	}
+		for _, m := range tasks {
+			if m.flags.get(i)&flagOwnRead != 0 && findReader(w, m.id) < 0 {
+				ws.Readers = append(ws.Readers, ReaderMarkState{Reader: m.id, Consumed: m.id})
+			}
+		}
+		slices.SortFunc(ws.Readers, func(a, b ReaderMarkState) int { return cmp.Compare(a.Reader, b.Reader) })
+		s.Words = append(s.Words, ws)
+	})
 	for _, m := range tasks {
 		ts := TaskMarksState{Task: m.id, Writes: append([]memsys.Addr(nil), m.pruned...)}
 		for _, i := range m.reads {
@@ -112,7 +104,7 @@ func (d *Directory) State() DirectoryState {
 // existing contents with a freshly built arena. The injection hook is left
 // as installed on d (the caller re-installs fault plumbing separately).
 func (d *Directory) RestoreState(s DirectoryState) {
-	d.words = wordIndex{}
+	d.words = memsys.PageTable[memsys.Addr, int32]{}
 	d.states = make([]wordState, 0, len(s.Words))
 	d.freeWords = nil
 	d.slots = nil
@@ -121,7 +113,7 @@ func (d *Directory) RestoreState(s DirectoryState) {
 	d.scratch = nil
 	for _, ws := range s.Words {
 		d.states = append(d.states, wordState{addr: ws.Addr, versions: append([]ids.TaskID(nil), ws.Versions...)})
-		d.words.set(ws.Addr, int32(len(d.states)))
+		d.words.Put(ws.Addr, int32(len(d.states)))
 	}
 	// A listed write whose version is still present was inserted by this
 	// incarnation (only the live task with that ID can have re-inserted it
@@ -129,7 +121,7 @@ func (d *Directory) RestoreState(s DirectoryState) {
 	for _, ts := range s.Tasks {
 		m := d.marks(ts.Task)
 		for _, a := range ts.Writes {
-			if i := d.words.get(a) - 1; i >= 0 && slices.Contains(d.states[i].versions, ts.Task) {
+			if i := d.words.Get(a) - 1; i >= 0 && slices.Contains(d.states[i].versions, ts.Task) {
 				m.writes = append(m.writes, i)
 				m.flags.set(i, flagWrote)
 			} else {
@@ -153,7 +145,7 @@ func (d *Directory) RestoreState(s DirectoryState) {
 	for _, ts := range s.Tasks {
 		m := d.lookupMarks(ts.Task)
 		for _, a := range ts.Reads {
-			i := d.words.get(a) - 1
+			i := d.words.Get(a) - 1
 			if i >= 0 && m.flags.get(i)&flagOwnRead == 0 {
 				m.reads = append(m.reads, i)
 			}

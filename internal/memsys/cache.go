@@ -83,6 +83,7 @@ func (c Config) Sets() int {
 type Cache struct {
 	cfg     Config
 	sets    int
+	setMask uint64 // sets - 1; the set count is a power of two
 	ways    int
 	lines   []Line
 	useTick uint64
@@ -98,17 +99,23 @@ type Cache struct {
 	pressure func() bool
 }
 
-// NewCache returns an empty cache with the given geometry.
+// NewCache returns an empty cache with the given geometry. The set count
+// must be a power of two (it is in every modelled machine), so a line's set
+// is its low tag bits.
 func NewCache(cfg Config) *Cache {
 	if cfg.Ways <= 0 {
 		panic("memsys: cache with no ways")
 	}
 	sets := cfg.Sets()
+	if sets&(sets-1) != 0 {
+		panic(fmt.Sprintf("memsys: cache %q has %d sets, not a power of two", cfg.Name, sets))
+	}
 	return &Cache{
-		cfg:   cfg,
-		sets:  sets,
-		ways:  cfg.Ways,
-		lines: make([]Line, sets*cfg.Ways),
+		cfg:     cfg,
+		sets:    sets,
+		setMask: uint64(sets - 1),
+		ways:    cfg.Ways,
+		lines:   make([]Line, sets*cfg.Ways),
 	}
 }
 
@@ -118,8 +125,9 @@ func (c *Cache) Config() Config { return c.cfg }
 // Sets returns the number of sets.
 func (c *Cache) Sets() int { return c.sets }
 
+// set returns the ways of tag's set.
 func (c *Cache) set(tag LineAddr) []Line {
-	s := int(uint64(tag) % uint64(c.sets))
+	s := int(uint64(tag) & c.setMask)
 	return c.lines[s*c.ways : (s+1)*c.ways]
 }
 
@@ -131,8 +139,9 @@ func (c *Cache) touch(l *Line) {
 // Probe looks up the exact version (tag, producer). It returns the line and
 // whether it was found, updating LRU state and hit/miss counters.
 func (c *Cache) Probe(tag LineAddr, producer ids.TaskID) (*Line, bool) {
-	for i := range c.set(tag) {
-		l := &c.set(tag)[i]
+	set := c.set(tag)
+	for i := range set {
+		l := &set[i]
 		if l.Valid() && l.Tag == tag && l.Producer == producer {
 			c.touch(l)
 			c.hits++
@@ -145,8 +154,9 @@ func (c *Cache) Probe(tag LineAddr, producer ids.TaskID) (*Line, bool) {
 
 // Peek is Probe without statistics or LRU side effects.
 func (c *Cache) Peek(tag LineAddr, producer ids.TaskID) (*Line, bool) {
-	for i := range c.set(tag) {
-		l := &c.set(tag)[i]
+	set := c.set(tag)
+	for i := range set {
+		l := &set[i]
 		if l.Valid() && l.Tag == tag && l.Producer == producer {
 			return l, true
 		}
@@ -159,8 +169,9 @@ func (c *Cache) Peek(tag LineAddr, producer ids.TaskID) (*Line, bool) {
 // resolve on external requests under MultiT&MV.
 func (c *Cache) VersionsOf(tag LineAddr) []*Line {
 	var out []*Line
-	for i := range c.set(tag) {
-		l := &c.set(tag)[i]
+	set := c.set(tag)
+	for i := range set {
+		l := &set[i]
 		if l.Valid() && l.Tag == tag {
 			out = append(out, l)
 		}
@@ -188,8 +199,9 @@ func (c *Cache) ForVersionsOf(tag LineAddr, visit func(*Line)) {
 // version is cached.
 func (c *Cache) BestVersionFor(tag LineAddr, reader ids.TaskID) *Line {
 	var best *Line
-	for i := range c.set(tag) {
-		l := &c.set(tag)[i]
+	set := c.set(tag)
+	for i := range set {
+		l := &set[i]
 		if !l.Valid() || l.Tag != tag {
 			continue
 		}
@@ -201,23 +213,6 @@ func (c *Cache) BestVersionFor(tag LineAddr, reader ids.TaskID) *Line {
 		}
 	}
 	return best
-}
-
-// EvictionCandidate reports the line that would be displaced to make room
-// for a new line with the given tag, or nil if a free way exists.
-// Replaceable lines — clean copies (dropped silently) and committed-unmerged
-// versions (merged on displacement by the VCL/MTID) — are plain LRU
-// citizens; speculative versions are protected and only victimized when a
-// set holds nothing else (they must go to the overflow area or, under FMM,
-// to memory).
-func (c *Cache) EvictionCandidate(tag LineAddr) *Line {
-	set := c.set(tag)
-	for i := range set {
-		if !set[i].Valid() {
-			return nil
-		}
-	}
-	return victimAmong(set)
 }
 
 // victimAmong applies the replacement policy to the valid lines of a set,
@@ -362,8 +357,9 @@ func (c *Cache) TaskLines(task ids.TaskID) []*Line {
 // that already has a speculative version in the local buffer".
 func (c *Cache) LocalSpecVersionOwner(tag LineAddr, writer ids.TaskID) ids.TaskID {
 	owner := ids.None
-	for i := range c.set(tag) {
-		l := &c.set(tag)[i]
+	set := c.set(tag)
+	for i := range set {
+		l := &set[i]
 		if l.Valid() && l.Tag == tag && l.Kind == KindOwnVersion && l.Producer != writer {
 			if owner == ids.None || l.Producer.Before(owner) {
 				owner = l.Producer

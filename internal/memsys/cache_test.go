@@ -24,12 +24,19 @@ func TestConfigSets(t *testing.T) {
 }
 
 func TestNewCachePanicsWithoutWays(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewCache with 0 ways must panic")
-		}
-	}()
-	NewCache(Config{SizeBytes: 1024})
+	for _, cfg := range []Config{
+		{Name: "no ways", SizeBytes: 1024},
+		{Name: "3 sets", SizeBytes: 3 * 2 * LineBytes, Ways: 2},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("NewCache(%+v) must panic", cfg)
+				}
+			}()
+			NewCache(cfg)
+		}()
+	}
 }
 
 func TestProbeMissThenHit(t *testing.T) {
@@ -199,14 +206,6 @@ func TestEvictionLRUWithinClass(t *testing.T) {
 	victim, _ := c.Insert(12, ids.TaskID(3), KindOwnVersion)
 	if victim.Tag != 8 {
 		t.Fatalf("victim tag = %v, want the LRU line 8", victim.Tag)
-	}
-}
-
-func TestEvictionCandidateNilWhenFree(t *testing.T) {
-	c := tinyCache(2)
-	c.Insert(4, ids.TaskID(1), KindOwnVersion)
-	if c.EvictionCandidate(8) != nil {
-		t.Fatal("eviction candidate reported while a free way exists")
 	}
 }
 

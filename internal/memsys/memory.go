@@ -12,7 +12,7 @@ import (
 // increasing task-ID order for any given variable" without the VCL.
 type Memory struct {
 	mtidEnabled bool
-	version     map[LineAddr]ids.TaskID // latest producer merged per line
+	version     PageTable[LineAddr, ids.TaskID] // latest producer merged per line; None = absent
 
 	// Statistics.
 	writebacks uint64
@@ -35,10 +35,7 @@ func (m *Memory) SetObs(writebacks, rejected *obs.Counter) {
 // write-back is accepted (the caller — an AMM scheme using the VCL — must
 // itself guarantee in-order merging).
 func NewMemory(mtid bool) *Memory {
-	return &Memory{
-		mtidEnabled: mtid,
-		version:     make(map[LineAddr]ids.TaskID),
-	}
+	return &Memory{mtidEnabled: mtid}
 }
 
 // MTIDEnabled reports whether the memory filters stale write-backs.
@@ -46,39 +43,38 @@ func (m *Memory) MTIDEnabled() bool { return m.mtidEnabled }
 
 // Version returns the producer of the version currently in memory for tag
 // (None when only the pre-section architectural data is there).
-func (m *Memory) Version(tag LineAddr) ids.TaskID { return m.version[tag] }
+func (m *Memory) Version(tag LineAddr) ids.TaskID { return m.version.Get(tag) }
 
 // WriteBack merges a version into memory. With MTID, the write-back is
 // discarded if memory already holds a version from the same or a later
 // task; it returns whether the write-back was accepted. Without MTID every
-// write-back is accepted in arrival order.
+// write-back is accepted in arrival order. Only task versions are written
+// back: producer None (the architectural data) panics.
 func (m *Memory) WriteBack(tag LineAddr, producer ids.TaskID) bool {
+	if producer == ids.None {
+		panic("memsys: write-back of the architectural version")
+	}
 	m.writebacks++
 	m.obsWritebacks.Inc()
-	if m.mtidEnabled {
-		if cur, ok := m.version[tag]; ok && !cur.Before(producer) {
-			m.rejected++
-			m.obsRejected.Inc()
-			return false
-		}
+	if m.mtidEnabled && !m.version.Get(tag).Before(producer) {
+		m.rejected++
+		m.obsRejected.Inc()
+		return false
 	}
-	m.version[tag] = producer
+	m.version.Put(tag, producer)
 	return true
 }
 
 // Restore forces a version into memory, bypassing the MTID filter. FMM
 // recovery uses it: the undo walk writes strictly older versions back over
-// squashed future state, in reverse task order.
+// squashed future state, in reverse task order. Restoring None returns the
+// line to its architectural data.
 func (m *Memory) Restore(tag LineAddr, producer ids.TaskID) {
-	if producer == ids.None {
-		delete(m.version, tag)
-		return
-	}
-	m.version[tag] = producer
+	m.version.Put(tag, producer)
 }
 
 // LinesWithVersions returns how many lines hold a post-section version.
-func (m *Memory) LinesWithVersions() int { return len(m.version) }
+func (m *Memory) LinesWithVersions() int { return m.version.Len() }
 
 // Stats returns cumulative (write-backs attempted, write-backs rejected by
 // MTID).

@@ -1,6 +1,10 @@
 package memsys
 
-import "repro/internal/ids"
+import (
+	"slices"
+
+	"repro/internal/ids"
+)
 
 // LogEntry is one record of the memory-system history buffer: before task
 // Overwriter generated its own version of line Tag, the most recent local
@@ -63,28 +67,27 @@ func (m *MHB) EntriesOverwrittenBy(task ids.TaskID) int {
 	return n
 }
 
-// PopForRecovery removes, in reverse insertion order, every entry whose
-// overwriter is at or after firstSquashed, returning them in the order they
-// must be undone (youngest first). This is FMM recovery: "copying all the
-// versions overwritten by the offending task and successors from the MHB to
-// main memory, in strict reverse task order".
-func (m *MHB) PopForRecovery(firstSquashed ids.TaskID) []LogEntry {
-	var undo []LogEntry
+// PopForRecovery removes every entry whose overwriter is at or after
+// firstSquashed and appends them to dst in the order they must be undone
+// (youngest first, the reverse of insertion order), returning the extended
+// slice. This is FMM recovery: "copying all the versions overwritten by the
+// offending task and successors from the MHB to main memory, in strict
+// reverse task order". Passing a reused dst[:0] keeps recovery
+// allocation-free.
+func (m *MHB) PopForRecovery(dst []LogEntry, firstSquashed ids.TaskID) []LogEntry {
+	start := len(dst)
 	kept := m.entries[:0]
 	for _, e := range m.entries {
 		if e.Overwriter == firstSquashed || e.Overwriter.After(firstSquashed) {
-			undo = append(undo, e)
+			dst = append(dst, e)
 		} else {
 			kept = append(kept, e)
 		}
 	}
 	m.entries = kept
-	// Reverse so the youngest overwrite is undone first.
-	for i, j := 0, len(undo)-1; i < j; i, j = i+1, j-1 {
-		undo[i], undo[j] = undo[j], undo[i]
-	}
-	m.restored += uint64(len(undo))
-	return undo
+	slices.Reverse(dst[start:])
+	m.restored += uint64(len(dst) - start)
+	return dst
 }
 
 // ReleaseCommitted frees entries whose overwriter has committed: once the

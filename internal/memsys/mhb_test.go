@@ -1,6 +1,7 @@
 package memsys
 
 import (
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -40,7 +41,7 @@ func TestMHBRecoveryReverseOrder(t *testing.T) {
 	m.Append(4, ids.None, ids.TaskID(2))
 	m.Append(8, ids.TaskID(1), ids.TaskID(2))
 	m.Append(4, ids.TaskID(2), ids.TaskID(3))
-	undo := m.PopForRecovery(ids.TaskID(2))
+	undo := m.PopForRecovery(nil, ids.TaskID(2))
 	if len(undo) != 3 {
 		t.Fatalf("recovered %d entries, want 3", len(undo))
 	}
@@ -61,12 +62,39 @@ func TestMHBRecoveryKeepsPredecessors(t *testing.T) {
 	m := NewMHB()
 	m.Append(4, ids.None, ids.TaskID(1))
 	m.Append(8, ids.None, ids.TaskID(3))
-	undo := m.PopForRecovery(ids.TaskID(2))
+	undo := m.PopForRecovery(nil, ids.TaskID(2))
 	if len(undo) != 1 || undo[0].Overwriter != ids.TaskID(3) {
 		t.Fatalf("undo = %+v", undo)
 	}
 	if m.Len() != 1 {
 		t.Fatal("predecessor entry was dropped")
+	}
+}
+
+// PopForRecovery appends to dst and reverses only what it appended, so one
+// reused scratch slice collects every processor's undo records.
+func TestMHBRecoveryAppendsToDst(t *testing.T) {
+	a, b := NewMHB(), NewMHB()
+	a.Append(4, ids.None, ids.TaskID(2))
+	a.Append(8, ids.None, ids.TaskID(3))
+	b.Append(12, ids.None, ids.TaskID(1))
+	b.Append(16, ids.None, ids.TaskID(2))
+	b.Append(20, ids.None, ids.TaskID(4))
+	scratch := make([]LogEntry, 0, 8)
+	undo := a.PopForRecovery(scratch, ids.TaskID(2))
+	undo = b.PopForRecovery(undo, ids.TaskID(2))
+	var tags []LineAddr
+	for _, e := range undo {
+		tags = append(tags, e.Tag)
+	}
+	if want := []LineAddr{8, 4, 20, 16}; !slices.Equal(tags, want) {
+		t.Fatalf("undo tags = %v, want %v (each log youngest first, in pop order)", tags, want)
+	}
+	if &undo[0] != &scratch[:1][0] {
+		t.Fatal("PopForRecovery reallocated a scratch slice with room to spare")
+	}
+	if b.Len() != 1 {
+		t.Fatalf("b keeps %d entries, want its predecessor only", b.Len())
 	}
 }
 
@@ -87,7 +115,7 @@ func TestMHBStats(t *testing.T) {
 	m := NewMHB()
 	m.Append(4, ids.None, ids.TaskID(1))
 	m.Append(8, ids.None, ids.TaskID(2))
-	m.PopForRecovery(ids.TaskID(2))
+	m.PopForRecovery(nil, ids.TaskID(2))
 	appends, restored, peak := m.Stats()
 	if appends != 2 || restored != 1 || peak != 2 {
 		t.Fatalf("stats = (%d, %d, %d)", appends, restored, peak)
@@ -107,7 +135,7 @@ func TestMHBRecoveryProperty(t *testing.T) {
 		}
 		first := ids.TaskID(cut%8) + 1
 		before := m.Len()
-		undo := m.PopForRecovery(first)
+		undo := m.PopForRecovery(nil, first)
 		if len(undo)+m.Len() != before {
 			return false
 		}

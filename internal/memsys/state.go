@@ -184,10 +184,9 @@ type MemoryState struct {
 // State captures main memory for a checkpoint.
 func (m *Memory) State() MemoryState {
 	s := MemoryState{MTIDEnabled: m.mtidEnabled, Writebacks: m.writebacks, Rejected: m.rejected}
-	for tag, producer := range m.version {
+	m.version.Ascend(func(tag LineAddr, producer ids.TaskID) {
 		s.Versions = append(s.Versions, MemoryVersionState{Tag: tag, Producer: producer})
-	}
-	sort.Slice(s.Versions, func(i, j int) bool { return s.Versions[i].Tag < s.Versions[j].Tag })
+	})
 	return s
 }
 
@@ -195,9 +194,9 @@ func (m *Memory) State() MemoryState {
 // MTID filter is armed.
 func (m *Memory) RestoreState(s MemoryState) {
 	m.mtidEnabled = s.MTIDEnabled
-	m.version = make(map[LineAddr]ids.TaskID, len(s.Versions))
+	m.version = PageTable[LineAddr, ids.TaskID]{}
 	for _, v := range s.Versions {
-		m.version[v.Tag] = v.Producer
+		m.version.Put(v.Tag, v.Producer)
 	}
 	m.writebacks, m.rejected = s.Writebacks, s.Rejected
 }

@@ -142,9 +142,10 @@ type Simulator struct {
 	inject FaultInjector
 	inv    *invariantChecker
 
-	// Reused hot-path scratch: per-processor squash victim lists and the
-	// stale-version buffer of the VCL merge.
+	// Reused hot-path scratch: per-processor squash victim lists, FMM
+	// recovery's undo records and the stale-version buffer of the VCL merge.
 	squashScratch [][]*task
+	undoScratch   []memsys.LogEntry
 	vclStale      []ids.TaskID
 }
 

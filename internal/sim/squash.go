@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"cmp"
+	"slices"
+
 	"repro/internal/event"
 	"repro/internal/ids"
 	"repro/internal/memsys"
@@ -100,30 +103,24 @@ func (s *Simulator) squashFrom(first ids.TaskID, now event.Time, word memsys.Add
 		// overwrote the same line, a per-processor walk can finish by
 		// re-instating a squashed version that an earlier walk had already
 		// undone.
-		var undo []memsys.LogEntry
+		undo := s.undoScratch[:0]
 		var serial event.Time
 		for pi, victims := range perProc {
 			if len(victims) == 0 {
 				continue
 			}
 			p := s.procs[pi]
-			popped := p.mhb.PopForRecovery(victims[0].id)
-			undo = append(undo, popped...)
-			serial += s.cfg.FMMRestoreFixed + event.Time(len(popped))*s.cfg.FMMRestoreLine
+			n := len(undo)
+			undo = p.mhb.PopForRecovery(undo, victims[0].id)
+			serial += s.cfg.FMMRestoreFixed + event.Time(len(undo)-n)*s.cfg.FMMRestoreLine
 			s.invalidateVersions(p, victims)
 		}
-		// Stable insertion sort, youngest overwriter first (equal overwriters
-		// keep their per-processor pop order): undo lists are short, and this
-		// avoids the sort package's allocating closure path.
-		for i := 1; i < len(undo); i++ {
-			for j := i; j > 0 && undo[j].Overwriter.After(undo[j-1].Overwriter); j-- {
-				undo[j], undo[j-1] = undo[j-1], undo[j]
-			}
-		}
+		restoreOrder(undo)
 		for _, e := range undo {
 			s.mem.Restore(e.Tag, e.Producer)
 		}
 		s.checkRecovery(first, undo, now)
+		s.undoScratch = undo
 		restart += serial
 	} else {
 		// AMM: gang-invalidate the MROB entries, processors in parallel.
@@ -149,6 +146,18 @@ func (s *Simulator) squashFrom(first ids.TaskID, now event.Time, word memsys.Add
 		p.blockedUntil = restart
 		s.wake(p, restart)
 	}
+}
+
+// restoreOrder sorts the undo records popped from every processor's MHB
+// into the global restore order: youngest overwriter first, equal
+// overwriters keeping their order in undo (their per-processor pop order).
+// Each processor's records arrive youngest first, so undo is a
+// concatenation of descending runs; the stable sort makes no use of that and
+// costs O(n log n) comparisons whatever the runs look like.
+func restoreOrder(undo []memsys.LogEntry) {
+	slices.SortStableFunc(undo, func(a, b memsys.LogEntry) int {
+		return cmp.Compare(b.Overwriter, a.Overwriter)
+	})
 }
 
 // invalidateVersions removes the cached and overflowed versions produced by
