@@ -11,14 +11,18 @@
 // directory answers the ordering questions: which producer's version must
 // a reader observe, and does a write violate a recorded read.
 //
-// The bookkeeping is arena-backed and allocation-free in steady state: word
-// entries live in one slice, are found through a paged address index
-// (memsys.PageTable), and are recycled through a free list (their version and
-// reader slices keep their capacity), per-task footprint marks
-// are recycled through a ring keyed by task ID, and the hot paths
-// (RecordRead, RecordWrite, VersionFor, Squash, Commit) use manual binary
-// searches and insertion sorts instead of the closure-allocating sort
-// package helpers.
+// The bookkeeping is arena-backed and allocates in proportion to the
+// section's footprint, not per word. Word entries live in fixed chunks of
+// chunkSize entries (a new entry appends a chunk when the last is full, so
+// no entry is ever copied or moved), are found through a paged address index
+// (memsys.PageTable) by entry number, and are recycled through a free list.
+// An entry's first version list and first reader list are carved, with a
+// capacity of carveCap, from per-directory slabs; only a list that outgrows
+// its carve reallocates, and a recycled entry keeps whatever capacity it
+// holds. Per-task footprint marks are recycled through a ring keyed by task
+// ID, and the hot paths (RecordRead, RecordWrite, VersionFor, Squash, Commit)
+// use manual binary searches and insertion sorts instead of the
+// closure-allocating sort package helpers, so steady state allocates nothing.
 //
 // Privatization loops make most reads own-version reads: a task writes its
 // version of a word and reads it back. Each task's marks carry two bits per
@@ -31,6 +35,8 @@
 package coherence
 
 import (
+	"slices"
+
 	"repro/internal/ids"
 	"repro/internal/memsys"
 	"repro/internal/obs"
@@ -83,8 +89,9 @@ func (f entryFlags) get(e int32) uint64 {
 
 func (f *entryFlags) set(e int32, bits uint64) {
 	w := int(e >> 5)
-	if w >= len(*f) {
-		*f = append(*f, make([]uint64, w+1-len(*f))...)
+	if n := len(*f); w >= n {
+		*f = slices.Grow(*f, w+1-n)[:w+1]
+		clear((*f)[n:])
 	}
 	(*f)[w] |= bits << (uint(e) & 31 * 2)
 }
@@ -128,13 +135,29 @@ type taskSlot struct {
 	m  *taskMarks
 }
 
+// Arena geometry: entries per chunk, and the slab sizes (in list elements)
+// that first version and reader lists are carved from, carveCap at a time.
+const (
+	chunkShift      = 10
+	chunkSize       = 1 << chunkShift
+	versionSlabSize = 4096
+	readerSlabSize  = 2048
+	carveCap        = 2
+)
+
 // Directory is the global version directory of one speculative section.
 type Directory struct {
-	// words maps a word address to its entry's index in states, plus one.
-	words  memsys.PageTable[memsys.Addr, int32]
-	states []wordState
-	// freeWords indexes recycled (emptied) entries of states.
+	// words maps a word address to its entry number, plus one.
+	words memsys.PageTable[memsys.Addr, int32]
+	// chunks holds the entries, entry i at chunks[i>>chunkShift][i%chunkSize];
+	// entries numbers the ones handed out so far.
+	chunks  []*[chunkSize]wordState
+	entries int32
+	// freeWords lists recycled (emptied) entry numbers.
 	freeWords []int32
+	// versionSlab and readerSlab are the uncarved rests of the current slabs.
+	versionSlab []ids.TaskID
+	readerSlab  []readerMark
 
 	// slots is the task-marks ring (power-of-two length); live lists the
 	// same marks densely; marksFree pools released marks.
@@ -199,9 +222,55 @@ func upperBound(v []ids.TaskID, t ids.TaskID) int {
 	return lo
 }
 
-// entryFor returns the entry index of word a given its index lookup e
-// (entry number, 0 = absent), creating the entry (from the free list when
-// possible) on first touch.
+// state returns entry i.
+func (d *Directory) state(i int32) *wordState {
+	return &d.chunks[i>>chunkShift][i&(chunkSize-1)]
+}
+
+// newEntry hands out the next never-used entry, appending a chunk when the
+// last one is full.
+func (d *Directory) newEntry() int32 {
+	if int(d.entries) == len(d.chunks)*chunkSize {
+		d.chunks = append(d.chunks, new([chunkSize]wordState))
+	}
+	d.entries++
+	return d.entries - 1
+}
+
+// carve cuts an empty list of capacity n from *slab, starting a new slab of
+// size elements when the rest is too short. The full slice expression caps
+// the list at n, so an append past it reallocates instead of running into
+// the next carve.
+func carve[T any](slab *[]T, n, size int) []T {
+	if len(*slab) < n {
+		*slab = make([]T, max(n, size))
+	}
+	s := (*slab)[0:0:n]
+	*slab = (*slab)[n:]
+	return s
+}
+
+// addVersionSlot makes room for one more version in w, carving the list's
+// first capacity from the version slab.
+func (d *Directory) addVersionSlot(w *wordState) {
+	if cap(w.versions) == 0 {
+		w.versions = carve(&d.versionSlab, carveCap, versionSlabSize)
+	}
+	w.versions = append(w.versions, ids.None)
+}
+
+// addReader lists rm among w's readers, carving the list's first capacity
+// from the reader slab.
+func (d *Directory) addReader(w *wordState, rm readerMark) {
+	if cap(w.readers) == 0 {
+		w.readers = carve(&d.readerSlab, carveCap, readerSlabSize)
+	}
+	w.readers = append(w.readers, rm)
+}
+
+// entryFor returns the entry number of word a given its index lookup e
+// (entry number plus one, 0 = absent), creating the entry (from the free
+// list when possible) on first touch.
 func (d *Directory) entryFor(a memsys.Addr, e int32) int32 {
 	if e != 0 {
 		return e - 1
@@ -211,10 +280,9 @@ func (d *Directory) entryFor(a memsys.Addr, e int32) int32 {
 		i = d.freeWords[n-1]
 		d.freeWords = d.freeWords[:n-1]
 	} else {
-		d.states = append(d.states, wordState{})
-		i = int32(len(d.states) - 1)
+		i = d.newEntry()
 	}
-	d.states[i].addr = a
+	d.state(i).addr = a
 	d.words.Put(a, i+1)
 	return i
 }
@@ -223,7 +291,7 @@ func (d *Directory) entryFor(a memsys.Addr, e int32) int32 {
 // reader: squash-storm sections (Euler) would otherwise leak directory
 // entries for words that are no longer live.
 func (d *Directory) releaseIfEmpty(i int32) {
-	w := &d.states[i]
+	w := d.state(i)
 	if len(w.versions) != 0 || len(w.readers) != 0 {
 		return
 	}
@@ -319,7 +387,7 @@ func (d *Directory) VersionFor(a memsys.Addr, reader ids.TaskID) ids.TaskID {
 	if e == 0 {
 		return ids.None
 	}
-	return versionFor(d.states[e-1].versions, reader)
+	return versionFor(d.state(e-1).versions, reader)
 }
 
 // versionFor is VersionFor over one word's ascending version list.
@@ -348,7 +416,7 @@ func (d *Directory) RecordRead(a memsys.Addr, reader ids.TaskID) ids.TaskID {
 		}
 	}
 	i := d.entryFor(a, e)
-	w := &d.states[i]
+	w := d.state(i)
 	producer := versionFor(w.versions, reader)
 	if j := findReader(w, reader); j >= 0 {
 		if producer.Before(w.readers[j].consumed) {
@@ -356,7 +424,7 @@ func (d *Directory) RecordRead(a memsys.Addr, reader ids.TaskID) ids.TaskID {
 		}
 		return producer
 	}
-	w.readers = append(w.readers, readerMark{reader: reader, consumed: producer})
+	d.addReader(w, readerMark{reader: reader, consumed: producer})
 	m := d.marks(reader)
 	m.reads = append(m.reads, i)
 	return producer
@@ -379,10 +447,10 @@ func (d *Directory) RecordWrite(a memsys.Addr, writer ids.TaskID) ids.TaskID {
 		i = e - 1 // repeat write: the version is already in place
 	} else {
 		i = d.entryFor(a, e)
-		w := &d.states[i]
+		w := d.state(i)
 		j := lowerBound(w.versions, writer)
 		if j == len(w.versions) || w.versions[j] != writer {
-			w.versions = append(w.versions, ids.None)
+			d.addVersionSlot(w)
 			copy(w.versions[j+1:], w.versions[j:])
 			w.versions[j] = writer
 			m := d.marks(writer)
@@ -390,7 +458,7 @@ func (d *Directory) RecordWrite(a memsys.Addr, writer ids.TaskID) ids.TaskID {
 			m.flags.set(i, flagWrote)
 		}
 	}
-	w := &d.states[i]
+	w := d.state(i)
 	victim := ids.None
 	for _, rm := range w.readers {
 		if rm.reader.After(writer) && rm.consumed.Before(writer) {
@@ -418,7 +486,7 @@ func (d *Directory) RecordWrite(a memsys.Addr, writer ids.TaskID) ids.TaskID {
 // deterministic.
 func (d *Directory) laterReaders(i int32, writer ids.TaskID) []ids.TaskID {
 	out := d.scratch[:0]
-	for _, rm := range d.states[i].readers {
+	for _, rm := range d.state(i).readers {
 		if rm.reader.After(writer) {
 			out = insertSorted(out, rm.reader)
 		}
@@ -499,13 +567,13 @@ func (d *Directory) Squash(t ids.TaskID) {
 		if m.flags.clear(i)&flagWrote == 0 {
 			continue
 		}
-		w := &d.states[i]
+		w := d.state(i)
 		j := lowerBound(w.versions, t)
 		w.versions = append(w.versions[:j], w.versions[j+1:]...)
 		d.releaseIfEmpty(i)
 	}
 	for _, i := range m.reads {
-		removeReader(&d.states[i], t)
+		removeReader(d.state(i), t)
 		d.releaseIfEmpty(i)
 	}
 	d.releaseMarks(m)
@@ -521,7 +589,7 @@ func (d *Directory) Commit(t ids.TaskID) {
 		return
 	}
 	for _, i := range m.reads {
-		removeReader(&d.states[i], t)
+		removeReader(d.state(i), t)
 		d.releaseIfEmpty(i)
 	}
 	for _, i := range m.writes {
@@ -541,7 +609,7 @@ func (d *Directory) Commit(t ids.TaskID) {
 
 // pruneBefore drops entry i's versions ordered before t.
 func (d *Directory) pruneBefore(i int32, t ids.TaskID) {
-	w := &d.states[i]
+	w := d.state(i)
 	j := lowerBound(w.versions, t)
 	for _, old := range w.versions[:j] {
 		d.unflagPruned(i, old)
@@ -566,22 +634,13 @@ func (d *Directory) unflagPruned(i int32, producer ids.TaskID) {
 	if f == 0 {
 		return
 	}
-	w := &d.states[i]
+	w := d.state(i)
 	m.pruned = append(m.pruned, w.addr)
 	if f&flagOwnRead == 0 || findReader(w, producer) >= 0 {
 		return // no own read, or an earlier listed mark already covers it
 	}
-	w.readers = append(w.readers, readerMark{reader: producer, consumed: producer})
+	d.addReader(w, readerMark{reader: producer, consumed: producer})
 	m.reads = append(m.reads, i)
-}
-
-// WordsWritten returns the number of words task t has inserted versions
-// of (its written footprint, in words).
-func (d *Directory) WordsWritten(t ids.TaskID) int {
-	if m := d.lookupMarks(t); m != nil {
-		return len(m.writes)
-	}
-	return 0
 }
 
 // LiveWords returns the number of directory entries (for memory-bound
@@ -595,7 +654,7 @@ func (d *Directory) LiveTasks() int { return len(d.live) }
 // VersionCount returns the number of live versions of word a.
 func (d *Directory) VersionCount(a memsys.Addr) int {
 	if e := d.words.Get(a); e != 0 {
-		return len(d.states[e-1].versions)
+		return len(d.state(e - 1).versions)
 	}
 	return 0
 }

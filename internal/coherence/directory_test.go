@@ -169,16 +169,17 @@ func TestCommitUnknownTaskIsNoop(t *testing.T) {
 	}
 }
 
-func TestWordsWritten(t *testing.T) {
+func TestTaskWriteFootprint(t *testing.T) {
 	d := NewDirectory()
 	d.RecordWrite(4, ids.TaskID(1))
 	d.RecordWrite(8, ids.TaskID(1))
 	d.RecordWrite(4, ids.TaskID(1)) // duplicate
-	if got := d.WordsWritten(ids.TaskID(1)); got != 2 {
-		t.Fatalf("WordsWritten = %d, want 2", got)
+	tasks := d.State().Tasks
+	if len(tasks) != 1 || tasks[0].Task != ids.TaskID(1) {
+		t.Fatalf("State lists tasks %+v, want only task 1", tasks)
 	}
-	if d.WordsWritten(ids.TaskID(9)) != 0 {
-		t.Fatal("unknown task has nonzero footprint")
+	if got := tasks[0].Writes; !reflect.DeepEqual(got, []memsys.Addr{4, 8}) {
+		t.Fatalf("task 1 writes = %v, want [4 8]", got)
 	}
 }
 
@@ -323,9 +324,9 @@ func TestManyLiveTasks(t *testing.T) {
 	if d.LiveTasks() != n {
 		t.Fatalf("LiveTasks = %d, want %d", d.LiveTasks(), n)
 	}
-	for task := ids.TaskID(1); task <= n; task++ {
-		if d.WordsWritten(task) != 1 {
-			t.Fatalf("task %d lost its footprint across ring growth", task)
+	for k, ts := range d.State().Tasks {
+		if want := ids.TaskID(k + 1); ts.Task != want || len(ts.Writes) != 1 {
+			t.Fatalf("task %d lost its footprint across ring growth: %+v", want, ts)
 		}
 	}
 	for task := ids.TaskID(1); task <= n; task++ {

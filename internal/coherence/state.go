@@ -65,7 +65,7 @@ func (d *Directory) State() DirectoryState {
 	slices.SortFunc(tasks, func(a, b *taskMarks) int { return cmp.Compare(a.id, b.id) })
 	d.words.Ascend(func(a memsys.Addr, e int32) {
 		i := e - 1
-		w := &d.states[i]
+		w := d.state(i)
 		ws := WordStateState{Addr: a, Versions: append([]ids.TaskID(nil), w.versions...)}
 		for _, rm := range w.readers {
 			ws.Readers = append(ws.Readers, ReaderMarkState{Reader: rm.reader, Consumed: rm.consumed})
@@ -81,15 +81,15 @@ func (d *Directory) State() DirectoryState {
 	for _, m := range tasks {
 		ts := TaskMarksState{Task: m.id, Writes: append([]memsys.Addr(nil), m.pruned...)}
 		for _, i := range m.reads {
-			ts.Reads = append(ts.Reads, d.states[i].addr)
+			ts.Reads = append(ts.Reads, d.state(i).addr)
 		}
 		for i := range int32(len(m.flags) * 32) {
 			f := m.flags.get(i)
 			if f&flagWrote != 0 {
-				ts.Writes = append(ts.Writes, d.states[i].addr)
+				ts.Writes = append(ts.Writes, d.state(i).addr)
 			}
-			if f&flagOwnRead != 0 && findReader(&d.states[i], m.id) < 0 {
-				ts.Reads = append(ts.Reads, d.states[i].addr)
+			if f&flagOwnRead != 0 && findReader(d.state(i), m.id) < 0 {
+				ts.Reads = append(ts.Reads, d.state(i).addr)
 			}
 		}
 		slices.Sort(ts.Writes)
@@ -101,19 +101,25 @@ func (d *Directory) State() DirectoryState {
 }
 
 // RestoreState reinstates a checkpointed directory into d, replacing any
-// existing contents with a freshly built arena. The injection hook is left
-// as installed on d (the caller re-installs fault plumbing separately).
+// existing contents with freshly built chunks and slabs. The injection hook
+// is left as installed on d (the caller re-installs fault plumbing
+// separately).
 func (d *Directory) RestoreState(s DirectoryState) {
 	d.words = memsys.PageTable[memsys.Addr, int32]{}
-	d.states = make([]wordState, 0, len(s.Words))
+	d.chunks, d.entries = nil, 0
 	d.freeWords = nil
+	d.versionSlab, d.readerSlab = nil, nil
 	d.slots = nil
 	d.live = nil
 	d.marksFree = nil
 	d.scratch = nil
+	// Word k of the checkpoint becomes entry k.
 	for _, ws := range s.Words {
-		d.states = append(d.states, wordState{addr: ws.Addr, versions: append([]ids.TaskID(nil), ws.Versions...)})
-		d.words.Put(ws.Addr, int32(len(d.states)))
+		i := d.newEntry()
+		w := d.state(i)
+		w.addr = ws.Addr
+		w.versions = append(carve(&d.versionSlab, len(ws.Versions), versionSlabSize), ws.Versions...)
+		d.words.Put(ws.Addr, i+1)
 	}
 	// A listed write whose version is still present was inserted by this
 	// incarnation (only the live task with that ID can have re-inserted it
@@ -121,7 +127,7 @@ func (d *Directory) RestoreState(s DirectoryState) {
 	for _, ts := range s.Tasks {
 		m := d.marks(ts.Task)
 		for _, a := range ts.Writes {
-			if i := d.words.Get(a) - 1; i >= 0 && slices.Contains(d.states[i].versions, ts.Task) {
+			if i := d.words.Get(a) - 1; i >= 0 && slices.Contains(d.state(i).versions, ts.Task) {
 				m.writes = append(m.writes, i)
 				m.flags.set(i, flagWrote)
 			} else {
@@ -130,16 +136,17 @@ func (d *Directory) RestoreState(s DirectoryState) {
 		}
 	}
 	// A read of the reader's own flagged version goes back to its flags.
-	for i, ws := range s.Words {
-		w := &d.states[i]
+	for k, ws := range s.Words {
+		i := int32(k)
+		w := d.state(i)
 		for _, rm := range ws.Readers {
 			if rm.Consumed == rm.Reader {
-				if m := d.lookupMarks(rm.Reader); m != nil && m.flags.get(int32(i))&flagWrote != 0 {
-					m.flags.set(int32(i), flagOwnRead)
+				if m := d.lookupMarks(rm.Reader); m != nil && m.flags.get(i)&flagWrote != 0 {
+					m.flags.set(i, flagOwnRead)
 					continue
 				}
 			}
-			w.readers = append(w.readers, readerMark{reader: rm.Reader, consumed: rm.Consumed})
+			d.addReader(w, readerMark{reader: rm.Reader, consumed: rm.Consumed})
 		}
 	}
 	for _, ts := range s.Tasks {

@@ -339,17 +339,6 @@ func (c *Cache) CountWhere(match func(*Line) bool) int {
 	return n
 }
 
-// TaskLines returns the lines whose producer is the given task.
-func (c *Cache) TaskLines(task ids.TaskID) []*Line {
-	var out []*Line
-	c.ForEach(func(l *Line) {
-		if l.Producer == task {
-			out = append(out, l)
-		}
-	})
-	return out
-}
-
 // LocalSpecVersionOwner returns the producer of a dirty speculative version
 // of tag held locally that belongs to a task other than writer, or None.
 // This is the check that makes MultiT&SV stall: "the processor stalls when

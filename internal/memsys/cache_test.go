@@ -260,18 +260,20 @@ func TestLocalSpecVersionOwner(t *testing.T) {
 	}
 }
 
-func TestTaskLinesAndForEach(t *testing.T) {
+func TestForEach(t *testing.T) {
 	c := tinyCache(4)
 	c.Insert(4, ids.TaskID(1), KindOwnVersion)
 	c.Insert(8, ids.TaskID(1), KindOwnVersion)
 	c.Insert(12, ids.TaskID(2), KindOwnVersion)
-	if got := len(c.TaskLines(ids.TaskID(1))); got != 2 {
-		t.Fatalf("TaskLines = %d, want 2", got)
-	}
-	total := 0
-	c.ForEach(func(*Line) { total++ })
-	if total != 3 {
-		t.Fatalf("ForEach visited %d, want 3", total)
+	total, task1 := 0, 0
+	c.ForEach(func(l *Line) {
+		total++
+		if l.Producer == ids.TaskID(1) {
+			task1++
+		}
+	})
+	if total != 3 || task1 != 2 {
+		t.Fatalf("ForEach visited %d lines (%d of task 1), want 3 (2)", total, task1)
 	}
 }
 

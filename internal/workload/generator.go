@@ -262,8 +262,15 @@ func (g *Generator) timedOps(index int, sc *taskScratch) (instr int) {
 }
 
 // emit interleaves the ordered memory operations with compute chunks
-// proportional to the gaps between their positions, appending into buf.
+// proportional to the gaps between their positions, appending into buf. The
+// stream holds at most one compute chunk before each memory operation plus a
+// trailing one, so a short buf is replaced once, up front, by one of at least
+// that bound (and at least twice its capacity, so a recycled buffer still
+// grows geometrically across tasks) and never regrows mid-stream.
 func emit(mem []timed, instr int, buf []Op) []Op {
+	if need := 2*len(mem) + 1; cap(buf) < need {
+		buf = make([]Op, 0, max(need, 2*cap(buf)))
+	}
 	ops := buf[:0]
 	emitted := 0
 	prev := 0.0

@@ -53,8 +53,28 @@ func checkOrder(t *testing.T, what string, mem []timed) {
 	}
 }
 
+// referenceEmit is emit written as plain appends onto a nil slice, with no
+// up-front sizing.
+func referenceEmit(mem []timed, instr int) []Op {
+	var ops []Op
+	emitted := 0
+	prev := 0.0
+	for _, m := range mem {
+		if chunk := int(float64(instr) * (m.pos - prev)); chunk > 0 {
+			ops = append(ops, Op{Kind: OpCompute, Instr: chunk})
+			emitted += chunk
+		}
+		prev = m.pos
+		ops = append(ops, Op{Kind: m.kind, Addr: m.addr})
+	}
+	if rest := instr - emitted; rest > 0 {
+		ops = append(ops, Op{Kind: OpCompute, Instr: rest})
+	}
+	return ops
+}
+
 // checkTask fails t if g's streams differ from the ones the reference sort
-// yields, over tasks [0, n).
+// and plain appends yield, over tasks [0, n).
 func checkTask(t *testing.T, what string, g *Generator, n int) {
 	t.Helper()
 	var buf []Op
@@ -62,7 +82,7 @@ func checkTask(t *testing.T, what string, g *Generator, n int) {
 		sc := &taskScratch{}
 		instr := g.timedOps(i, sc)
 		checkOrder(t, what, sc.mem)
-		want := emit(referenceOrder(sc.mem), instr, nil)
+		want := referenceEmit(referenceOrder(sc.mem), instr)
 		var gotInstr int
 		buf, gotInstr = g.Task(i, buf)
 		if gotInstr != instr || !slices.Equal(buf, want) {
@@ -133,6 +153,34 @@ func TestTaskAllocsWithReusedBuffer(t *testing.T) {
 	})
 	if allocs > 1 {
 		t.Fatalf("Task made %.1f allocations per call with a reused buffer, want <= 1", allocs)
+	}
+}
+
+// TestTaskNilBufferAllocatesOnce: with no buffer to reuse, Task sizes the
+// op stream once up front instead of doubling it mid-stream, and the stream
+// is the one plain appends build.
+func TestTaskNilBufferAllocatesOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items at random")
+	}
+	for _, p := range []Profile{Bdna(), Euler()} {
+		g := NewGenerator(p, 1)
+		for i := 0; i < 4; i++ {
+			sc := &taskScratch{}
+			instr := g.timedOps(i, sc)
+			ops, _ := g.Task(i, nil)
+			if want := referenceEmit(referenceOrder(sc.mem), instr); !slices.Equal(ops, want) {
+				t.Fatalf("%s task %d: stream differs from the plain-append one", p.Name, i)
+			}
+		}
+		i := 0
+		allocs := testing.AllocsPerRun(20, func() {
+			g.Task(i%4, nil)
+			i++
+		})
+		if allocs != 1 {
+			t.Fatalf("%s: Task with a nil buffer made %.1f allocations per call, want 1", p.Name, allocs)
+		}
 	}
 }
 
