@@ -30,9 +30,10 @@ vet:
 	cd perfbench && $(GO) vet ./...
 
 # race exercises the packages that run jobs concurrently (the in-process
-# coordinator, its worker and the runner) and the sweeps built on them.
+# coordinator, its worker and the runner), the sweeps built on them, the
+# stream store its workers share and the page pool its simulations share.
 race:
-	$(GO) test -race ./internal/exp ./internal/cluster ./internal/report ./internal/sim
+	$(GO) test -race ./internal/exp ./internal/cluster ./internal/report ./internal/sim ./internal/workload ./internal/memsys
 
 # race-short runs the whole module under the race detector in short mode —
 # the CI job that guards the parallel simulation core (prefetch workers and

@@ -1,8 +1,8 @@
 // tlsbench is the repeatable performance harness for the simulator itself:
 // it runs the hot-path microbenchmarks (event queue, version directory,
-// cache, main memory) and one full (app, machine, scheme) simulation through
-// testing.Benchmark, prints the measurements, and can write them as a JSON
-// baseline or compare them against a checked-in one.
+// cache, main memory, task streams) and one full (app, machine, scheme)
+// simulation through testing.Benchmark, prints the measurements, and can
+// write them as a JSON baseline or compare them against a checked-in one.
 //
 // Usage:
 //
@@ -11,7 +11,7 @@
 //	tlsbench -compare                 # run and gate against the baseline
 //	tlsbench -baseline BENCH_4.json -out   # cut the next baseline
 //
-// The baseline lives at -baseline (default BENCH_25.json, the checked-in
+// The baseline lives at -baseline (default BENCH_26.json, the checked-in
 // document); -out and -compare write and read that path. The flag's default
 // is the one place that names the current baseline: make bench, make
 // bench-baseline and CI all use it, so cutting the next baseline edits only
@@ -75,8 +75,10 @@ var suite = []struct {
 	{"directory/privatized", benchDirPrivatized},
 	{"directory/fresh-words", benchDirFreshWords},
 	{"workload/task-gen", benchTaskGen},
+	{"workload/stored-task", benchStoredTask},
 	{"cache/probe-hit", benchCacheProbeHit},
 	{"cache/insert-evict", benchCacheInsertEvict},
+	{"cache/commit-own", benchCacheCommitOwn},
 	{"memory/write-back", benchMemWriteBack},
 	{"sim/full-run", benchFullRun},
 	{"sim/full-run-parallel", benchFullRunParallel},
@@ -215,6 +217,25 @@ func benchTaskGen(b *testing.B) {
 	}
 }
 
+// benchStoredTask replays one full-size Bdna task stream per op from a
+// stream store whose tasks were all generated before the timer starts.
+func benchStoredTask(b *testing.B) {
+	b.ReportAllocs()
+	store := workload.NewStore()
+	for i := 0; i < 10; i++ { // a figure grid's jobs per app
+		store.Hold(repro.Bdna(), 1)
+	}
+	g := store.Generator(repro.Bdna(), 1)
+	var buf []workload.Op
+	for i := 0; i < g.NumTasks(); i++ {
+		buf, _ = g.Task(i, buf)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf, _ = g.Task(i%g.NumTasks(), buf)
+	}
+}
+
 func benchCacheProbeHit(b *testing.B) {
 	b.ReportAllocs()
 	c := memsys.NewCache(memsys.Config{Name: "L2", SizeBytes: 512 << 10, Ways: 4})
@@ -231,6 +252,25 @@ func benchCacheInsertEvict(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Insert(memsys.LineAddr(i), ids.TaskID(i%8+1), memsys.KindOwnVersion)
+	}
+}
+
+// benchCacheCommitOwn finds one task's own versions per op, as a commit
+// does, in a full 512-KB 4-way L2 (8,192 lines) holding 64 tasks' versions
+// of 128 lines each.
+func benchCacheCommitOwn(b *testing.B) {
+	b.ReportAllocs()
+	c := memsys.NewCache(memsys.Config{Name: "L2", SizeBytes: 512 << 10, Ways: 4})
+	for line := 0; line < 8192; line++ {
+		c.Insert(memsys.LineAddr(line), ids.TaskID(line%64+1), memsys.KindOwnVersion)
+	}
+	lines := 0
+	visit := func(*memsys.Line) { lines++ }
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t := ids.TaskID(i%64 + 1)
+		lines += c.OwnVersions(t)
+		c.ForEachOwnVersion(t, visit)
 	}
 }
 
@@ -464,7 +504,7 @@ func compare(baseline Baseline, cur []Measurement, band float64) int {
 
 func main() {
 	var (
-		basePath = flag.String("baseline", "BENCH_25.json", "path of the JSON benchmark baseline (-out writes it, -compare reads it)")
+		basePath = flag.String("baseline", "BENCH_26.json", "path of the JSON benchmark baseline (-out writes it, -compare reads it)")
 		out      = flag.Bool("out", false, "write measurements to the -baseline file")
 		against  = flag.Bool("compare", false, "compare against the -baseline file; exit 1 outside the band")
 		band     = flag.Float64("band", 0.30, "guard band for the allocs/op comparison")

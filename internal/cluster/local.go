@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/exp"
+	"repro/internal/workload"
 )
 
 // Local is the `-jobs N` executor: an in-process Coordinator, one Worker
@@ -26,6 +27,12 @@ import (
 // one at a time, and a key settled in an earlier batch is answered from the
 // coordinator instead of executing again, exactly as a fleet coordinator
 // answers a resubmission.
+//
+// Each batch gets one workload.Store: the jobs of the batch, baselines
+// included, replay their task streams from it, so a (profile, seed) pair
+// that several jobs share is generated once per batch, and the pair is
+// evicted as soon as the batch has no unsettled job left for it (cache hits
+// and failed jobs settle too).
 type Local struct {
 	// Workers is how many jobs execute concurrently; <= 0 selects
 	// GOMAXPROCS, 1 runs serially.
@@ -55,6 +62,8 @@ type Local struct {
 	// worker resolve specs to the caller's own jobs (Obs included). It is
 	// written only between batches, while no worker goroutine runs.
 	byKey map[string]exp.Job
+	// streams is the running batch's stream store (nil between batches).
+	streams *workload.Store
 }
 
 // localURL is the base URL of the in-process coordinator; the transport
@@ -120,12 +129,30 @@ func (l *Local) RunBatch(ctx context.Context, jobs []exp.Job) ([]exp.JobResult, 
 	l.coordinator()
 	l.batch.Lock()
 	defer l.batch.Unlock()
-	for _, j := range jobs {
-		k := j.Key()
-		if _, ok := l.byKey[k]; !ok {
-			l.byKey[k] = j
+	// The batch's jobs share one stream store; a (profile, seed) pair leaves
+	// it as soon as the last of the batch's jobs for it has settled.
+	store := workload.NewStore()
+	keys := make([]string, len(jobs))
+	for i, j := range jobs {
+		keys[i] = j.Key()
+		store.Hold(j.Profile, j.Seed)
+		e, ok := l.byKey[keys[i]]
+		if !ok {
+			e = j
 		}
+		e.Streams = store
+		l.byKey[keys[i]] = e
 	}
+	l.streams = store
+	defer func() {
+		// Between batches no job may keep the finished batch's store alive.
+		for _, k := range keys {
+			e := l.byKey[k]
+			e.Streams = nil
+			l.byKey[k] = e
+		}
+		l.streams = nil
+	}()
 
 	l.w.cfg.Parallel = l.workers(len(jobs))
 	wctx, stop := context.WithCancel(ctx)
@@ -135,7 +162,13 @@ func (l *Local) RunBatch(ctx context.Context, jobs []exp.Job) ([]exp.JobResult, 
 		l.w.Run(wctx)
 	}()
 
-	client := &Client{URL: localURL, Poll: localPoll, HTTP: l.hc, Progress: l.Progress}
+	progress := func(jr exp.JobResult) {
+		store.Release(jr.Job.Profile, jr.Job.Seed)
+		if l.Progress != nil {
+			l.Progress(jr)
+		}
+	}
+	client := &Client{URL: localURL, Poll: localPoll, HTTP: l.hc, Progress: progress}
 	out, err := client.RunBatch(ctx, jobs)
 	stop()
 	<-drained

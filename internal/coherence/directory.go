@@ -189,8 +189,18 @@ type Directory struct {
 
 // NewDirectory returns an empty directory.
 func NewDirectory() *Directory {
-	return &Directory{}
+	d := &Directory{}
+	d.words.UsePool(&wordPages)
+	return d
 }
+
+// wordPages recycles the word-index pages of finished simulations.
+var wordPages memsys.PagePool[int32]
+
+// ReleasePages returns the directory's word-index pages to the process-wide
+// pool. The directory no longer finds any word afterwards, so call it only
+// once the simulation's results have been taken.
+func (d *Directory) ReleasePages() { d.words.Release() }
 
 // lowerBound returns the first index i with !v[i].Before(t) (i.e. v[i] >= t)
 // in the ascending version list v.

@@ -78,6 +78,11 @@ type Job struct {
 	// observed and unobserved runs share cache entries — which also means a
 	// cache hit skips the simulation and leaves the registry empty.
 	Obs *obs.Config
+	// Streams, when non-nil, is the batch's shared task-stream store: the
+	// job's generator replays the streams stored there instead of generating
+	// them again. Like Obs it is NOT part of Key — a stored stream is the
+	// generated one.
+	Streams *workload.Store
 }
 
 // Key returns the job's stable content hash: a hex SHA-256 over the
@@ -132,14 +137,15 @@ func (j Job) Build() *sim.Simulator {
 // run. Faults and the invariant checker only arm speculative runs: the
 // sequential baseline has no speculative protocol to stress or to check.
 func (j Job) build() (*sim.Simulator, *fault.Plan) {
+	gen := j.Streams.Generator(j.Profile, j.Seed)
 	if j.Sequential {
-		s := sim.NewSequential(j.Machine, j.Profile, j.Seed)
+		s := sim.NewSequentialOf(j.Machine, gen)
 		if j.Obs != nil {
 			s.Observe(*j.Obs)
 		}
 		return s, nil
 	}
-	s := sim.New(j.Machine, j.Scheme, workload.NewGenerator(j.Profile, j.Seed))
+	s := sim.New(j.Machine, j.Scheme, gen)
 	if j.Ablation.LineGranularity {
 		s.SetLineGranularityConflicts(true)
 	}
@@ -229,5 +235,7 @@ func (j Job) Execute() sim.Result {
 func (j Job) ExecuteWithVerdict() (sim.Result, *ChaosVerdict) {
 	s, plan := j.build()
 	res := s.Run()
-	return res, j.verdict(s, plan)
+	v := j.verdict(s, plan)
+	s.ReleasePages()
+	return res, v
 }

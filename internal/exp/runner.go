@@ -237,7 +237,9 @@ func (r *Runner) prepare(j Job, at Attempt) *jobRun {
 		if s.Halted() {
 			return sim.Result{}, nil, fmt.Errorf("job %s: %w", j.Label(), ErrJobInterrupted)
 		}
-		return res, j.verdict(s, plan), nil
+		v = j.verdict(s, plan)
+		s.ReleasePages()
+		return res, v, nil
 	}
 	return jr
 }

@@ -2,6 +2,7 @@ package memsys
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/ids"
 )
@@ -49,7 +50,9 @@ type Line struct {
 	Tag      LineAddr
 	Producer ids.TaskID // task that produced this version; None = architectural
 	Kind     LineKind
+	listed   bool     // on the cache's producer index (see Cache)
 	Written  WordMask // words written by Producer (own versions only)
+	prev     int32    // previous slot+1 on the index list (0 = head); fills padding
 	lastUse  uint64
 }
 
@@ -97,6 +100,24 @@ type Cache struct {
 	// Insert that found a free way consults it and, if it fires, victimizes
 	// a resident line of the set anyway. Nil (the default) costs nothing.
 	pressure func() bool
+
+	// The producer index, so a commit finds a task's versions without
+	// walking the whole cache: every own version of a task enters through
+	// Insert, which puts its slot (Line.listed) on the doubly linked list of
+	// the producer's bucket, producer mod the set count. A slot stays listed
+	// until it is cleared or reused, even after a commit changes the line's
+	// kind through a pointer; walks filter on producer and kind. The back
+	// links live in the lines' padding (Line.prev), the forward links and
+	// the heads here; all hold slot+1 (0 = none). next and heads are
+	// allocated once, by the first list: an L1, which only ever holds
+	// copies, never needs them, and building a simulator stays as cheap as
+	// before. The index is derived state: Insert, Invalidate,
+	// InvalidateWhere, SetProducer, Flush and RestoreState keep it, and
+	// nothing else changes a line's producer or validity or makes it an own
+	// version.
+	next  []int32 // per slot
+	heads []int32 // per bucket
+	own   []int32 // ForEachOwnVersion's slot scratch
 }
 
 // NewCache returns an empty cache with the given geometry. The set count
@@ -131,6 +152,62 @@ func (c *Cache) set(tag LineAddr) []Line {
 	return c.lines[s*c.ways : (s+1)*c.ways]
 }
 
+// find returns the slot holding version (tag, producer), or -1.
+func (c *Cache) find(tag LineAddr, producer ids.TaskID) int {
+	base := int(uint64(tag)&c.setMask) * c.ways
+	set := c.lines[base : base+c.ways]
+	for i := range set {
+		// The tag rules most ways out; validity is checked last.
+		if l := &set[i]; l.Tag == tag && l.Producer == producer && l.Valid() {
+			return base + i
+		}
+	}
+	return -1
+}
+
+// bucket returns the index bucket of producer.
+func (c *Cache) bucket(producer ids.TaskID) int { return int(uint64(producer) & c.setMask) }
+
+// list puts slot i, which holds an own version, on its producer's bucket
+// list unless it is there already. None's lines are not listed.
+func (c *Cache) list(i int) {
+	l := &c.lines[i]
+	if l.listed || l.Producer == ids.None {
+		return
+	}
+	if c.next == nil {
+		c.next = make([]int32, len(c.lines))
+		c.heads = make([]int32, c.sets)
+	}
+	b := c.bucket(l.Producer)
+	h := c.heads[b]
+	c.next[i], l.prev = h, 0
+	if h != 0 {
+		c.lines[h-1].prev = int32(i + 1)
+	}
+	c.heads[b] = int32(i + 1)
+	l.listed = true
+}
+
+// unlist takes slot i off its producer's bucket list, if it is listed; call
+// it before the slot's producer changes or the slot is cleared or reused.
+func (c *Cache) unlist(i int) {
+	l := &c.lines[i]
+	if !l.listed {
+		return
+	}
+	prev, next := l.prev, c.next[i]
+	if prev != 0 {
+		c.next[prev-1] = next
+	} else {
+		c.heads[c.bucket(l.Producer)] = next
+	}
+	if next != 0 {
+		c.lines[next-1].prev = prev
+	}
+	c.next[i], l.prev, l.listed = 0, 0, false
+}
+
 func (c *Cache) touch(l *Line) {
 	c.useTick++
 	l.lastUse = c.useTick
@@ -139,14 +216,11 @@ func (c *Cache) touch(l *Line) {
 // Probe looks up the exact version (tag, producer). It returns the line and
 // whether it was found, updating LRU state and hit/miss counters.
 func (c *Cache) Probe(tag LineAddr, producer ids.TaskID) (*Line, bool) {
-	set := c.set(tag)
-	for i := range set {
-		l := &set[i]
-		if l.Valid() && l.Tag == tag && l.Producer == producer {
-			c.touch(l)
-			c.hits++
-			return l, true
-		}
+	if i := c.find(tag, producer); i >= 0 {
+		l := &c.lines[i]
+		c.touch(l)
+		c.hits++
+		return l, true
 	}
 	c.misses++
 	return nil, false
@@ -154,12 +228,8 @@ func (c *Cache) Probe(tag LineAddr, producer ids.TaskID) (*Line, bool) {
 
 // Peek is Probe without statistics or LRU side effects.
 func (c *Cache) Peek(tag LineAddr, producer ids.TaskID) (*Line, bool) {
-	set := c.set(tag)
-	for i := range set {
-		l := &set[i]
-		if l.Valid() && l.Tag == tag && l.Producer == producer {
-			return l, true
-		}
+	if i := c.find(tag, producer); i >= 0 {
+		return &c.lines[i], true
 	}
 	return nil, false
 }
@@ -217,23 +287,24 @@ func (c *Cache) BestVersionFor(tag LineAddr, reader ids.TaskID) *Line {
 
 // victimAmong applies the replacement policy to the valid lines of a set,
 // ignoring free ways: LRU among replaceable lines first, LRU speculative
-// version as a last resort. It returns nil for an all-invalid set.
-func victimAmong(set []Line) *Line {
-	var bestReplaceable, bestOwn *Line
+// version as a last resort. It returns the victim's way, or -1 for an
+// all-invalid set.
+func victimAmong(set []Line) int {
+	bestReplaceable, bestOwn := -1, -1
 	for i := range set {
 		l := &set[i]
 		if !l.Valid() {
 			continue
 		}
 		if l.Kind == KindOwnVersion {
-			if bestOwn == nil || l.lastUse < bestOwn.lastUse {
-				bestOwn = l
+			if bestOwn < 0 || l.lastUse < set[bestOwn].lastUse {
+				bestOwn = i
 			}
-		} else if bestReplaceable == nil || l.lastUse < bestReplaceable.lastUse {
-			bestReplaceable = l
+		} else if bestReplaceable < 0 || l.lastUse < set[bestReplaceable].lastUse {
+			bestReplaceable = i
 		}
 	}
-	if bestReplaceable != nil {
+	if bestReplaceable >= 0 {
 		return bestReplaceable
 	}
 	return bestOwn
@@ -248,62 +319,165 @@ func (c *Cache) Insert(tag LineAddr, producer ids.TaskID, kind LineKind) (victim
 	if kind == KindInvalid {
 		panic("memsys: inserting an invalid line")
 	}
-	if l, ok := c.Peek(tag, producer); ok {
-		l.Kind = kind
-		c.touch(l)
-		return Line{}, false
-	}
-	set := c.set(tag)
-	var slot *Line
+	// One pass finds the version itself (updated in place) or, failing
+	// that, the first free way.
+	base := int(uint64(tag)&c.setMask) * c.ways
+	set := c.lines[base : base+c.ways]
+	way := -1
 	for i := range set {
-		if !set[i].Valid() {
-			slot = &set[i]
-			break
+		l := &set[i]
+		if !l.Valid() {
+			if way < 0 {
+				way = i
+			}
+		} else if l.Tag == tag && l.Producer == producer {
+			l.Kind = kind
+			if kind == KindOwnVersion {
+				c.list(base + i)
+			}
+			c.touch(l)
+			return Line{}, false
 		}
 	}
-	if slot != nil && c.pressure != nil && c.pressure() {
+	if way >= 0 && c.pressure != nil && c.pressure() {
 		// Capacity theft: displace a resident line despite the free way.
-		if v := victimAmong(set); v != nil {
-			slot = v
+		if v := victimAmong(set); v >= 0 {
+			way = v
 		}
 	}
-	if slot == nil {
-		slot = victimAmong(set)
+	if way < 0 {
+		way = victimAmong(set)
 	}
-	if slot.Valid() {
-		victim = *slot
+	slot := base + way
+	l := &c.lines[slot]
+	if l.Valid() {
+		c.unlist(slot)
+		victim = *l
 		displacedDirty = victim.Dirty()
 		c.evictions++
 	}
-	*slot = Line{Tag: tag, Producer: producer, Kind: kind}
-	c.touch(slot)
+	*l = Line{Tag: tag, Producer: producer, Kind: kind}
+	if kind == KindOwnVersion {
+		c.list(slot)
+	}
+	c.touch(l)
 	return victim, displacedDirty
 }
 
 // Invalidate removes the exact version (tag, producer) if present and
 // returns it.
 func (c *Cache) Invalidate(tag LineAddr, producer ids.TaskID) (Line, bool) {
-	if l, ok := c.Peek(tag, producer); ok {
-		old := *l
-		*l = Line{}
+	if i := c.find(tag, producer); i >= 0 {
+		c.unlist(i)
+		old := c.lines[i]
+		c.lines[i] = Line{}
 		return old, true
 	}
 	return Line{}, false
 }
 
-// InvalidateWhere removes every line for which keep returns true and
+// InvalidateWhere removes every valid line for which match returns true and
 // returns how many were removed. Squash recovery under AMM is exactly this:
 // gang-invalidating the speculative lines of the offending tasks.
 func (c *Cache) InvalidateWhere(match func(*Line) bool) int {
 	n := 0
 	for i := range c.lines {
-		l := &c.lines[i]
-		if l.Valid() && match(l) {
+		if l := &c.lines[i]; l.Valid() && match(l) {
+			c.unlist(i)
 			*l = Line{}
 			n++
 		}
 	}
 	return n
+}
+
+// SetProducer re-tags the valid line l, which must be one of this cache's
+// lines, as produced by producer: the fault injector's tag corruption.
+func (c *Cache) SetProducer(l *Line, producer ids.TaskID) {
+	base := int(uint64(l.Tag)&c.setMask) * c.ways
+	for i := base; i < base+c.ways; i++ {
+		if &c.lines[i] == l {
+			c.unlist(i)
+			l.Producer = producer
+			if l.Kind == KindOwnVersion {
+				c.list(i)
+			}
+			return
+		}
+	}
+	panic("memsys: SetProducer on a line of another cache")
+}
+
+// ForEachOwnVersion visits, in slot order (ForEach's order), every line
+// holding an own version of task producer, found through the producer index
+// instead of a walk over the whole cache (None's lines are not indexed).
+// The visitor may change the line's kind but must not insert, invalidate,
+// or call ForEachOwnVersion.
+func (c *Cache) ForEachOwnVersion(producer ids.TaskID, visit func(*Line)) {
+	for _, i := range c.ownSlots(producer) {
+		// Re-checked: an earlier visit may have changed this line.
+		if l := &c.lines[i]; l.Producer == producer && l.Kind == KindOwnVersion {
+			visit(l)
+		}
+	}
+}
+
+// OwnVersions returns how many lines hold an own version of producer.
+func (c *Cache) OwnVersions(producer ids.TaskID) int { return len(c.ownSlots(producer)) }
+
+// ownSlots returns the slots of producer's own versions in ascending
+// order, in the cache's scratch.
+func (c *Cache) ownSlots(producer ids.TaskID) []int32 {
+	own := c.own[:0]
+	if producer != ids.None && c.heads != nil {
+		for i := c.heads[c.bucket(producer)]; i != 0; i = c.next[i-1] {
+			if l := &c.lines[i-1]; l.Producer == producer && l.Kind == KindOwnVersion {
+				own = append(own, i-1)
+			}
+		}
+	}
+	slices.Sort(own)
+	c.own = own
+	return own
+}
+
+// CheckIndex verifies the producer index against a full scan of the cache:
+// every listed slot is valid, task-produced, in its producer's bucket and
+// consistently linked; the lists hold exactly the slots marked listed; and
+// every own version of a task is listed.
+func (c *Cache) CheckIndex() error {
+	onLists := 0
+	for b, h := range c.heads {
+		prev := int32(0)
+		for i := h; i != 0; i = c.next[i-1] {
+			if onLists++; onLists > len(c.lines) {
+				return fmt.Errorf("memsys: cache %s: bucket %d list does not end", c.cfg.Name, b)
+			}
+			l := &c.lines[i-1]
+			switch {
+			case !l.listed || !l.Valid() || l.Producer == ids.None:
+				return fmt.Errorf("memsys: cache %s: slot %d is on a list but holds no listed task line", c.cfg.Name, i-1)
+			case c.bucket(l.Producer) != b:
+				return fmt.Errorf("memsys: cache %s: slot %d (%v) listed in bucket %d", c.cfg.Name, i-1, l.Producer, b)
+			case l.prev != prev:
+				return fmt.Errorf("memsys: cache %s: slot %d has a broken back link", c.cfg.Name, i-1)
+			}
+			prev = i
+		}
+	}
+	marked := 0
+	for i := range c.lines {
+		l := &c.lines[i]
+		if l.listed {
+			marked++
+		} else if l.Kind == KindOwnVersion && l.Producer != ids.None {
+			return fmt.Errorf("memsys: cache %s: own version %#x of %v in slot %d is not listed", c.cfg.Name, uint64(l.Tag), l.Producer, i)
+		}
+	}
+	if onLists != marked {
+		return fmt.Errorf("memsys: cache %s: %d slots on lists, %d marked listed", c.cfg.Name, onLists, marked)
+	}
+	return nil
 }
 
 // ForEach visits every valid line. The visitor must not insert or
@@ -325,17 +499,6 @@ func (c *Cache) LiveLines() int {
 			n++
 		}
 	}
-	return n
-}
-
-// CountWhere returns the number of valid lines matching the predicate.
-func (c *Cache) CountWhere(match func(*Line) bool) int {
-	n := 0
-	c.ForEach(func(l *Line) {
-		if match(l) {
-			n++
-		}
-	})
 	return n
 }
 
@@ -373,7 +536,7 @@ func (c *Cache) Stats() (hits, misses, evictions uint64) {
 // Flush invalidates the entire cache without writing anything back; tests
 // and section boundaries use it.
 func (c *Cache) Flush() {
-	for i := range c.lines {
-		c.lines[i] = Line{}
-	}
+	clear(c.lines)
+	clear(c.next)
+	clear(c.heads)
 }

@@ -79,7 +79,7 @@ func TestInsertSameVersionUpdatesInPlace(t *testing.T) {
 	if l.Kind != KindCommitted {
 		t.Fatal("reinsert did not update kind")
 	}
-	if n := c.CountWhere(func(l *Line) bool { return l.Tag == 5 }); n != 1 {
+	if n := len(c.VersionsOf(5)); n != 1 {
 		t.Fatalf("duplicate lines after reinsert: %d", n)
 	}
 }
@@ -281,7 +281,7 @@ func TestFlush(t *testing.T) {
 	c := tinyCache(2)
 	c.Insert(4, ids.TaskID(1), KindOwnVersion)
 	c.Flush()
-	if c.CountWhere(func(*Line) bool { return true }) != 0 {
+	if c.LiveLines() != 0 || c.CheckIndex() != nil {
 		t.Fatal("flush left lines behind")
 	}
 }

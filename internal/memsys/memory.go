@@ -35,8 +35,18 @@ func (m *Memory) SetObs(writebacks, rejected *obs.Counter) {
 // write-back is accepted (the caller — an AMM scheme using the VCL — must
 // itself guarantee in-order merging).
 func NewMemory(mtid bool) *Memory {
-	return &Memory{mtidEnabled: mtid}
+	m := &Memory{mtidEnabled: mtid}
+	m.version.UsePool(&tagPages)
+	return m
 }
+
+// tagPages recycles the MTID tag pages of finished simulations.
+var tagPages PagePool[ids.TaskID]
+
+// ReleasePages returns the memory's tag pages to the process-wide pool,
+// leaving the memory empty: every line back to its architectural data.
+// Call it only once the simulation's results have been taken.
+func (m *Memory) ReleasePages() { m.version.Release() }
 
 // MTIDEnabled reports whether the memory filters stale write-backs.
 func (m *Memory) MTIDEnabled() bool { return m.mtidEnabled }

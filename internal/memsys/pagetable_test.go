@@ -166,3 +166,51 @@ func TestPageTableTaskIDValues(t *testing.T) {
 		t.Fatalf("after delete: Get %d, Len %d, pages %d, free %d", x.Get(5), x.Len(), x.used, len(x.free))
 	}
 }
+
+// TestPagePoolRecyclesZeroedPages: a released table's pages come back to
+// the next table of the pool zeroed, so a recycled page never leaks an old
+// simulation's values, and the released table is empty and reusable.
+func TestPagePoolRecyclesZeroedPages(t *testing.T) {
+	var pool PagePool[ids.TaskID]
+	r := rng.New(3)
+	keys := keyPool(r, 3000)
+	var a PageTable[Addr, ids.TaskID]
+	a.UsePool(&pool)
+	for i, k := range keys {
+		a.Put(k, ids.TaskID(i+1))
+	}
+	for _, k := range keys[:500] {
+		a.Put(k, ids.None) // some pages empty into the free list
+	}
+	a.Release()
+	if a.Len() != 0 || a.Get(keys[600]) != ids.None {
+		t.Fatal("a released table still holds keys")
+	}
+	for round := 0; round < 3; round++ {
+		var b PageTable[Addr, ids.TaskID]
+		b.UsePool(&pool)
+		fresh := keyPool(rng.New(uint64(10+round)), 2000)
+		for i, k := range fresh {
+			if got := b.Get(k); got != ids.None {
+				t.Fatalf("round %d: key %#x reads %v before any Put", round, uint64(k), got)
+			}
+			b.Put(k, ids.TaskID(i+1))
+		}
+		n := 0
+		b.Ascend(func(k Addr, v ids.TaskID) {
+			if v != ids.TaskID(slices.Index(fresh, k)+1) {
+				t.Fatalf("round %d: key %#x holds %v, a recycled page kept an old value", round, uint64(k), v)
+			}
+			n++
+		})
+		if n != len(fresh) {
+			t.Fatalf("round %d: %d keys present, want %d", round, n, len(fresh))
+		}
+		b.Release()
+	}
+	// The released table is still usable.
+	a.Put(keys[0], 9)
+	if a.Get(keys[0]) != 9 || a.Len() != 1 {
+		t.Fatal("a released table does not accept new keys")
+	}
+}

@@ -68,16 +68,19 @@ func (c *Cache) RestoreState(s CacheState) error {
 		return fmt.Errorf("memsys: cache %s geometry mismatch: checkpoint %dx%d, machine %dx%d",
 			c.cfg.Name, s.Sets, s.Ways, c.sets, c.ways)
 	}
-	for i := range c.lines {
-		c.lines[i] = Line{}
-	}
+	c.Flush()
 	for _, ls := range s.Lines {
 		if int(ls.Way) < 0 || int(ls.Way) >= len(c.lines) {
 			return fmt.Errorf("memsys: cache %s way %d out of range", c.cfg.Name, ls.Way)
 		}
+		c.unlist(int(ls.Way)) // a repeated way: the last record wins
 		c.lines[ls.Way] = Line{
 			Tag: ls.Tag, Producer: ls.Producer, Kind: ls.Kind,
 			Written: ls.Written, lastUse: ls.LastUse,
+		}
+		if ls.Kind == KindOwnVersion {
+			// The producer index is derived state; rebuild it.
+			c.list(int(ls.Way))
 		}
 	}
 	c.useTick = s.UseTick

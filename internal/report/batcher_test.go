@@ -57,26 +57,30 @@ func TestBatcherGridAgreesWithLocal(t *testing.T) {
 }
 
 // TestGridJobsMatchesRunGrid pins the GridJobs ordering contract that
-// AssembleGrid (and coordinator-side campaign preloading) depend on:
-// baselines first, then apps x schemes.
+// coordinator-side campaign preloading and the stream store's residency
+// depend on: app-major, each app's baseline followed by that app's schemes
+// in order.
 func TestGridJobsMatchesRunGrid(t *testing.T) {
 	opt := Options{Apps: fastApps(), Seed: 5}
-	jobs := GridJobs(machine.CMP8(), Figure9Schemes(), opt)
-	n := len(opt.Apps)
-	if len(jobs) != n*(len(Figure9Schemes())+1) {
+	schemes := Figure9Schemes()
+	jobs := GridJobs(machine.CMP8(), schemes, opt)
+	per := len(schemes) + 1
+	if len(jobs) != len(opt.Apps)*per {
 		t.Fatalf("jobs = %d", len(jobs))
 	}
-	for i, j := range jobs[:n] {
-		if !j.Sequential || j.Profile.Name != opt.Apps[i].Name {
-			t.Fatalf("job %d is not the %s baseline: %s", i, opt.Apps[i].Name, j.Label())
+	for i, j := range jobs {
+		app, slot := opt.Apps[i/per].Name, i%per
+		if j.Profile.Name != app {
+			t.Fatalf("job %d profile %s, want %s", i, j.Profile.Name, app)
 		}
-	}
-	for i, j := range jobs[n:] {
-		if j.Sequential {
-			t.Fatalf("speculative slot %d is sequential", i)
+		if slot == 0 {
+			if !j.Sequential {
+				t.Fatalf("job %d is not the %s baseline: %s", i, app, j.Label())
+			}
+			continue
 		}
-		if want := opt.Apps[i/len(Figure9Schemes())].Name; j.Profile.Name != want {
-			t.Fatalf("job %d profile %s, want %s", n+i, j.Profile.Name, want)
+		if j.Sequential || j.Scheme != schemes[slot-1] {
+			t.Fatalf("job %d is %s, want %s/%v", i, j.Label(), app, schemes[slot-1])
 		}
 	}
 }

@@ -217,17 +217,18 @@ func (g *Grid) Cell(app string, scheme core.Scheme) Cell {
 	return g.Cells[app][scheme.String()]
 }
 
-// GridJobs builds the deterministic job list behind a grid sweep: one
-// sequential baseline per application, followed by apps × schemes. A
-// coordinator preloading a fleet campaign (tlsserve -grid) constructs
-// exactly the jobs a later RunGrid with the same arguments will ask for.
+// GridJobs builds the deterministic job list behind a grid sweep, app by
+// app: each application's sequential baseline followed by its schemes. The
+// app-major order lets a batch finish with one application's streams before
+// starting the next's, so a shared stream store holds only the few
+// applications in flight. A coordinator preloading a fleet campaign
+// (tlsserve -grid) constructs exactly the jobs a later RunGrid with the same
+// arguments will ask for.
 func GridJobs(cfg *machine.Config, schemes []core.Scheme, opt Options) []exp.Job {
 	apps := opt.apps()
 	jobs := make([]exp.Job, 0, len(apps)*(len(schemes)+1))
 	for _, prof := range apps {
 		jobs = append(jobs, exp.Job{Machine: cfg, Profile: prof, Seed: opt.seed(), Sequential: true})
-	}
-	for _, prof := range apps {
 		for _, sch := range schemes {
 			jobs = append(jobs, exp.Job{Machine: cfg, Scheme: sch, Profile: prof, Seed: opt.seed()})
 		}
@@ -235,8 +236,8 @@ func GridJobs(cfg *machine.Config, schemes []core.Scheme, opt Options) []exp.Job
 	return jobs
 }
 
-// AssembleGrid folds batch results, ordered as GridJobs produced them, into
-// a rendered-ready Grid.
+// AssembleGrid folds the batch results of GridJobs into a rendered-ready
+// Grid. Baselines are recognized by Job.Sequential, not by position.
 func AssembleGrid(cfg *machine.Config, schemes []core.Scheme, opt Options, results []exp.JobResult) *Grid {
 	apps := opt.apps()
 	g := &Grid{
@@ -250,22 +251,20 @@ func AssembleGrid(cfg *machine.Config, schemes []core.Scheme, opt Options, resul
 	}
 	g.Failures = exp.CollectFailures(results)
 
-	// The first len(apps) results are the sequential baselines.
 	seqs := make(map[string]event.Time, len(apps))
-	for _, jr := range results[:len(apps)] {
-		if jr.Err != nil {
-			g.Errors = append(g.Errors, jr.Err)
-			continue
+	for _, jr := range results {
+		if jr.Err == nil && jr.Job.Sequential {
+			seqs[jr.Job.Profile.Name] = jr.Result.ExecCycles
 		}
-		seqs[jr.Job.Profile.Name] = jr.Result.ExecCycles
 	}
-	for _, jr := range results[len(apps):] {
-		if jr.Err != nil {
+	for _, jr := range results {
+		switch {
+		case jr.Err != nil:
 			g.Errors = append(g.Errors, jr.Err)
-			continue
+		case !jr.Job.Sequential:
+			g.Cells[jr.Job.Profile.Name][jr.Job.Scheme.String()] =
+				Cell{Result: jr.Result, Seq: seqs[jr.Job.Profile.Name]}
 		}
-		g.Cells[jr.Job.Profile.Name][jr.Job.Scheme.String()] =
-			Cell{Result: jr.Result, Seq: seqs[jr.Job.Profile.Name]}
 	}
 	return g
 }

@@ -60,9 +60,7 @@ func (s *Simulator) commitDuration(p *processor, t *task) event.Time {
 	ovfLine := s.cfg.LatOverflow + s.cfg.CommitPerLine
 	switch {
 	case s.scheme.MergesAtCommit():
-		cached := p.l2.CountWhere(func(l *memsys.Line) bool {
-			return l.Producer == t.id && l.Kind == memsys.KindOwnVersion
-		})
+		cached := p.l2.OwnVersions(t.id)
 		perLine := s.cfg.CommitPerLine
 		if s.orbCommit {
 			// ORB-style merge: ownership requests instead of write-backs.
@@ -107,15 +105,13 @@ func (s *Simulator) finishCommit(t *task, now event.Time) {
 	// later displacement of one of them would overwrite memory backwards.
 	switch {
 	case s.scheme.MergesAtCommit():
-		p.l2.ForEach(func(l *memsys.Line) {
-			if l.Producer == t.id && l.Kind == memsys.KindOwnVersion {
-				if s.orbCommit {
-					// Ownership acquired; the data merges on displacement.
-					l.Kind = memsys.KindCommitted
-				} else {
-					s.memWriteBack(l.Tag, t.id, now)
-					l.Kind = memsys.KindCopy // now a clean copy of architectural data
-				}
+		p.l2.ForEachOwnVersion(t.id, func(l *memsys.Line) {
+			if s.orbCommit {
+				// Ownership acquired; the data merges on displacement.
+				l.Kind = memsys.KindCommitted
+			} else {
+				s.memWriteBack(l.Tag, t.id, now)
+				l.Kind = memsys.KindCopy // now a clean copy of architectural data
 			}
 		})
 		p.ovf.DrainTask(t.id, func(line memsys.LineAddr, _ memsys.WordMask) {
@@ -126,10 +122,8 @@ func (s *Simulator) finishCommit(t *task, now event.Time) {
 			}
 		})
 	case s.scheme.KeepsCommittedVersionsInCache():
-		p.l2.ForEach(func(l *memsys.Line) {
-			if l.Producer == t.id && l.Kind == memsys.KindOwnVersion {
-				l.Kind = memsys.KindCommitted
-			}
+		p.l2.ForEachOwnVersion(t.id, func(l *memsys.Line) {
+			l.Kind = memsys.KindCommitted
 		})
 		p.ovf.DrainTask(t.id, func(line memsys.LineAddr, _ memsys.WordMask) {
 			if s.forceMTID {
@@ -139,10 +133,8 @@ func (s *Simulator) finishCommit(t *task, now event.Time) {
 			}
 		})
 	default: // FMM
-		p.l2.ForEach(func(l *memsys.Line) {
-			if l.Producer == t.id && l.Kind == memsys.KindOwnVersion {
-				l.Kind = memsys.KindCommitted
-			}
+		p.l2.ForEachOwnVersion(t.id, func(l *memsys.Line) {
+			l.Kind = memsys.KindCommitted
 		})
 		p.mhb.ReleaseCommitted(t.id)
 	}

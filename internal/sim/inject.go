@@ -90,9 +90,9 @@ func (s *Simulator) maybeFlipTag(p *processor) {
 	}
 	l := dirty[s.inject.Pick(len(dirty))]
 	if l.Producer > ids.First {
-		l.Producer--
+		p.l2.SetProducer(l, l.Producer-1)
 	} else {
-		l.Producer++
+		p.l2.SetProducer(l, l.Producer+1)
 	}
 }
 

@@ -21,6 +21,8 @@ import (
 //
 //	commit        commit-order      only the token holder commits
 //	              commit-state      the committing task has finished executing
+//	              own-index         the L2's producer index, which the commit
+//	                                walks, matches a full scan of the cache
 //	              unmerged-version  no speculative line of the task survives its commit
 //	              unmerged-overflow no overflowed version of the task survives its commit
 //	              foreign-version   no other processor holds dirty state of the task
@@ -126,6 +128,9 @@ func (s *Simulator) checkCommitStart(t *task, now event.Time) {
 	}
 	if t.state != taskFinished {
 		s.inv.report("commit-state", now, t.id, 0, "committing in state %d", t.state)
+	}
+	if err := s.procs[t.proc].l2.CheckIndex(); err != nil {
+		s.inv.report("own-index", now, t.id, 0, "%v", err)
 	}
 }
 

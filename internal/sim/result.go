@@ -160,11 +160,16 @@ func RunSequential(cfg *machine.Config, prof workload.Profile, seed uint64) Resu
 // RunSequential uses, so callers that checkpoint or interrupt runs can treat
 // baselines like any other simulation.
 func NewSequential(cfg *machine.Config, prof workload.Profile, seed uint64) *Simulator {
+	return NewSequentialOf(cfg, workload.NewGenerator(prof, seed))
+}
+
+// NewSequentialOf is NewSequential over a caller-built workload: the
+// campaign path hands it a generator replaying a shared stream store.
+func NewSequentialOf(cfg *machine.Config, gen Workload) *Simulator {
 	seq := machine.Sequential(cfg)
 	seq.CommitPerLine = 0
 	seq.CommitFixed = 0
 	seq.TokenPass = 0
 	seq.DispatchOverhead = 0
-	gen := workload.NewGenerator(prof, seed)
 	return New(seq, core.SingleTEager, gen)
 }

@@ -234,6 +234,15 @@ func (s *Simulator) Run() Result {
 	return s.collect()
 }
 
+// ReleasePages hands the version directory's and main memory's pages to
+// their process-wide pools, for the next simulation to reuse. The simulator
+// must not be run or inspected afterwards: call it only once its Result
+// (and any verdict derived from its final state) has been taken.
+func (s *Simulator) ReleasePages() {
+	s.dir.ReleasePages()
+	s.mem.ReleasePages()
+}
+
 // step runs processor p from time now for up to one quantum.
 func (s *Simulator) step(p *processor, now event.Time) {
 	if s.done {

@@ -76,6 +76,9 @@ type Generator struct {
 
 	privLines   int
 	uniqueLines int
+
+	// set, when non-nil, holds the stored streams Task replays (Store).
+	set *streamSet
 }
 
 // NewGenerator returns a generator for the profile. It panics if the
@@ -167,8 +170,19 @@ func (g *Generator) LengthMultiplier(index int) float64 {
 // instruction count. Streams interleave compute chunks with the memory
 // operations of the profile: versioned writes (privatized and task-private
 // lines), re-reads of own data, scattered shared reads, and occasional
-// cross-task communication.
+// cross-task communication. A generator from a Store replays the stored
+// copy of the stream into buf instead of generating it again.
 func (g *Generator) Task(index int, buf []Op) (ops []Op, instr int) {
+	if g.set != nil {
+		if ops, instr, ok := g.set.replay(g, index, buf); ok {
+			return ops, instr
+		}
+	}
+	return g.generate(index, buf)
+}
+
+// generate builds the stream of task index into buf.
+func (g *Generator) generate(index int, buf []Op) (ops []Op, instr int) {
 	sc := scratchPool.Get().(*taskScratch)
 	defer scratchPool.Put(sc)
 	instr = g.timedOps(index, sc)
@@ -262,16 +276,9 @@ func (g *Generator) timedOps(index int, sc *taskScratch) (instr int) {
 }
 
 // emit interleaves the ordered memory operations with compute chunks
-// proportional to the gaps between their positions, appending into buf. The
-// stream holds at most one compute chunk before each memory operation plus a
-// trailing one, so a short buf is replaced once, up front, by one of at least
-// that bound (and at least twice its capacity, so a recycled buffer still
-// grows geometrically across tasks) and never regrows mid-stream.
+// proportional to the gaps between their positions, appending into buf.
 func emit(mem []timed, instr int, buf []Op) []Op {
-	if need := 2*len(mem) + 1; cap(buf) < need {
-		buf = make([]Op, 0, max(need, 2*cap(buf)))
-	}
-	ops := buf[:0]
+	ops := streamBuf(buf, len(mem))
 	emitted := 0
 	prev := 0.0
 	for _, m := range mem {
@@ -287,6 +294,19 @@ func emit(mem []timed, instr int, buf []Op) []Op {
 		ops = append(ops, Op{Kind: OpCompute, Instr: rest})
 	}
 	return ops
+}
+
+// streamBuf returns buf emptied, ready for the stream of a task with mem
+// memory operations. The stream holds at most one compute chunk before each
+// memory operation plus a trailing one, so a short buf is replaced once, up
+// front, by one of at least that bound (and at least twice its capacity, so
+// a recycled buffer still grows geometrically across tasks) and never
+// regrows mid-stream.
+func streamBuf(buf []Op, mem int) []Op {
+	if need := 2*mem + 1; cap(buf) < need {
+		buf = make([]Op, 0, max(need, 2*cap(buf)))
+	}
+	return buf[:0]
 }
 
 // orderByPos returns sc.mem ordered by (pos, seq), in sc.sorted. Every pos
