@@ -24,10 +24,9 @@
 // CLIs: an in-process coordinator for -jobs N, or with -coordinator a
 // tlsserve fleet. Long campaigns are therefore crash-safe the same way: with
 // -journal every case is logged to an fsync'd JSONL WAL with its sealed
-// outcome, and in-flight simulations checkpoint on SIGINT/SIGTERM (exit
-// 130); `tlschaos -resume <journal>` serves completed cases from the journal
-// without re-running them and restarts interrupted ones from their latest
-// checkpoint.
+// outcome, and in-flight simulations halt on SIGINT/SIGTERM (exit 130);
+// `tlschaos -resume <journal>` serves completed cases from the journal
+// without re-running them and re-runs interrupted ones from their start.
 package main
 
 import (
@@ -76,7 +75,7 @@ type outcome struct {
 	PanicMsg    string
 
 	// Interrupted marks a case halted mid-run by a graceful shutdown; it
-	// carries no verdict and is never journaled (its checkpoint is).
+	// carries no verdict and is never journaled.
 	Interrupted bool
 
 	Samples []string // first few invariant violations, for the report
@@ -184,7 +183,7 @@ func main() {
 	defer camp.Close()
 
 	// Graceful shutdown: first SIGINT/SIGTERM interrupts every in-flight
-	// case (each checkpoints at its next commit and unwinds, exit 130); a
+	// case (each halts at its next commit and unwinds, exit 130); a
 	// second signal hard-exits.
 	sd := exp.NewShutdown(nil)
 	defer sd.Stop()

@@ -1,11 +1,11 @@
 // tlsfsck verifies — and optionally repairs — the durable state of a
-// campaign offline: the JSONL journal (WAL), the result cache, and
-// checkpoint files. Run it after a crash, power loss, or suspected disk
-// trouble, before resuming the campaign.
+// campaign offline: the JSONL journal (WAL) and the result cache. Run it
+// after a crash, power loss, or suspected disk trouble, before resuming the
+// campaign.
 //
 // Usage:
 //
-//	tlsfsck -state .tlsstate                     # journal+cache+checkpoints under one dir
+//	tlsfsck -state .tlsstate                     # journal+cache under one dir
 //	tlsfsck -journal camp.jsonl -cache .tlscache # explicit paths
 //	tlsfsck -state .tlsstate -repair             # fix what online recovery would fix
 //	tlsfsck -state .tlsstate -json               # machine-readable report
@@ -27,10 +27,9 @@ import (
 
 func main() {
 	var (
-		state   = flag.String("state", "", "campaign state directory: checks <dir>/journal.jsonl, <dir>/cache, <dir>/ckpt when present")
+		state   = flag.String("state", "", "campaign state directory: checks <dir>/journal.jsonl and <dir>/cache when present")
 		journal = flag.String("journal", "", "campaign journal (WAL) to verify")
 		cache   = flag.String("cache", "", "result-cache directory to verify")
-		ckptDir = flag.String("checkpoint-dir", "", "checkpoint directory to verify")
 		repair  = flag.Bool("repair", false, "apply repairs: truncate torn journal tail, quarantine corrupt files, remove temp litter")
 		jsonOut = flag.Bool("json", false, "emit the report as JSON on stdout")
 		quiet   = flag.Bool("q", false, "suppress per-finding log lines")
@@ -38,13 +37,12 @@ func main() {
 	flag.Parse()
 
 	opts := fsck.Options{
-		Journal:       *journal,
-		CacheDir:      *cache,
-		CheckpointDir: *ckptDir,
-		Repair:        *repair,
+		Journal:  *journal,
+		CacheDir: *cache,
+		Repair:   *repair,
 	}
 	if *state != "" {
-		// Convention used by the drills: one directory holding all three.
+		// Convention used by the drills: one directory holding both.
 		if opts.Journal == "" {
 			if p := filepath.Join(*state, "journal.jsonl"); exists(p) {
 				opts.Journal = p
@@ -55,14 +53,9 @@ func main() {
 				opts.CacheDir = p
 			}
 		}
-		if opts.CheckpointDir == "" {
-			if p := filepath.Join(*state, "ckpt"); exists(p) {
-				opts.CheckpointDir = p
-			}
-		}
 	}
-	if opts.Journal == "" && opts.CacheDir == "" && opts.CheckpointDir == "" {
-		fmt.Fprintln(os.Stderr, "tlsfsck: nothing to check (give -state, -journal, -cache, or -checkpoint-dir)")
+	if opts.Journal == "" && opts.CacheDir == "" {
+		fmt.Fprintln(os.Stderr, "tlsfsck: nothing to check (give -state, -journal or -cache)")
 		flag.Usage()
 		os.Exit(2)
 	}

@@ -115,7 +115,7 @@ func main() {
 	defer stopDashboard()
 
 	// Graceful shutdown: the first SIGINT/SIGTERM cancels the campaign
-	// context (in-flight simulations checkpoint and drain, the journal is
+	// context (in-flight simulations halt and drain, the journal is
 	// flushed, exit 130); a second signal hard-exits.
 	sd := repro.NewShutdown(nil)
 	defer sd.Stop()

@@ -164,9 +164,9 @@ func main() {
 	}
 
 	// Graceful shutdown: first SIGINT/SIGTERM cancels the sweep (in-flight
-	// simulations checkpoint and drain, exit 130); a second hard-exits. On
-	// a fleet, caching, journaling and checkpointing happen coordinator-
-	// and worker-side; results are identical to the local runner's.
+	// simulations halt and drain, exit 130); a second hard-exits. On a
+	// fleet, caching and journaling happen coordinator- and worker-side;
+	// results are identical to the local runner's.
 	sd := repro.NewShutdown(nil)
 	defer sd.Stop()
 	run := runner.RunBatch

@@ -1,6 +1,6 @@
 // tlsworker is one member of a distributed campaign fleet: it pulls leased
 // jobs from a tlsserve coordinator, executes each lease as one attempt of
-// the hardened experiment runner (watchdog, panic isolation, checkpointing,
+// the hardened experiment runner (watchdog, panic isolation, post-mortems,
 // fault injection all intact), streams heartbeats and per-job observability
 // counters back, and steals speculative work when idle. Whether a failed
 // attempt runs again is the coordinator's retry policy, not the worker's.
@@ -9,12 +9,12 @@
 //
 //	tlsworker -coordinator http://host:8100
 //	tlsworker -coordinator http://host:8100 -jobs 4 -observe
-//	tlsworker -coordinator http://host:8100 -checkpoint-dir .ckpt -job-timeout 2m
+//	tlsworker -coordinator http://host:8100 -postmortem-dir .postmortem -job-timeout 2m
 //
 // Shutdown is graceful by default (-drain): the first SIGINT/SIGTERM stops
-// pulling, interrupts in-flight simulations (they checkpoint at their next
-// commit when -checkpoint-dir is set), returns unfinished leases to the
-// coordinator, delivers a final heartbeat, and exits 130. A second signal
+// pulling, interrupts in-flight simulations (they halt at their next commit;
+// the coordinator re-runs them from their start), returns unfinished leases
+// to the coordinator, delivers a final heartbeat, and exits 130. A second signal
 // hard-exits. With -drain=false the first signal exits immediately and the
 // coordinator reclaims the leases by TTL expiry.
 package main
@@ -40,9 +40,8 @@ func main() {
 		poll    = flag.Duration("poll", 500*time.Millisecond, "idle wait between empty lease pulls")
 		timeout = flag.Duration("job-timeout", 0, "per-job watchdog deadline (0 disables)")
 		observe = flag.Bool("observe", false, "attach an obs registry to every job and report counters on heartbeats")
-		traceF  = flag.Bool("trace", false, "record attempt/retry/checkpoint spans and ship them to the coordinator's fleet trace")
-		ckptDir = flag.String("checkpoint-dir", "", "mid-run simulator checkpoint directory")
-		ckptN   = flag.Int("checkpoint-every", 50, "auto-checkpoint cadence in committed tasks (0 = only at interrupts)")
+		traceF  = flag.Bool("trace", false, "record attempt and quarantine spans and ship them to the coordinator's fleet trace")
+		pmDir   = flag.String("postmortem-dir", "", "directory for quarantine manifests and watchdog progress reports (empty writes none)")
 		drain   = flag.Bool("drain", true, "on the first signal, drain gracefully: interrupt in-flight simulations, release leases, exit 130")
 
 		rpcTimeout  = flag.Duration("rpc-timeout", 30*time.Second, "total per-RPC deadline against the coordinator")
@@ -67,7 +66,7 @@ func main() {
 
 	logger := obs.NewLogger(os.Stderr, "tlsworker", "worker", wname)
 	logf := obs.Logf(logger)
-	runner := &exp.Runner{JobTimeout: *timeout, CheckpointDir: *ckptDir, CheckpointEvery: *ckptN}
+	runner := &exp.Runner{JobTimeout: *timeout, PostMortemDir: *pmDir}
 	if *traceF {
 		// Attempt and post-mortem spans are retained and shipped home on
 		// heartbeats and completions, where they merge into the fleet trace.
@@ -99,7 +98,7 @@ func main() {
 	w := cluster.NewWorker(wcfg)
 
 	// Two-stage shutdown: the first signal cancels the pull loop; Run then
-	// drains (interrupt, checkpoint, release, final heartbeat) before
+	// drains (interrupt, release, final heartbeat) before
 	// returning. A second signal hard-exits through the Shutdown handler.
 	sd := exp.NewShutdown(nil)
 	defer sd.Stop()

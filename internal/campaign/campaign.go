@@ -21,15 +21,13 @@ import (
 
 // Flags are the shared campaign flags, bound by Register.
 type Flags struct {
-	Jobs            int
-	Journal         string
-	Resume          string
-	CheckpointDir   string
-	CheckpointEvery int
-	Listen          string
-	Coordinator     string
-	RPCTimeout      time.Duration
-	DialTimeout     time.Duration
+	Jobs        int
+	Journal     string
+	Resume      string
+	Listen      string
+	Coordinator string
+	RPCTimeout  time.Duration
+	DialTimeout time.Duration
 }
 
 // Register binds the shared campaign flags on fs.
@@ -38,10 +36,8 @@ func Register(fs *flag.FlagSet) *Flags {
 	fs.IntVar(&f.Jobs, "jobs", 0, "parallel simulation workers (0 = GOMAXPROCS, 1 = serial)")
 	fs.StringVar(&f.Journal, "journal", "", "append campaign progress to this JSONL journal (crash recovery via -resume)")
 	fs.StringVar(&f.Resume, "resume", "", "resume a crashed or interrupted campaign from its journal (implies -journal)")
-	fs.StringVar(&f.CheckpointDir, "checkpoint-dir", "", "mid-run simulator checkpoint directory (default <journal>.ckpt when journaling)")
-	fs.IntVar(&f.CheckpointEvery, "checkpoint-every", 50, "auto-checkpoint cadence in committed tasks (0 = only at interrupts)")
 	fs.StringVar(&f.Listen, "listen", "", "serve the live campaign dashboard on this address (/metrics Prometheus text, /progress JSON)")
-	fs.StringVar(&f.Coordinator, "coordinator", "", "run the campaign on a distributed fleet via this tlsserve URL (local journal, checkpoint, cache and listen flags are then ignored: they apply coordinator/worker-side)")
+	fs.StringVar(&f.Coordinator, "coordinator", "", "run the campaign on a distributed fleet via this tlsserve URL (local journal, cache and listen flags are then ignored: they apply coordinator/worker-side)")
 	fs.DurationVar(&f.RPCTimeout, "rpc-timeout", 30*time.Second, "total per-RPC deadline against the coordinator")
 	fs.DurationVar(&f.DialTimeout, "dial-timeout", 5*time.Second, "connection-attempt deadline against the coordinator")
 	return f
@@ -60,17 +56,21 @@ type Campaign struct {
 	Journal *exp.Journal
 	// State is the replayed -resume journal (zero on a fresh campaign).
 	State exp.CampaignState
+	// PostMortemDir is where a journaled campaign's quarantine manifests
+	// and watchdog progress reports land: <journal>.postmortem ("" when not
+	// journaling).
+	PostMortemDir string
 }
 
 // Open resolves the flags into a campaign. Under -coordinator every local
-// durability flag — -journal, -resume, -checkpoint-dir and, when the CLI has
-// one, the cache directory *cache — and -listen are ignored with a warning:
-// the coordinator and its workers own durability, and the fleet
-// coordinator serves the dashboard. Otherwise -resume implies
-// -journal and replays it, a fresh journal gets its campaign header, and the
-// checkpoint directory defaults to <journal>.ckpt. A header that cannot be
-// made durable is an error: the campaign could never be resumed. fsys is the
-// journal's filesystem seam (nil = the real OS).
+// durability flag — -journal, -resume and, when the CLI has one, the cache
+// directory *cache — and -listen are ignored with a warning: the
+// coordinator and its workers own durability, and the fleet coordinator
+// serves the dashboard. Otherwise -resume implies -journal and replays it,
+// a fresh journal gets its campaign header, and post-mortems land in
+// <journal>.postmortem. A header that cannot be made durable is an error:
+// the campaign could never be resumed. fsys is the journal's filesystem
+// seam (nil = the real OS).
 func Open(name string, f *Flags, cache *string, fsys iofault.FS, log *slog.Logger) (*Campaign, error) {
 	c := &Campaign{Flags: f, Name: name, Log: log}
 	hasCache := cache != nil
@@ -78,10 +78,10 @@ func Open(name string, f *Flags, cache *string, fsys iofault.FS, log *slog.Logge
 		cache = new(string)
 	}
 	if f.Coordinator != "" {
-		if f.Journal != "" || f.Resume != "" || f.CheckpointDir != "" || *cache != "" || f.Listen != "" {
-			log.Warn("-coordinator set; local journal, resume, checkpoint, cache and listen flags apply coordinator/worker-side, ignoring them")
+		if f.Journal != "" || f.Resume != "" || *cache != "" || f.Listen != "" {
+			log.Warn("-coordinator set; local journal, resume, cache and listen flags apply coordinator/worker-side, ignoring them")
 		}
-		f.Journal, f.Resume, f.CheckpointDir, *cache, f.Listen = "", "", "", "", ""
+		f.Journal, f.Resume, *cache, f.Listen = "", "", "", ""
 		return c, nil
 	}
 	if f.Resume != "" {
@@ -111,9 +111,7 @@ func Open(name string, f *Flags, cache *string, fsys iofault.FS, log *slog.Logge
 		}
 	}
 	c.Journal = j
-	if f.CheckpointDir == "" {
-		f.CheckpointDir = f.Journal + ".ckpt"
-	}
+	c.PostMortemDir = f.Journal + ".postmortem"
 	return c, nil
 }
 
@@ -126,15 +124,11 @@ func (c *Campaign) Close() {
 
 // Runner returns the local executor the flags describe: an in-process
 // coordinator running -jobs simulations at a time, with the journal, the
-// checkpoint settings and the resumed state.
+// resumed state and the post-mortem directory.
 func (c *Campaign) Runner() *cluster.Local {
 	return &cluster.Local{
-		Workers: c.Jobs,
-		Runner: exp.Runner{
-			Journal:       c.Journal,
-			CheckpointDir: c.CheckpointDir, CheckpointEvery: c.CheckpointEvery,
-			Resume: c.State,
-		},
+		Workers: c.Jobs, Journal: c.Journal, Resume: c.State,
+		Runner: exp.Runner{PostMortemDir: c.PostMortemDir},
 	}
 }
 

@@ -37,7 +37,7 @@ func TestHeaderWriteFailureIsFatal(t *testing.T) {
 }
 
 // TestCoordinatorIgnoresLocalDurability: under -coordinator the local
-// journal, resume, checkpoint, cache and listen flags are dropped with a
+// journal, resume, cache and listen flags are dropped with a
 // warning, nothing is written locally and no listener is bound; -metrics is
 // ignored with a warning too rather than printing the idle local executor's
 // 0/0 jobs.
@@ -47,14 +47,14 @@ func TestCoordinatorIgnoresLocalDurability(t *testing.T) {
 	cache := filepath.Join(dir, "cache")
 	var log bytes.Buffer
 	c, err := Open("test", parse(t, "-coordinator", "http://127.0.0.1:1", "-journal", journal,
-		"-checkpoint-dir", filepath.Join(dir, "ckpt"), "-listen", "127.0.0.1:0"), &cache, nil, slog.New(slog.NewTextHandler(&log, nil)))
+		"-listen", "127.0.0.1:0"), &cache, nil, slog.New(slog.NewTextHandler(&log, nil)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if c.Journal != nil || c.Flags.Journal != "" || c.CheckpointDir != "" || cache != "" || c.Listen != "" {
-		t.Fatalf("local durability survived -coordinator: journal %q, ckpt %q, cache %q, listen %q",
-			c.Flags.Journal, c.CheckpointDir, cache, c.Listen)
+	if c.Journal != nil || c.Flags.Journal != "" || c.PostMortemDir != "" || cache != "" || c.Listen != "" {
+		t.Fatalf("local durability survived -coordinator: journal %q, post-mortems %q, cache %q, listen %q",
+			c.Flags.Journal, c.PostMortemDir, cache, c.Listen)
 	}
 	if _, err := os.Stat(journal); !os.IsNotExist(err) {
 		t.Fatalf("-coordinator still created the local journal (stat err %v)", err)
@@ -80,8 +80,8 @@ func TestCoordinatorIgnoresLocalDurability(t *testing.T) {
 }
 
 // TestResumeImpliesJournal: -resume replays the journal into State, keeps
-// appending to it without a second header, and defaults the checkpoint
-// directory to <journal>.ckpt.
+// appending to it without a second header, and puts post-mortems in
+// <journal>.postmortem.
 func TestResumeImpliesJournal(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.jsonl")
 	c, err := Open("test", parse(t, "-journal", path), nil, nil, quiet())
@@ -99,11 +99,11 @@ func TestResumeImpliesJournal(t *testing.T) {
 	if c.Journal == nil || !c.State.Done["k"] || c.State.Name != "test" {
 		t.Fatalf("resume state not loaded: journal %v, state %+v", c.Journal, c.State)
 	}
-	if c.CheckpointDir != path+".ckpt" {
-		t.Fatalf("checkpoint dir %q, want %q", c.CheckpointDir, path+".ckpt")
-	}
 	r := c.Runner()
-	if r.Runner.Journal != c.Journal || !r.Runner.Resume.Done["k"] {
+	if r.Runner.PostMortemDir != path+".postmortem" {
+		t.Fatalf("post-mortem dir %q, want %q", r.Runner.PostMortemDir, path+".postmortem")
+	}
+	if r.Journal != c.Journal || !r.Resume.Done["k"] {
 		t.Fatal("local runner does not carry the campaign's journal and resume state")
 	}
 	recs, err := exp.ReadJournal(path)

@@ -46,11 +46,16 @@ type Local struct {
 	// FailLimit is how many failed executions a job gets before it is
 	// failed permanently (0 = the coordinator default of 2).
 	FailLimit int
-	// Runner executes every attempt: watchdog deadline, checkpoint
-	// directory and cadence, filesystem seam and the flight recorder that
-	// post-mortems dump. Its Journal and Resume are also the coordinator's
-	// WAL (lease, lease-return, job-done records) and resumed state
-	// (completed keys and chaotic outcomes are served, not re-run).
+	// Journal, when non-nil, is the coordinator's WAL: lease, lease-return
+	// and job-done records.
+	Journal *exp.Journal
+	// Resume is a previous campaign's replayed journal (exp.LoadCampaign):
+	// its completed keys and chaotic outcomes are served, not re-run; every
+	// other job runs from its start.
+	Resume exp.CampaignState
+	// Runner executes every attempt: watchdog deadline, post-mortem
+	// directory, filesystem seam and the flight recorder that post-mortems
+	// dump.
 	Runner exp.Runner
 
 	once  sync.Once
@@ -88,12 +93,12 @@ func (l *Local) coordinator() *Coordinator {
 	l.once.Do(func() {
 		// Every batch of a journaled campaign, and its resumes, share the
 		// journal's campaign ID.
-		campaign := l.Runner.Resume.Campaign
-		if j := l.Runner.Journal; j != nil && j.Campaign() != "" {
+		campaign := l.Resume.Campaign
+		if j := l.Journal; j != nil && j.Campaign() != "" {
 			campaign = j.Campaign()
 		}
 		l.co = NewCoordinator(Config{
-			Cache: l.Cache, Journal: l.Runner.Journal, State: l.Runner.Resume,
+			Cache: l.Cache, Journal: l.Journal, State: l.Resume,
 			FailLimit: l.FailLimit, Campaign: campaign,
 			// A stolen duplicate on the same host only burns a slot.
 			StealAfter: -1,
@@ -120,8 +125,8 @@ func (l *Local) coordinator() *Coordinator {
 // reported as that job's Err without disturbing the rest of the batch; a
 // hung one is cancelled by the runner's watchdog. The returned error is only
 // non-nil when ctx is cancelled, in which case unfinished jobs carry ctx's
-// error; RunBatch returns once in-flight simulations have drained (written
-// their interrupt checkpoints) and released their leases.
+// error; RunBatch returns once in-flight simulations have halted and
+// released their leases.
 func (l *Local) RunBatch(ctx context.Context, jobs []exp.Job) ([]exp.JobResult, error) {
 	if ctx == nil {
 		ctx = context.Background()

@@ -29,7 +29,7 @@ type WorkerConfig struct {
 	// Poll is the idle wait between empty lease pulls (default 500ms).
 	Poll time.Duration
 	// Runner executes every leased attempt (nil = a zero exp.Runner): its
-	// watchdog deadline, checkpoint settings and flight recorder apply to
+	// watchdog deadline, post-mortem directory and flight recorder apply to
 	// all of this worker's leases, and its Tracer, when set, is the span
 	// stream the worker ships home on heartbeats and completions. Retry is
 	// the coordinator's policy (Config.FailLimit), not the worker's.
@@ -129,9 +129,9 @@ func (w *Worker) logf(format string, args ...any) {
 }
 
 // Run pulls and executes jobs until ctx dies, then drains: in-flight
-// simulations are interrupted (checkpointing at their next commit when
-// checkpointing is on), unfinished leases are returned to the coordinator,
-// and one final heartbeat ships the last trace spans.
+// simulations are interrupted (they halt at their next commit), unfinished
+// leases are returned to the coordinator, and one final heartbeat ships the
+// last trace spans.
 func (w *Worker) Run(ctx context.Context) error {
 	hbCtx, hbStop := context.WithCancel(context.Background())
 	var hbWG sync.WaitGroup

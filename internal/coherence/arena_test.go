@@ -12,9 +12,7 @@ import (
 
 // TestChunkBoundaries spreads more than three chunks of entries over every
 // address region and drives them through writes, reads, squashes, commits
-// and free-list recycling, checking each phase against the reference model
-// (checkDirectory also round-trips State through RestoreState, so the
-// restored chunks are compared across chunk boundaries).
+// and free-list recycling, checking each phase against the reference model.
 func TestChunkBoundaries(t *testing.T) {
 	r := rng.New(3)
 	pool := addrPool(r, 5*chunkSize+200)
@@ -103,15 +101,15 @@ func TestCarvedListsDoNotAlias(t *testing.T) {
 	for task := ids.TaskID(3); task <= 5; task++ {
 		d.RecordRead(b, task)
 	}
-	want := []WordStateState{
-		{Addr: a, Versions: []ids.TaskID{1, 10, 11, 12, 13, 14}, Readers: []ReaderMarkState{
+	want := []wordView{
+		{Addr: a, Versions: []ids.TaskID{1, 10, 11, 12, 13, 14}, Readers: []readerView{
 			{2, 1}, {3, 1}, {4, 1}, {5, 1}, {6, 1}, {7, 1},
 		}},
-		{Addr: b, Versions: []ids.TaskID{1, 20, 21, 22}, Readers: []ReaderMarkState{
+		{Addr: b, Versions: []ids.TaskID{1, 20, 21, 22}, Readers: []readerView{
 			{2, 1}, {3, 1}, {4, 1}, {5, 1},
 		}},
 	}
-	if got := d.State().Words; !reflect.DeepEqual(got, want) {
+	if got := view(d).Words; !reflect.DeepEqual(got, want) {
 		t.Fatalf("words = %+v\nwant    %+v", got, want)
 	}
 }

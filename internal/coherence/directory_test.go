@@ -9,7 +9,6 @@ import (
 	"repro/internal/ids"
 	"repro/internal/memsys"
 	"repro/internal/rng"
-	"repro/internal/workload"
 )
 
 func TestVersionForEmpty(t *testing.T) {
@@ -174,9 +173,9 @@ func TestTaskWriteFootprint(t *testing.T) {
 	d.RecordWrite(4, ids.TaskID(1))
 	d.RecordWrite(8, ids.TaskID(1))
 	d.RecordWrite(4, ids.TaskID(1)) // duplicate
-	tasks := d.State().Tasks
+	tasks := view(d).Tasks
 	if len(tasks) != 1 || tasks[0].Task != ids.TaskID(1) {
-		t.Fatalf("State lists tasks %+v, want only task 1", tasks)
+		t.Fatalf("view lists tasks %+v, want only task 1", tasks)
 	}
 	if got := tasks[0].Writes; !reflect.DeepEqual(got, []memsys.Addr{4, 8}) {
 		t.Fatalf("task 1 writes = %v, want [4 8]", got)
@@ -324,7 +323,7 @@ func TestManyLiveTasks(t *testing.T) {
 	if d.LiveTasks() != n {
 		t.Fatalf("LiveTasks = %d, want %d", d.LiveTasks(), n)
 	}
-	for k, ts := range d.State().Tasks {
+	for k, ts := range view(d).Tasks {
 		if want := ids.TaskID(k + 1); ts.Task != want || len(ts.Writes) != 1 {
 			t.Fatalf("task %d lost its footprint across ring growth: %+v", want, ts)
 		}
@@ -374,94 +373,6 @@ func TestVersionForAllocFree(t *testing.T) {
 		d.VersionFor(8, ids.TaskID(5))
 	}); n != 0 {
 		t.Fatalf("VersionFor allocates %.1f allocs/op, want 0", n)
-	}
-}
-
-// TestCheckpointRoundTripWithOwnReads checkpoints a directory while tasks
-// hold own-version reads, restores the checkpoint into a fresh directory,
-// drives both on with the same calls, commits every task and then compares
-// State and LiveWords: a restored mark that no commit removes would leave
-// the restored directory with extra live words.
-func TestCheckpointRoundTripWithOwnReads(t *testing.T) {
-	r := rng.New(5)
-	type call struct {
-		kind int // 0 read, 1 write, 2 commit, 3 squash
-		a    memsys.Addr
-		task ids.TaskID
-	}
-	var calls []call
-	head, next := ids.First, ids.TaskID(9) // eight live tasks: [head, next)
-	for len(calls) < 4000 {
-		task := head + ids.TaskID(r.Intn(int(next-head)))
-		switch k := r.Intn(10); {
-		case k < 5: // privatized: write, then read back
-			a := workload.PrivBase + memsys.Addr(r.Intn(256))
-			calls = append(calls, call{1, a, task}, call{0, a, task})
-		case k < 7: // a privatized word read before its write
-			a := workload.PrivBase + memsys.Addr(r.Intn(256))
-			calls = append(calls, call{0, a, task}, call{1, a, task}, call{0, a, task})
-		case k < 8:
-			calls = append(calls, call{0, workload.SharedBase + memsys.Addr(r.Intn(512)), task})
-		case k < 9: // the task re-executes under its ID
-			calls = append(calls, call{3, 0, task})
-		default: // the oldest live task commits
-			calls = append(calls, call{2, 0, head})
-			head++
-			next++
-		}
-	}
-	apply := func(d *Directory, c call) ids.TaskID {
-		switch c.kind {
-		case 0:
-			return d.RecordRead(c.a, c.task)
-		case 1:
-			return d.RecordWrite(c.a, c.task)
-		case 2:
-			d.Commit(c.task)
-		default:
-			d.Squash(c.task)
-		}
-		return ids.None
-	}
-	d := NewDirectory()
-	half := len(calls) / 2
-	for _, c := range calls[:half] {
-		apply(d, c)
-	}
-	s := d.State()
-	own := 0
-	for _, ws := range s.Words {
-		for _, rm := range ws.Readers {
-			if rm.Consumed == rm.Reader && slices.Contains(ws.Versions, rm.Reader) {
-				own++
-			}
-		}
-	}
-	if own == 0 {
-		t.Fatal("the checkpoint holds no own-version read")
-	}
-	restored := NewDirectory()
-	restored.RestoreState(s)
-	if s2 := restored.State(); !reflect.DeepEqual(s, s2) {
-		t.Fatal("State → RestoreState → State changed the snapshot")
-	}
-	for i, c := range calls[half:] {
-		if got, want := apply(restored, c), apply(d, c); got != want {
-			t.Fatalf("call %d %+v: restored directory answered %v, uninterrupted %v", half+i, c, got, want)
-		}
-	}
-	for ; head < next; head++ {
-		d.Commit(head)
-		restored.Commit(head)
-	}
-	if got, want := restored.LiveWords(), d.LiveWords(); got != want {
-		t.Fatalf("LiveWords after committing every task: restored %d, uninterrupted %d", got, want)
-	}
-	if got, want := restored.State(), d.State(); !reflect.DeepEqual(got, want) {
-		t.Fatal("State after committing every task differs between the restored and the uninterrupted directory")
-	}
-	if d.LiveTasks() != 0 || restored.LiveTasks() != 0 {
-		t.Fatalf("LiveTasks after committing every task: %d, restored %d", d.LiveTasks(), restored.LiveTasks())
 	}
 }
 

@@ -49,13 +49,9 @@ type Event struct {
 // and the Handle — which remembers the occurrence's sequence number —
 // simply stops matching. Cancel and Pending on a stale Handle are no-ops.
 type Handle struct {
-	e    *Event
-	seq  uint64
-	when Time
+	e   *Event
+	seq uint64
 }
-
-// When returns the time the occurrence was scheduled for.
-func (h Handle) When() Time { return h.when }
 
 // Pending reports whether the occurrence is still queued to fire: it has
 // neither fired nor been canceled.
@@ -117,12 +113,27 @@ func (q *Queue) At(when Time, fn func(now Time)) Handle {
 	q.nextSq++
 	heap.Push(&q.heap, e)
 	q.live++
-	return Handle{e: e, seq: e.seq, when: when}
+	return Handle{e: e, seq: e.seq}
 }
 
 // After schedules fn to run delay cycles from now.
 func (q *Queue) After(delay Time, fn func(now Time)) Handle {
 	return q.At(q.now+delay, fn)
+}
+
+// Halt drains the queue without firing anything: every pending occurrence is
+// canceled and swept, so the next Step returns false and Run unwinds. The
+// simulator calls it when an interrupt stops a run.
+func (q *Queue) Halt() {
+	for _, e := range q.heap {
+		if !e.canceled {
+			e.canceled = true
+			q.live--
+		}
+	}
+	if len(q.heap) > 0 {
+		q.compact()
+	}
 }
 
 // Cancel marks the occurrence as canceled. A canceled event never fires.

@@ -21,9 +21,9 @@ import (
 // v2: checksummed entries (Check over the payload bytes).
 const cacheSchemaVersion = "exp-cache-v2"
 
-// QuarantineSuffix is appended to the name of a corrupt cache or checkpoint
-// file when the heal scan (or tlsfsck) sets it aside: the file stays
-// inspectable but can never serve a hit.
+// QuarantineSuffix is appended to the name of a corrupt cache file when the
+// heal scan (or tlsfsck) sets it aside: the file stays inspectable but can
+// never serve a hit.
 const QuarantineSuffix = ".quarantined"
 
 // cacheVersion combines the schema version with the module's build version

@@ -8,6 +8,6 @@ import "repro/internal/sim"
 // TinyProfile is tinyProfile for the external tests.
 var TinyProfile = tinyProfile
 
-// SetExecOverride replaces Job.Execute inside r (a hung or flaky
+// SetExecOverride replaces the simulation inside r (a hung or flaky
 // simulation, to exercise the watchdog and re-execution).
 func SetExecOverride(r *Runner, exec func(Job) sim.Result) { r.execOverride = exec }

@@ -6,22 +6,27 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/exp"
+	"repro/internal/machine"
 	"repro/internal/obs/trace"
+	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // TestFlightRecorderDumpOnPanic is the panic post-mortem lock: a job that
 // panics on every execution must leave a quarantine manifest containing the
 // runner's flight-recorder dump — the attempt spans of every execution, with
-// campaign and attempt correlation — next to the checkpoints, with no tracer
-// configured (the always-on internal ring, shared by every lease of the
-// batch, must cover the uninstrumented case).
+// campaign and attempt correlation — in the post-mortem directory, with no
+// tracer configured (the always-on internal ring, shared by every lease of
+// the batch, must cover the uninstrumented case).
 func TestFlightRecorderDumpOnPanic(t *testing.T) {
 	dir := t.TempDir()
 	jobs := []exp.Job{{Machine: nil, Profile: exp.TinyProfile(), Seed: 1}} // nil machine panics
-	l := &cluster.Local{Workers: 1, Runner: exp.Runner{CheckpointDir: dir}}
+	l := &cluster.Local{Workers: 1, Runner: exp.Runner{PostMortemDir: dir}}
 	results, err := l.RunBatch(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
@@ -71,7 +76,7 @@ func TestFlightRecorderDumpOnPanic(t *testing.T) {
 func TestQuarantineManifestOnlyOnFirst(t *testing.T) {
 	dir := t.TempDir()
 	jobs := []exp.Job{{Machine: nil, Profile: exp.TinyProfile(), Seed: 2}}
-	l := &cluster.Local{Workers: 1, Runner: exp.Runner{CheckpointDir: dir}}
+	l := &cluster.Local{Workers: 1, Runner: exp.Runner{PostMortemDir: dir}}
 	if _, err := l.RunBatch(context.Background(), jobs); err != nil {
 		t.Fatal(err)
 	}
@@ -89,9 +94,9 @@ func TestQuarantineManifestOnlyOnFirst(t *testing.T) {
 	if s := l.Snapshot(); again[0].Err == nil || s.Total != 2 || s.Errors != 2 || s.Retries != 1 {
 		t.Fatalf("repeat on the same executor: err %v, snapshot %+v", again[0].Err, s)
 	}
-	// A fresh executor over the same checkpoint directory executes the job
+	// A fresh executor over the same post-mortem directory executes the job
 	// again, and the first manifest survives.
-	l = &cluster.Local{Workers: 1, Runner: exp.Runner{CheckpointDir: dir}}
+	l = &cluster.Local{Workers: 1, Runner: exp.Runner{PostMortemDir: dir}}
 	if _, err := l.RunBatch(context.Background(), jobs); err != nil {
 		t.Fatal(err)
 	}
@@ -104,5 +109,63 @@ func TestQuarantineManifestOnlyOnFirst(t *testing.T) {
 	}
 	if string(after) != string(before) {
 		t.Fatal("quarantine manifest rewritten on a repeat failure")
+	}
+}
+
+// TestWatchdogProgressPostMortem is the watchdog post-mortem lock: a real
+// job that outlives its deadline is halted at its next commit, and the
+// halted run leaves <key>.progress.json in the post-mortem directory —
+// where the run was, plus both flight recorders — and nothing that looks
+// like a checkpoint. The runner's flight recorder in the dump holds the
+// timed-out attempt.
+func TestWatchdogProgressPostMortem(t *testing.T) {
+	dir := t.TempDir()
+	jobs := []exp.Job{{Machine: machine.NUMA16(), Scheme: core.MultiTMVLazy, Profile: workload.Euler(), Seed: 1}}
+	l := &cluster.Local{Workers: 1, Runner: exp.Runner{JobTimeout: 20 * time.Millisecond, PostMortemDir: dir}}
+	results, err := l.RunBatch(context.Background(), jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !results[0].TimedOut {
+		t.Fatalf("job was not stopped by the watchdog: %+v", results[0])
+	}
+	path := filepath.Join(dir, jobs[0].Key()+".progress.json")
+	var rep struct {
+		Progress          sim.ProgressReport `json:"progress"`
+		Campaign          string             `json:"campaign"`
+		FlightRecorder    []trace.Span       `json:"flight_recorder"`
+		SimFlightRecorder []sim.FlightEntry  `json:"sim_flight_recorder"`
+	}
+	// The dump is written by the halted simulation's goroutine, which may
+	// still be on its way to its next commit.
+	var data []byte
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		if data, err = os.ReadFile(path); err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no progress report at %s: %v", path, err)
+		}
+	}
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatalf("progress report is not valid JSON: %v", err)
+	}
+	if rep.Progress.Cycle == 0 || rep.Progress.App != "Euler" || len(rep.Progress.Procs) != 16 {
+		t.Fatalf("progress report does not place the run: %+v", rep.Progress)
+	}
+	if rep.Campaign == "" || len(rep.SimFlightRecorder) == 0 {
+		t.Fatalf("post-mortem lacks its campaign (%q) or the simulator's flight recorder (%d entries)",
+			rep.Campaign, len(rep.SimFlightRecorder))
+	}
+	attempt := false
+	for _, sp := range rep.FlightRecorder {
+		attempt = attempt || sp.Kind == trace.KindAttempt && sp.Key == jobs[0].Key() && sp.Err != ""
+	}
+	if !attempt {
+		t.Fatalf("runner flight recorder does not hold the timed-out attempt: %+v", rep.FlightRecorder)
+	}
+	ckpts, err := filepath.Glob(filepath.Join(dir, "*.ckpt"))
+	if err != nil || len(ckpts) != 0 {
+		t.Fatalf("post-mortem directory holds checkpoint files %v (err %v)", ckpts, err)
 	}
 }

@@ -125,13 +125,6 @@ func (j Job) Label() string {
 	return fmt.Sprintf("%s/%s/%s seed %d", m, j.Profile.Name, k, j.Seed)
 }
 
-// Build constructs (without running) the simulator the job describes, so a
-// caller can checkpoint, interrupt, or restore it before Run.
-func (j Job) Build() *sim.Simulator {
-	s, _ := j.build()
-	return s
-}
-
 // build constructs the simulator and, when the job arms fault injection,
 // returns the live plan so the caller can derive the chaos verdict after the
 // run. Faults and the invariant checker only arm speculative runs: the

@@ -17,25 +17,23 @@ import (
 // The campaign journal is an append-only JSONL write-ahead log of a sweep's
 // progress: one record per line, fsync'd as written, so after any crash the
 // journal tells a resuming process which jobs completed (their results are
-// in the cache) and which were in flight (and where their latest checkpoint
-// lives). The log is the source of truth for -resume on the campaign CLIs.
+// in the cache) and which were in flight (a resume re-runs those from their
+// start). The log is the source of truth for -resume on the campaign CLIs.
 //
 // Crash consistency: a record is appended (and synced) strictly AFTER the
-// state it describes is durable — job-done after the cache Put returned,
-// checkpoint after WriteCheckpointFile renamed the file in place. A torn
-// final line (the process died mid-append) therefore never points at
+// state it describes is durable — job-done after the cache Put returned.
+// A torn final line (the process died mid-append) therefore never points at
 // missing state; readers tolerate and discard it, and OpenJournal truncates
 // it before appending so the log stays well-formed.
 
 // Journal record types. Every campaign — local (`-jobs N` runs an
 // in-process coordinator) or on a fleet — writes the same stream: the
-// coordinator journals lease, lease-return and job-done records, the runner
-// executing an attempt journals checkpoint records.
+// coordinator journals lease, lease-return and job-done records. Replay
+// ignores any other type, such as the "checkpoint" records of older runners.
 const (
-	RecCampaign   = "campaign"   // header: campaign name and metadata
-	RecJobStart   = "job-start"  // written by older local runners; replay ignores it
-	RecCheckpoint = "checkpoint" // a checkpoint file for the job is durable
-	RecJobDone    = "job-done"   // the job finished (result cached, or Err)
+	RecCampaign = "campaign"  // header: campaign name and metadata
+	RecJobStart = "job-start" // written by older local runners; replay ignores it
+	RecJobDone  = "job-done"  // the job finished (result cached, or Err)
 
 	// A lease grants a job to a named worker; a lease-return voids the grant
 	// without an outcome (worker drain, lease expiry, or a duplicate issue
@@ -56,14 +54,9 @@ type JournalRecord struct {
 	// this record to fleet spans, structured logs and fsck reports. Journals
 	// opened through SetCampaign stamp it on every record.
 	Campaign string `json:"campaign,omitempty"`
-	// Key is the job's content hash — the join key against the result cache
-	// and checkpoint files.
+	// Key is the job's content hash — the join key against the result cache.
 	Key   string `json:"key,omitempty"`
 	Label string `json:"label,omitempty"`
-	// Ckpt is the durable checkpoint file (RecCheckpoint).
-	Ckpt string `json:"ckpt,omitempty"`
-	// Commits is the checkpoint's progress, for operators reading the log.
-	Commits int `json:"commits,omitempty"`
 	// Cached marks a job-done served from the cache without executing.
 	Cached bool `json:"cached,omitempty"`
 	// Worker names the fleet worker holding (RecLease, RecLeaseReturn) or
@@ -279,8 +272,7 @@ func ReadJournal(path string) ([]JournalRecord, error) {
 }
 
 // CampaignState is the resume-relevant digest of a journal: which jobs
-// completed successfully, and the latest durable checkpoint of each job that
-// was still in flight.
+// completed successfully, which failed, and which were still leased out.
 type CampaignState struct {
 	// Name is the campaign label from the header record, if any.
 	Name string
@@ -291,8 +283,6 @@ type CampaignState struct {
 	// their results are in the cache (resume re-submits them and the cache
 	// answers instantly).
 	Done map[string]bool
-	// Checkpoints maps in-flight job keys to their latest checkpoint file.
-	Checkpoints map[string]string
 	// Failed maps job keys to the recorded error of a permanent failure.
 	Failed map[string]string
 	// Leases maps job keys that were leased out (and neither completed nor
@@ -308,11 +298,10 @@ type CampaignState struct {
 // ReplayJournal folds records into the state a resume needs.
 func ReplayJournal(recs []JournalRecord) CampaignState {
 	st := CampaignState{
-		Done:        make(map[string]bool),
-		Checkpoints: make(map[string]string),
-		Failed:      make(map[string]string),
-		Leases:      make(map[string]string),
-		Outcomes:    make(map[string]json.RawMessage),
+		Done:     make(map[string]bool),
+		Failed:   make(map[string]string),
+		Leases:   make(map[string]string),
+		Outcomes: make(map[string]json.RawMessage),
 	}
 	for _, rec := range recs {
 		if st.Campaign == "" && rec.Campaign != "" {
@@ -321,10 +310,6 @@ func ReplayJournal(recs []JournalRecord) CampaignState {
 		switch rec.T {
 		case RecCampaign:
 			st.Name = rec.Name
-		case RecCheckpoint:
-			if rec.Key != "" && rec.Ckpt != "" {
-				st.Checkpoints[rec.Key] = rec.Ckpt
-			}
 		case RecLease:
 			if rec.Key != "" {
 				st.Leases[rec.Key] = rec.Worker
@@ -344,7 +329,6 @@ func ReplayJournal(recs []JournalRecord) CampaignState {
 			} else {
 				st.Failed[rec.Key] = rec.Err
 			}
-			delete(st.Checkpoints, rec.Key)
 			delete(st.Leases, rec.Key)
 		}
 	}

@@ -33,8 +33,7 @@ func TestJournalCrashConsistency(t *testing.T) {
 	}
 	appendRec(JournalRecord{T: RecCampaign, Name: "drill"}, "campaign")
 	for _, k := range keys {
-		appendRec(JournalRecord{T: RecJobStart, Key: k}, "start:"+k)
-		appendRec(JournalRecord{T: RecCheckpoint, Key: k, Ckpt: k + ".ckpt"}, "ckpt:"+k)
+		appendRec(JournalRecord{T: RecLease, Key: k, Worker: "local"}, "lease:"+k)
 		appendRec(JournalRecord{T: RecJobDone, Key: k}, "done:"+k)
 	}
 	j.Close()
@@ -70,10 +69,10 @@ func TestJournalCrashConsistency(t *testing.T) {
 				if !st.Done[key] {
 					return fmt.Errorf("acked done record for %s lost (done=%v)", key, st.Done)
 				}
-			case "ckpt":
-				// A later done record legitimately clears the checkpoint.
-				if _, inflight := st.Checkpoints[key]; !inflight && !st.Done[key] {
-					return fmt.Errorf("acked checkpoint for %s lost", key)
+			case "lease":
+				// A later done record legitimately clears the lease.
+				if _, inflight := st.Leases[key]; !inflight && !st.Done[key] {
+					return fmt.Errorf("acked lease for %s lost", key)
 				}
 			}
 		}
@@ -107,7 +106,7 @@ func TestJournalZeroLengthFile(t *testing.T) {
 	if err != nil {
 		t.Fatalf("replay zero-length journal: %v", err)
 	}
-	if len(st.Done) != 0 || len(st.Checkpoints) != 0 {
+	if len(st.Done) != 0 || len(st.Leases) != 0 {
 		t.Fatalf("zero-length journal replayed state %+v", st)
 	}
 	// And it must still be appendable.

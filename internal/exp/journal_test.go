@@ -18,7 +18,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	want := []JournalRecord{
 		{T: RecCampaign, Name: "test"},
 		{T: RecJobStart, Key: "k1", Label: "job one"},
-		{T: RecCheckpoint, Key: "k1", Ckpt: "/tmp/k1.ckpt", Commits: 40},
+		{T: RecLease, Key: "k1", Worker: "local", Lease: 1},
 		{T: RecJobDone, Key: "k1"},
 		{T: RecJobDone, Key: "k2", Err: "boom"},
 	}
@@ -111,32 +111,58 @@ not json at all
 	}
 }
 
+// TestReplayJournal folds a local campaign's log, and the same log as an
+// older runner wrote it: its job-start and mid-run "checkpoint" records
+// (with their ckpt and commits fields) replay as ignored.
 func TestReplayJournal(t *testing.T) {
-	st := ReplayJournal([]JournalRecord{
-		{T: RecCampaign, Name: "sweep"},
-		{T: RecJobStart, Key: "a"},
-		{T: RecCheckpoint, Key: "a", Ckpt: "a1.ckpt"},
-		{T: RecCheckpoint, Key: "a", Ckpt: "a2.ckpt"}, // latest wins
-		{T: RecJobStart, Key: "b"},
-		{T: RecCheckpoint, Key: "b", Ckpt: "b.ckpt"},
-		{T: RecJobDone, Key: "b"}, // done: checkpoint forgotten
-		{T: RecJobDone, Key: "c", Err: "panic"},
-		{T: RecJobDone, Key: "c"}, // a later success clears the failure
-	})
+	current := []string{
+		`{"t":"campaign","name":"sweep"}`,
+		`{"t":"lease","key":"a","worker":"local","lease":1}`,
+		`{"t":"lease","key":"b","worker":"local","lease":2}`,
+		`{"t":"job-done","key":"b"}`,
+		`{"t":"job-done","key":"c","err":"panic"}`,
+		`{"t":"job-done","key":"c"}`, // a later success clears the failure
+	}
+	legacy := []string{
+		`{"t":"campaign","name":"sweep"}`,
+		`{"t":"job-start","key":"a"}`,
+		`{"t":"lease","key":"a","worker":"local","lease":1}`,
+		`{"t":"checkpoint","key":"a","ckpt":"a1.ckpt","commits":50}`,
+		`{"t":"checkpoint","key":"a","ckpt":"a2.ckpt","commits":100}`,
+		`{"t":"job-start","key":"b"}`,
+		`{"t":"lease","key":"b","worker":"local","lease":2}`,
+		`{"t":"checkpoint","key":"b","ckpt":"b.ckpt","commits":50}`,
+		`{"t":"job-done","key":"b"}`,
+		`{"t":"job-done","key":"c","err":"panic"}`,
+		`{"t":"job-done","key":"c"}`,
+	}
+	load := func(lines []string) CampaignState {
+		t.Helper()
+		path := filepath.Join(t.TempDir(), "journal.jsonl")
+		if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, err := LoadCampaign(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	st := load(current)
 	if st.Name != "sweep" {
 		t.Fatalf("campaign name %q", st.Name)
 	}
 	if !st.Done["b"] || !st.Done["c"] || st.Done["a"] {
 		t.Fatalf("done set: %+v", st.Done)
 	}
-	if got := st.Checkpoints["a"]; got != "a2.ckpt" {
-		t.Fatalf("checkpoint for a: %q, want a2.ckpt", got)
-	}
-	if _, ok := st.Checkpoints["b"]; ok {
-		t.Fatal("completed job kept its checkpoint")
+	if len(st.Leases) != 1 || st.Leases["a"] != "local" {
+		t.Fatalf("leases: %+v, want only a, in flight", st.Leases)
 	}
 	if len(st.Failed) != 0 {
 		t.Fatalf("failed set: %+v", st.Failed)
+	}
+	if old := load(legacy); !reflect.DeepEqual(old, st) {
+		t.Fatalf("legacy journal replays to\n%+v\nwant\n%+v", old, st)
 	}
 }
 
@@ -244,7 +270,7 @@ func TestJournalWallIndependence(t *testing.T) {
 	recs := []JournalRecord{
 		{T: RecCampaign, Name: "wall"},
 		{T: RecJobStart, Key: "k1"},
-		{T: RecCheckpoint, Key: "k1", Ckpt: "/tmp/k1.ckpt", Commits: 7},
+		{T: RecLease, Key: "k1", Worker: "local", Lease: 7},
 		{T: RecJobDone, Key: "k1"},
 		{T: RecJobDone, Key: "k2", Err: "boom"},
 	}

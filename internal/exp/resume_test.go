@@ -34,11 +34,13 @@ func resumeBatch() []exp.Job {
 	return jobs
 }
 
-// TestInterruptCheckpointResumeBatch is the in-process half of the crash
-// drill: cancel a batch mid-run, verify the journal's last word for the
-// interrupted jobs is a durable checkpoint, then resume from that state and
-// require results identical to an uninterrupted run.
-func TestInterruptCheckpointResumeBatch(t *testing.T) {
+// TestInterruptResumeBatch is the in-process half of the crash drill:
+// cancel a journaled batch as soon as its first job settles, so the jobs
+// then in flight halt at their next commit, then resume from the journal.
+// The journal holds no checkpoint records, and the resumed batch, which
+// re-runs every unfinished job from its start, must equal an uninterrupted
+// run.
+func TestInterruptResumeBatch(t *testing.T) {
 	jobs := resumeBatch()
 	golden, err := (&cluster.Local{Workers: 2}).RunBatch(context.Background(), jobs)
 	if err != nil {
@@ -47,62 +49,61 @@ func TestInterruptCheckpointResumeBatch(t *testing.T) {
 
 	dir := t.TempDir()
 	journalPath := filepath.Join(dir, "journal.jsonl")
-	ckptDir := filepath.Join(dir, "ckpt")
 	cache, err := exp.NewCache(filepath.Join(dir, "cache"))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Phase 1: run with a context that dies almost immediately. Workers
-	// drain at their next commit boundary, checkpointing as they go.
+	// Phase 1: the first settled job cancels the batch.
 	j1, err := exp.OpenJournal(journalPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	r1 := &cluster.Local{
-		Workers: 2, Cache: cache,
-		Runner: exp.Runner{Journal: j1, CheckpointDir: ckptDir, CheckpointEvery: 10},
+		Workers: 2, Cache: cache, Journal: j1,
+		Progress: func(exp.JobResult) { cancel() },
 	}
-	go func() {
-		time.Sleep(30 * time.Millisecond)
-		cancel()
-	}()
 	first, err := r1.RunBatch(ctx, jobs)
 	j1.Close()
 	if err == nil {
-		t.Skip("batch finished before the interrupt; nothing to resume")
+		t.Fatal("batch finished although its first settled job cancelled it")
 	}
-	interrupted := 0
+	unfinished := 0
 	for _, jr := range first {
-		if jr.Err != nil && (errors.Is(jr.Err, exp.ErrJobInterrupted) || errors.Is(jr.Err, context.Canceled)) {
-			interrupted++
+		if jr.Err != nil {
+			if !errors.Is(jr.Err, exp.ErrJobInterrupted) && !errors.Is(jr.Err, context.Canceled) {
+				t.Fatalf("job %s failed on its own: %v", jr.Job.Label(), jr.Err)
+			}
+			unfinished++
 		}
 	}
-	if interrupted == 0 {
-		t.Skip("no job was interrupted mid-run; nothing to resume")
+	if unfinished == 0 {
+		t.Fatal("no job was left unfinished by the interrupt")
 	}
 
 	// Phase 2: resume from the journal. Completed jobs come from the cache,
-	// in-flight ones restore from their checkpoints.
-	st, err := exp.LoadCampaign(journalPath)
+	// the rest run from their start.
+	recs, err := exp.ReadJournal(journalPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for key, ck := range st.Checkpoints {
-		if _, err := os.Stat(ck); err != nil {
-			t.Fatalf("journal names checkpoint %s for %s but it is not durable: %v", ck, key, err)
+	for _, rec := range recs {
+		if rec.T == "checkpoint" {
+			t.Fatalf("journal holds a checkpoint record: %+v", rec)
 		}
+	}
+	st, err := exp.LoadCampaign(journalPath)
+	if err != nil {
+		t.Fatal(err)
 	}
 	j2, err := exp.OpenJournal(journalPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	r2 := &cluster.Local{
-		Workers: 2, Cache: cache,
-		Runner: exp.Runner{Journal: j2, CheckpointDir: ckptDir, CheckpointEvery: 10, Resume: st},
-	}
+	r2 := &cluster.Local{Workers: 2, Cache: cache, Journal: j2, Resume: st}
 	second, err := r2.RunBatch(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
@@ -139,7 +140,7 @@ func TestResumeServesChaoticOutcomes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := (&cluster.Local{Workers: 2, Runner: exp.Runner{Journal: j1}}).RunBatch(context.Background(), jobs)
+	first, err := (&cluster.Local{Workers: 2, Journal: j1}).RunBatch(context.Background(), jobs)
 	j1.Close()
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +157,7 @@ func TestResumeServesChaoticOutcomes(t *testing.T) {
 	}
 	replay := func(st exp.CampaignState) ([]exp.JobResult, []string) {
 		var ran []string
-		l := &cluster.Local{Workers: 1, Runner: exp.Runner{Resume: st}}
+		l := &cluster.Local{Workers: 1, Resume: st}
 		exp.SetExecOverride(&l.Runner, func(j exp.Job) sim.Result {
 			ran = append(ran, j.Key())
 			return sim.Result{}
@@ -190,7 +191,7 @@ func TestResumeServesChaoticOutcomes(t *testing.T) {
 }
 
 // TestCrashRecoverySIGKILL is the full crash drill of the issue: a child
-// process runs the sweep with journal + cache + checkpoints, the parent
+// process runs the sweep with journal + cache, the parent
 // SIGKILLs it at randomized (seeded) points, and resumed reruns must
 // converge on a final report byte-identical to an uninterrupted run's.
 func TestCrashRecoverySIGKILL(t *testing.T) {
@@ -286,13 +287,7 @@ func TestCrashRecoveryChild(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	r := &cluster.Local{
-		Workers: 2, Cache: cache,
-		Runner: exp.Runner{
-			Journal: j, CheckpointDir: filepath.Join(dir, "ckpt"), CheckpointEvery: 10,
-			Resume: resume,
-		},
-	}
+	r := &cluster.Local{Workers: 2, Cache: cache, Journal: j, Resume: resume}
 	results, err := r.RunBatch(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)

@@ -22,8 +22,8 @@ import (
 var ErrJobTimeout = errors.New("job deadline exceeded")
 
 // ErrJobInterrupted reports a simulation halted mid-run by a graceful
-// shutdown: its latest checkpoint (if checkpointing is on) is durable and a
-// -resume continues it. Test with errors.Is.
+// shutdown. The job has no outcome; a -resume re-runs it from its start.
+// Test with errors.Is.
 var ErrJobInterrupted = errors.New("job interrupted")
 
 // JobResult pairs a Job with its outcome.
@@ -53,38 +53,28 @@ type JobResult struct {
 }
 
 // Runner executes one attempt of a job safely: on its own goroutine under
-// the per-job watchdog, with panics converted into errors, checkpoints
-// written through the sink and restored on resume, the attempt interrupted
-// when its context dies, and every attempt recorded in the always-on flight
-// recorder that post-mortem dumps carry. Scheduling — the pool, dedupe,
-// retry, the cache and the campaign journal's lease and job-done records —
-// belongs to cluster.Coordinator, which drives runners through its workers
-// (in process for `-jobs N`, over HTTP for a fleet). The zero value runs
-// attempts with no deadline and no checkpoints.
+// the per-job watchdog, with panics converted into errors, the simulation
+// halted at its next commit when its context dies or the watchdog fires,
+// and every attempt recorded in the always-on flight recorder that
+// post-mortem dumps carry. Scheduling — the pool, dedupe, retry, the cache
+// and the campaign journal — belongs to cluster.Coordinator, which drives
+// runners through its workers (in process for `-jobs N`, over HTTP for a
+// fleet). The zero value runs attempts with no deadline and writes no
+// post-mortems.
 type Runner struct {
 	// JobTimeout is the per-attempt watchdog deadline. A simulation still
-	// running when it expires is abandoned (Go cannot preempt it; the
-	// goroutine leaks until the process exits) and reported with
-	// ErrJobTimeout. 0 disables the watchdog.
+	// running when it expires is reported with ErrJobTimeout and halted at
+	// its next commit, which writes its progress post-mortem. 0 disables
+	// the watchdog.
 	JobTimeout time.Duration
-	// Journal, when non-nil, receives a checkpoint record after each
-	// checkpoint file is durable.
-	Journal *Journal
-	// CheckpointDir, when set, is where executing jobs persist checkpoints
-	// (<dir>/<key>.ckpt, atomically replaced) and where post-mortems land.
-	// Checkpoints are written every CheckpointEvery commits, plus once at
-	// interrupt; the file is removed when the job completes. Empty disables
-	// checkpointing.
-	CheckpointDir string
-	// CheckpointEvery is the auto-checkpoint cadence in committed tasks.
-	CheckpointEvery int
-	// Resume is a previous campaign's replayed journal (LoadCampaign). A
-	// job with a checkpoint there restores from it instead of starting over;
-	// an unreadable or mismatched checkpoint falls back to a fresh run.
-	Resume CampaignState
-	// FS is the filesystem seam the runner's durable writes (checkpoints,
-	// post-mortem dumps) go through. nil means the real OS; fault drills
-	// inject an iofault.Injector here and into the journal and cache.
+	// PostMortemDir, when set, is where post-mortems land: a quarantine
+	// manifest (<key>.quarantine.json) for a job that failed permanently and
+	// a progress report (<key>.progress.json) for one the watchdog stopped.
+	// Empty writes none.
+	PostMortemDir string
+	// FS is the filesystem seam the post-mortem writes go through. nil means
+	// the real OS; fault drills inject an iofault.Injector here and into the
+	// journal and cache.
 	FS iofault.FS
 	// Tracer, when non-nil, records every attempt and post-mortem as
 	// wall-clock spans (fleet workers pass their shipping tracer here).
@@ -93,8 +83,8 @@ type Runner struct {
 	// of every attempt this runner executed, even on untraced runs.
 	Tracer *trace.Tracer
 
-	// execOverride replaces Job.Execute in tests (e.g. with a function that
-	// hangs, to exercise the watchdog).
+	// execOverride replaces the simulation in tests (e.g. with a function
+	// that hangs, to exercise the watchdog).
 	execOverride func(Job) sim.Result
 
 	// ringOnce guards the lazily built internal flight-recorder tracer used
@@ -141,13 +131,15 @@ func (r *Runner) fsys() iofault.FS {
 
 // Run executes one attempt of j. A crashed (panicking) simulation comes back
 // as Err, a hung one is cancelled by the watchdog (TimedOut), and an attempt
-// whose ctx dies is interrupted (its checkpoint, if checkpointing is on, is
-// the resume point). On success the job's checkpoint is removed. Run never
-// retries: re-execution is the caller's policy.
+// whose ctx dies is interrupted. Run never retries: re-execution is the
+// caller's policy.
 func (r *Runner) Run(ctx context.Context, j Job, at Attempt) JobResult {
 	jr := JobResult{Job: j, Attempts: 1}
 	t0, start := time.Now(), r.tracer().Now()
-	res, verdict, err := r.attempt(ctx, j, at)
+	// recorded orders a watchdog post-mortem after the attempt's span, so
+	// the dump holds the attempt it is about.
+	recorded := make(chan struct{})
+	res, verdict, err := r.attempt(ctx, j, at, recorded)
 	jr.Wall = time.Since(t0)
 	span := trace.Span{
 		Name: j.Label(), Kind: trace.KindAttempt, Campaign: at.Campaign,
@@ -157,111 +149,34 @@ func (r *Runner) Run(ctx context.Context, j Job, at Attempt) JobResult {
 		span.Err = err.Error()
 	}
 	r.tracer().Since(start, span)
+	close(recorded)
 	if err != nil {
 		jr.Err = err
 		jr.TimedOut = errors.Is(err, ErrJobTimeout)
 		return jr
 	}
 	jr.Result, jr.Chaos = res, verdict
-	if r.CheckpointDir != "" {
-		r.fsys().Remove(filepath.Join(r.CheckpointDir, j.Key()+".ckpt"))
-	}
 	return jr
 }
 
-// jobRun is one prepared attempt: the function to execute and, when the
-// checkpointing path is active, the live simulator handle the watchdog and
-// the shutdown path can Interrupt. escalate flags a watchdog timeout so the
-// sink, which may fire later on the abandoned goroutine, knows to write the
-// post-mortem dump instead of a resumable checkpoint.
-type jobRun struct {
-	sim      *sim.Simulator
-	escalate atomic.Bool
-	run      func() (sim.Result, *ChaosVerdict, error)
-}
-
-// prepare builds one attempt. With no checkpointing or resume checkpoints
-// the job runs through the classic Execute path, byte-identical to a runner
-// without any of this machinery.
-func (r *Runner) prepare(j Job, at Attempt) *jobRun {
-	if r.execOverride != nil || (r.CheckpointDir == "" && len(r.Resume.Checkpoints) == 0) {
-		return &jobRun{run: func() (sim.Result, *ChaosVerdict, error) { return runIsolated(j, r.execOverride) }}
-	}
-	s, plan, berr := buildSafely(j)
-	if berr != nil {
-		// A construction panic (nil machine, malformed profile) must fail the
-		// attempt like the isolated path does, not unwind the caller.
-		return &jobRun{run: func() (sim.Result, *ChaosVerdict, error) { return sim.Result{}, nil, berr }}
-	}
-	if path, ok := r.Resume.Checkpoints[j.Key()]; ok {
-		if ck, err := sim.ReadCheckpointFile(path); err == nil {
-			if rerr := s.Restore(ck); rerr != nil {
-				s, plan = j.build() // mismatched checkpoint: start over
-			}
+// attempt executes one try of the job: the simulator is built here, run on
+// its own goroutine, and interrupted when ctx dies or the watchdog fires.
+// The goroutine always exists so that cancellation is responsive
+// mid-simulation (drain, Ctrl-C) even without a watchdog deadline; the
+// timer only arms when a deadline is configured. A run the watchdog halted
+// writes its progress post-mortem once recorded is closed.
+func (r *Runner) attempt(ctx context.Context, j Job, at Attempt, recorded <-chan struct{}) (sim.Result, *ChaosVerdict, error) {
+	var (
+		s        *sim.Simulator
+		plan     *fault.Plan
+		timedOut atomic.Bool
+	)
+	if r.execOverride == nil {
+		var err error
+		if s, plan, err = buildSafely(j); err != nil {
+			return sim.Result{}, nil, err
 		}
 	}
-	jr := &jobRun{sim: s}
-	if r.CheckpointDir != "" {
-		r.fsys().MkdirAll(r.CheckpointDir, 0o755)
-		ckPath := filepath.Join(r.CheckpointDir, j.Key()+".ckpt")
-		if r.CheckpointEvery > 0 {
-			s.SetAutoCheckpoint(r.CheckpointEvery)
-		}
-		s.SetCheckpointSink(func(ck *sim.Checkpoint) {
-			path := ckPath
-			if jr.escalate.Load() {
-				// Watchdog escalation: this is the post-mortem of a stuck
-				// job. Park the checkpoint under a distinct name (the job
-				// fails, it is not resumed) and dump a progress report.
-				path = filepath.Join(r.CheckpointDir, j.Key()+".stuck.ckpt")
-				r.dumpProgress(j, s, at.Campaign)
-			}
-			// The checkpoint record is journaled only after the file — and
-			// the rename that published it — are durable. A failed append
-			// poisons the journal, so the campaign's next WAL write reports it.
-			if err := sim.WriteCheckpointFileFS(r.fsys(), path, ck); err == nil && r.Journal != nil {
-				r.Journal.Append(JournalRecord{
-					T: RecCheckpoint, Campaign: at.Campaign, Key: j.Key(), Label: j.Label(),
-					Ckpt: path, Commits: ck.Commits,
-				})
-			}
-		})
-	}
-	jr.run = func() (res sim.Result, v *ChaosVerdict, err error) {
-		defer func() {
-			if p := recover(); p != nil {
-				err = fmt.Errorf("simulation %s panicked: %v\n%s", j.Label(), p, debug.Stack())
-			}
-		}()
-		res = s.Run()
-		if s.Halted() {
-			return sim.Result{}, nil, fmt.Errorf("job %s: %w", j.Label(), ErrJobInterrupted)
-		}
-		v = j.verdict(s, plan)
-		s.ReleasePages()
-		return res, v, nil
-	}
-	return jr
-}
-
-// buildSafely constructs the job's simulator, converting a construction
-// panic into the same "panicked" error shape the isolated run path reports,
-// so failure handling is uniform across both paths.
-func buildSafely(j Job) (s *sim.Simulator, plan *fault.Plan, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			s, plan = nil, nil
-			err = fmt.Errorf("simulation %s panicked: %v\n%s", j.Label(), p, debug.Stack())
-		}
-	}()
-	s, plan = j.build()
-	return s, plan, nil
-}
-
-// attempt executes one try of the job, under the watchdog when a deadline
-// is configured.
-func (r *Runner) attempt(ctx context.Context, j Job, at Attempt) (sim.Result, *ChaosVerdict, error) {
-	jr := r.prepare(j, at)
 	type outcome struct {
 		res sim.Result
 		v   *ChaosVerdict
@@ -269,12 +184,13 @@ func (r *Runner) attempt(ctx context.Context, j Job, at Attempt) (sim.Result, *C
 	}
 	ch := make(chan outcome, 1)
 	go func() {
-		res, v, err := jr.run()
+		res, v, err := r.execute(j, s, plan)
+		if timedOut.Load() && errors.Is(err, ErrJobInterrupted) {
+			<-recorded
+			r.dumpProgress(j, s, at.Campaign)
+		}
 		ch <- outcome{res, v, err}
 	}()
-	// The run always executes on its own goroutine so that cancellation is
-	// responsive mid-simulation (drain, Ctrl-C) even without a watchdog
-	// deadline; the timer only arms when a deadline is configured.
 	var deadline <-chan time.Time
 	if r.JobTimeout > 0 {
 		timer := time.NewTimer(r.JobTimeout)
@@ -285,25 +201,58 @@ func (r *Runner) attempt(ctx context.Context, j Job, at Attempt) (sim.Result, *C
 	case o := <-ch:
 		return o.res, o.v, o.err
 	case <-deadline:
-		// The attempt goroutine is abandoned: a stuck simulation cannot be
-		// preempted, only disowned. The buffered channel lets it exit
-		// quietly if it ever finishes. On the checkpointing path we can do
-		// better: escalate, so that if the run ever reaches another commit
-		// it dumps a checkpoint + progress report for post-mortem replay and
-		// unwinds instead of leaking.
-		if jr.sim != nil {
-			jr.escalate.Store(true)
-			jr.sim.Interrupt()
+		// A stuck simulation cannot be preempted, only disowned; the
+		// buffered channel lets its goroutine exit quietly. One that is
+		// merely slow halts at its next commit and leaves its progress
+		// report for the post-mortem.
+		if s != nil {
+			timedOut.Store(true)
+			s.Interrupt()
 		}
 		return sim.Result{}, nil, fmt.Errorf("job %s: %w (deadline %s)", j.Label(), ErrJobTimeout, r.JobTimeout)
 	case <-ctx.Done():
-		// Shutdown: the simulation checkpoints at its next commit and
-		// unwinds; the checkpoint is what a -resume restarts from.
-		if jr.sim != nil {
-			jr.sim.Interrupt()
+		// Shutdown: the simulation halts at its next commit; a -resume
+		// re-runs the job from its start.
+		if s != nil {
+			s.Interrupt()
 		}
 		return sim.Result{}, nil, fmt.Errorf("job %s: %w", j.Label(), ctx.Err())
 	}
+}
+
+// execute runs one built simulation (or the test override), converting a
+// panic into an error so a crashed run cannot take down the campaign. A
+// halted run returns ErrJobInterrupted.
+func (r *Runner) execute(j Job, s *sim.Simulator, plan *fault.Plan) (res sim.Result, v *ChaosVerdict, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("simulation %s panicked: %v\n%s", j.Label(), p, debug.Stack())
+		}
+	}()
+	if r.execOverride != nil {
+		return r.execOverride(j), nil, nil
+	}
+	res = s.Run()
+	if s.Halted() {
+		return sim.Result{}, nil, fmt.Errorf("job %s: %w", j.Label(), ErrJobInterrupted)
+	}
+	v = j.verdict(s, plan)
+	s.ReleasePages()
+	return res, v, nil
+}
+
+// buildSafely constructs the job's simulator, converting a construction
+// panic (nil machine, malformed profile) into the same "panicked" error a
+// crashed run reports.
+func buildSafely(j Job) (s *sim.Simulator, plan *fault.Plan, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			s, plan = nil, nil
+			err = fmt.Errorf("simulation %s panicked: %v\n%s", j.Label(), p, debug.Stack())
+		}
+	}()
+	s, plan = j.build()
+	return s, plan, nil
 }
 
 // stuckReport is the watchdog post-mortem document: where the stuck run
@@ -319,9 +268,12 @@ type stuckReport struct {
 	SimFlightRecorder []sim.FlightEntry `json:"sim_flight_recorder,omitempty"`
 }
 
-// dumpProgress writes the watchdog post-mortem: where the stuck run was.
-// Called from the simulation's own goroutine (inside the checkpoint sink).
+// dumpProgress writes the watchdog post-mortem: where the stopped run was.
+// Called from the simulation's own goroutine after its halted Run returned.
 func (r *Runner) dumpProgress(j Job, s *sim.Simulator, campaign string) {
+	if r.PostMortemDir == "" {
+		return
+	}
 	rep := stuckReport{
 		Progress:          s.ProgressReport(),
 		Campaign:          campaign,
@@ -332,12 +284,13 @@ func (r *Runner) dumpProgress(j Job, s *sim.Simulator, campaign string) {
 	if err != nil {
 		return
 	}
-	iofault.WriteFileAtomic(r.fsys(), filepath.Join(r.CheckpointDir, j.Key()+".progress.json"), data, 0o644)
+	r.fsys().MkdirAll(r.PostMortemDir, 0o755)
+	iofault.WriteFileAtomic(r.fsys(), filepath.Join(r.PostMortemDir, j.Key()+".progress.json"), data, 0o644)
 }
 
-// QuarantineManifest is the post-mortem written beside the checkpoints when
-// a job fails permanently: what failed, in which campaign, and the flight
-// recorder's last spans leading up to the failure.
+// QuarantineManifest is the post-mortem written to the post-mortem
+// directory when a job fails permanently: what failed, in which campaign,
+// and the flight recorder's last spans leading up to the failure.
 type QuarantineManifest struct {
 	Key      string `json:"key"`
 	Label    string `json:"label"`
@@ -349,18 +302,18 @@ type QuarantineManifest struct {
 }
 
 // PostMortem records that j failed permanently with cause: a quarantine
-// span, then — when a checkpoint directory exists and no earlier post-mortem
-// of the key is there — <key>.quarantine.json with the flight recorder's
-// last spans. The first post-mortem of a key is never rewritten.
+// span, then — when a post-mortem directory is set and no earlier
+// post-mortem of the key is there — <key>.quarantine.json with the flight
+// recorder's last spans. The first post-mortem of a key is never rewritten.
 func (r *Runner) PostMortem(j Job, campaign, cause string) {
 	r.tracer().Instant(trace.Span{
 		Name: j.Label(), Kind: trace.KindQuarantine, Campaign: campaign,
 		Key: j.Key(), Err: cause,
 	})
-	if r.CheckpointDir == "" {
+	if r.PostMortemDir == "" {
 		return
 	}
-	path := filepath.Join(r.CheckpointDir, j.Key()+".quarantine.json")
+	path := filepath.Join(r.PostMortemDir, j.Key()+".quarantine.json")
 	if _, err := r.fsys().ReadFile(path); err == nil {
 		return
 	}
@@ -373,21 +326,6 @@ func (r *Runner) PostMortem(j Job, campaign, cause string) {
 	if err != nil {
 		return
 	}
-	r.fsys().MkdirAll(r.CheckpointDir, 0o755)
+	r.fsys().MkdirAll(r.PostMortemDir, 0o755)
 	iofault.WriteFileAtomic(r.fsys(), path, data, 0o644)
-}
-
-// runIsolated executes one simulation, converting a panic into an error so
-// a crashed run cannot take down the whole regeneration.
-func runIsolated(j Job, exec func(Job) sim.Result) (res sim.Result, v *ChaosVerdict, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("simulation %s panicked: %v\n%s", j.Label(), p, debug.Stack())
-		}
-	}()
-	if exec != nil {
-		return exec(j), nil, nil
-	}
-	res, v = j.ExecuteWithVerdict()
-	return res, v, nil
 }

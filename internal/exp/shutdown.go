@@ -20,8 +20,8 @@ const ExitPowerCut = 3
 
 // Shutdown implements the campaign CLIs' two-stage signal protocol:
 //
-//	first SIGINT/SIGTERM  — cancel the context; workers checkpoint their
-//	                        in-flight simulations, the journal is flushed,
+//	first SIGINT/SIGTERM  — cancel the context; in-flight simulations halt
+//	                        at their next commit, the journal is flushed,
 //	                        and the process exits with code 130;
 //	second signal         — hard exit immediately (the user means it).
 type Shutdown struct {

@@ -25,8 +25,6 @@
 package fault
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"strings"
 
@@ -259,55 +257,4 @@ func (p *Plan) Summary() string {
 		}
 	}
 	return strings.Join(parts, " ")
-}
-
-// PlanState is the serializable mid-run state of a Plan: the decision
-// stream's RNG and the injection counters. The Config itself travels in the
-// checkpoint so a restore can verify the plan matches.
-type PlanState struct {
-	Config Config
-	RNG    [4]uint64
-	Counts [int(numKinds)]int
-	Total  int
-}
-
-// State captures the plan for a checkpoint.
-func (p *Plan) State() PlanState {
-	return PlanState{Config: p.cfg, RNG: p.r.State(), Counts: p.counts, Total: p.total}
-}
-
-// RestoreState reinstates a checkpointed plan. The stored Config must equal
-// the plan's: an injector resumed under different parameters would diverge
-// from the original run.
-func (p *Plan) RestoreState(s PlanState) error {
-	if s.Config != p.cfg {
-		return fmt.Errorf("fault: checkpoint plan config %v does not match %v", s.Config, p.cfg)
-	}
-	p.r.SetState(s.RNG)
-	p.counts = s.Counts
-	p.total = s.Total
-	return nil
-}
-
-// InjectorState and RestoreInjectorState implement the simulator's
-// InjectorCheckpointer interface (sim cannot import fault — fault imports
-// sim's dependencies the other way around — so the state travels opaquely as
-// gob bytes inside the checkpoint).
-
-// InjectorState serializes the plan's mid-run state.
-func (p *Plan) InjectorState() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(p.State()); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// RestoreInjectorState reinstates state produced by InjectorState.
-func (p *Plan) RestoreInjectorState(b []byte) error {
-	var s PlanState
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&s); err != nil {
-		return fmt.Errorf("fault: decoding injector state: %w", err)
-	}
-	return p.RestoreState(s)
 }

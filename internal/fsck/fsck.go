@@ -1,13 +1,12 @@
 // Package fsck verifies — and optionally repairs — the durable state of a
-// campaign offline: the append-only journal (WAL), the content-addressed
-// result cache, and checkpoint files. It is the recovery tool to run after
-// a crash, power loss, or suspected disk trouble, before resuming a
-// campaign.
+// campaign offline: the append-only journal (WAL) and the content-addressed
+// result cache. It is the recovery tool to run after a crash, power loss, or
+// suspected disk trouble, before resuming a campaign.
 //
 // Verification applies the same durability rules the online recovery paths
 // use (torn journal tails are forgivable, interior corruption is not; cache
-// entries must carry a valid CRC; checkpoint files must decode), so a state
-// directory that fscks clean will resume cleanly. Repair mode performs the
+// entries must carry a valid CRC), so a state directory that fscks clean
+// will resume cleanly. Repair mode performs the
 // same actions online recovery would — truncate the torn tail, quarantine
 // corrupt entries with exp.QuarantineSuffix, remove temp litter — but does
 // them eagerly and reports each one.
@@ -22,7 +21,6 @@ import (
 
 	"repro/internal/exp"
 	"repro/internal/iofault"
-	"repro/internal/sim"
 )
 
 // Options selects what to check. Zero-value fields are skipped, so a
@@ -32,8 +30,6 @@ type Options struct {
 	Journal string
 	// CacheDir is the result-cache directory to verify.
 	CacheDir string
-	// CheckpointDir is a directory whose *.ckpt files are verified.
-	CheckpointDir string
 	// Repair applies fixes (truncate torn tail, quarantine corrupt files,
 	// remove temp litter) instead of only reporting.
 	Repair bool
@@ -63,11 +59,6 @@ type Report struct {
 	CacheTemps   int `json:"cache_temps"`
 	CacheCorrupt int `json:"cache_corrupt"`
 
-	// CheckpointsScanned/Valid/Corrupt break down the checkpoint directory.
-	CheckpointsScanned int `json:"checkpoints_scanned"`
-	CheckpointsValid   int `json:"checkpoints_valid"`
-	CheckpointsCorrupt int `json:"checkpoints_corrupt"`
-
 	// Problems are integrity violations that block a clean resume (or would
 	// have, before Repair fixed them). Repairs lists the fixes applied.
 	// Warnings are advisory findings a resume tolerates by itself.
@@ -89,9 +80,9 @@ func (r *Report) Summary() string {
 	if r.Campaign != "" {
 		who = fmt.Sprintf(" campaign %s:", r.Campaign)
 	}
-	return fmt.Sprintf("fsck:%s %s (%d journal records, %d torn bytes, cache %d/%d valid, %d checkpoints valid, %d repairs, %d warnings)",
+	return fmt.Sprintf("fsck:%s %s (%d journal records, %d torn bytes, cache %d/%d valid, %d repairs, %d warnings)",
 		who, status, r.JournalRecords, r.JournalTornBytes, r.CacheValid, r.CacheScanned,
-		r.CheckpointsValid, len(r.Repairs), len(r.Warnings))
+		len(r.Repairs), len(r.Warnings))
 }
 
 type checker struct {
@@ -140,11 +131,6 @@ func Run(opts Options) (*Report, error) {
 	}
 	if opts.CacheDir != "" {
 		if err := c.checkCache(state); err != nil {
-			return &c.rep, err
-		}
-	}
-	if opts.CheckpointDir != "" {
-		if err := c.checkCheckpoints(); err != nil {
 			return &c.rep, err
 		}
 	}
@@ -198,27 +184,6 @@ func (c *checker) checkJournal() (exp.CampaignState, error) {
 	c.rep.LeasedJobs = len(state.Leases)
 	for key, w := range state.Leases {
 		c.warn("journal %s: job %s still leased to %s; resume will re-queue it", path, key, w)
-	}
-	// Checkpoints the journal declared durable must exist and decode. The
-	// journal stores the path as the writer saw it (usually relative to the
-	// campaign's working directory); fall back to resolving the bare name
-	// against the checkpoint directory when that path doesn't exist here.
-	for key, ckpt := range state.Checkpoints {
-		p := ckpt
-		if _, err := os.Stat(p); err != nil && c.opts.CheckpointDir != "" {
-			alt := filepath.Join(c.opts.CheckpointDir, filepath.Base(ckpt))
-			if _, err := os.Stat(alt); err == nil {
-				p = alt
-			}
-		}
-		if _, err := os.Stat(p); err != nil {
-			c.problem("journal %s: checkpoint %s for job %s is journaled durable but missing", path, p, key)
-			continue
-		}
-		if _, err := sim.ReadCheckpointFile(p); err != nil {
-			c.problem("journal %s: checkpoint %s for job %s does not decode: %v", path, p, key, err)
-			c.quarantine(p, "checkpoint")
-		}
 	}
 	return state, nil
 }
@@ -279,48 +244,6 @@ func (c *checker) checkCache(state exp.CampaignState) error {
 	for key := range state.Done {
 		if len(keys) > 0 && !keys[key] {
 			c.warn("cache %s: no entry stores completed job %q; resume will re-execute it", dir, key)
-		}
-	}
-	return nil
-}
-
-// checkCheckpoints verifies every *.ckpt file in the checkpoint directory.
-func (c *checker) checkCheckpoints() error {
-	dir := c.opts.CheckpointDir
-	entries, err := c.fs.ReadDir(dir)
-	if err != nil {
-		if os.IsNotExist(err) {
-			c.warn("checkpoint directory %s does not exist", dir)
-			return nil
-		}
-		return fmt.Errorf("checkpoints %s: %w", dir, err)
-	}
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		name := e.Name()
-		path := filepath.Join(dir, name)
-		switch {
-		case strings.HasSuffix(name, ".tmp"):
-			c.rep.CheckpointsScanned++
-			c.problem("checkpoints %s: stale temp file %s", dir, name)
-			if c.opts.Repair {
-				if err := c.fs.Remove(path); err != nil {
-					c.problem("checkpoints %s: removing stale temp %s: %v", dir, name, err)
-				} else {
-					c.repair("checkpoints %s: removed stale temp %s", dir, name)
-				}
-			}
-		case strings.HasSuffix(name, ".ckpt"):
-			c.rep.CheckpointsScanned++
-			if _, err := sim.ReadCheckpointFile(path); err != nil {
-				c.rep.CheckpointsCorrupt++
-				c.problem("checkpoints %s: %s does not decode: %v", dir, name, err)
-				c.quarantine(path, "checkpoint")
-			} else {
-				c.rep.CheckpointsValid++
-			}
 		}
 	}
 	return nil

@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/machine"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -193,72 +192,5 @@ func TestFsckCacheRepair(t *testing.T) {
 	}
 	if len(rep.Warnings) == 0 {
 		t.Fatal("quarantined leftover not warned about")
-	}
-}
-
-// A corrupt checkpoint file is detected, quarantined on repair, and a
-// journal that references a missing checkpoint is flagged.
-func TestFsckCheckpoints(t *testing.T) {
-	dir := t.TempDir()
-	ckptDir := filepath.Join(dir, "ckpt")
-	if err := os.MkdirAll(ckptDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-
-	// One valid checkpoint, captured from a real run.
-	mach := machine.NUMA16()
-	p := workload.Euler().Scale(0.1, 0.1, 0.25)
-	s := sim.New(mach, core.MultiTMVLazy, workload.NewGenerator(p, 99))
-	var ck *sim.Checkpoint
-	s.SetAutoCheckpoint(3)
-	s.SetCheckpointSink(func(c *sim.Checkpoint) {
-		if ck == nil {
-			ck = c
-		}
-	})
-	s.Run()
-	if ck == nil {
-		t.Fatal("no checkpoint captured")
-	}
-	if err := sim.WriteCheckpointFile(filepath.Join(ckptDir, "good.ckpt"), ck); err != nil {
-		t.Fatal(err)
-	}
-	// And one torn one.
-	raw, err := os.ReadFile(filepath.Join(ckptDir, "good.ckpt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(ckptDir, "torn.ckpt"), raw[:len(raw)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	jpath := filepath.Join(dir, "journal.jsonl")
-	writeJournal(t, jpath,
-		exp.JournalRecord{T: exp.RecCampaign, Name: "ck"},
-		exp.JournalRecord{T: exp.RecJobStart, Key: "job-1"},
-		exp.JournalRecord{T: exp.RecCheckpoint, Key: "job-1", Ckpt: "missing.ckpt"},
-	)
-
-	rep, err := Run(Options{Journal: jpath, CheckpointDir: ckptDir, Repair: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.CheckpointsValid != 1 || rep.CheckpointsCorrupt != 1 {
-		t.Fatalf("checkpoint counts wrong: %s", rep.Summary())
-	}
-	var missing, torn bool
-	for _, p := range rep.Problems {
-		if strings.Contains(p, "missing.ckpt") {
-			missing = true
-		}
-		if strings.Contains(p, "torn.ckpt") {
-			torn = true
-		}
-	}
-	if !missing || !torn {
-		t.Fatalf("problems incomplete: %v", rep.Problems)
-	}
-	if _, err := os.Stat(filepath.Join(ckptDir, "torn.ckpt"+exp.QuarantineSuffix)); err != nil {
-		t.Fatalf("torn checkpoint not quarantined: %v", err)
 	}
 }

@@ -125,12 +125,3 @@ func (c *CommitOrder) Advance(t TaskID) {
 func (c *CommitOrder) Done() bool {
 	return c.last != None && c.head.After(c.last)
 }
-
-// Last returns the final task of a bounded section (None if open-ended).
-func (c *CommitOrder) Last() TaskID { return c.last }
-
-// RestoreCommitOrder rebuilds a CommitOrder from checkpointed head/last
-// positions, bypassing the strict Advance sequencing.
-func RestoreCommitOrder(head, last TaskID) *CommitOrder {
-	return &CommitOrder{head: head, last: last}
-}

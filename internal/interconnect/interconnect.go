@@ -171,34 +171,3 @@ func (n *Network) IfDelay() event.Time {
 	}
 	return w
 }
-
-// NetworkState is the serializable occupancy state of a Network. Topology
-// and occupancy parameters are machine configuration, rebuilt on restore;
-// only the busy-until bookkeeping and its statistics are checkpointed.
-type NetworkState struct {
-	Ifs   []event.ResourceState
-	Banks []event.ResourceState
-}
-
-// State captures the network occupancy for a checkpoint.
-func (n *Network) State() NetworkState {
-	s := NetworkState{Ifs: make([]event.ResourceState, len(n.ifs))}
-	for i := range n.ifs {
-		s.Ifs[i] = n.ifs[i].State()
-	}
-	s.Banks = n.banks.State()
-	return s
-}
-
-// RestoreState reinstates checkpointed occupancy; the interface and bank
-// counts must match the machine geometry the network was built with.
-func (n *Network) RestoreState(s NetworkState) error {
-	if len(s.Ifs) != len(n.ifs) {
-		return fmt.Errorf("interconnect: restoring %d interface states into %d interfaces",
-			len(s.Ifs), len(n.ifs))
-	}
-	for i := range s.Ifs {
-		n.ifs[i].RestoreState(s.Ifs[i])
-	}
-	return n.banks.RestoreState(s.Banks)
-}

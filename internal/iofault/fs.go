@@ -25,7 +25,7 @@ import (
 )
 
 // File is the writable-file seam. It is the subset of *os.File the durable
-// layers (journal, cache, checkpoints, exporters) actually use.
+// layers (journal, cache, post-mortems, exporters) actually use.
 type File interface {
 	io.Writer
 	// Name returns the path the file was opened with.

@@ -112,8 +112,7 @@ type Cache struct {
 	// allocated once, by the first list: an L1, which only ever holds
 	// copies, never needs them, and building a simulator stays as cheap as
 	// before. The index is derived state: Insert, Invalidate,
-	// InvalidateWhere, SetProducer, Flush and RestoreState keep it, and
-	// nothing else changes a line's producer or validity or makes it an own
+	// InvalidateWhere, SetProducer and Flush keep it, and nothing else changes a line's producer or validity or makes it an own
 	// version.
 	next  []int32 // per slot
 	heads []int32 // per bucket

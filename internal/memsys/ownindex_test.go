@@ -45,7 +45,7 @@ func checkOwnIndex(t *testing.T, step int, c *Cache, producers int) {
 
 // TestOwnIndexMatchesScan drives random inserts (with evictions and
 // capacity theft), invalidations, gang invalidations, kind changes through
-// line pointers, re-tags, flushes and checkpoint restores, and compares the
+// line pointers, re-tags and flushes, and compares the
 // producer index with a ForEach filter after every step. Producer counts
 // above the set count make producers share buckets.
 func TestOwnIndexMatchesScan(t *testing.T) {
@@ -85,13 +85,6 @@ func TestOwnIndexMatchesScan(t *testing.T) {
 				if l, ok := c.Peek(tag, p); ok {
 					c.SetProducer(l, ids.TaskID(r.Intn(producers+1)))
 				}
-			case op < 98:
-				restored := tinyCache(c.ways)
-				if err := restored.RestoreState(c.State()); err != nil {
-					t.Fatal(err)
-				}
-				restored.pressure = c.pressure
-				c = restored
 			default:
 				c.Flush()
 			}

@@ -78,7 +78,7 @@ const flowCat = "fleet-flow"
 // Kinds not listed share the last, "events" lane rather than spawning one
 // lane each.
 var lanes = [...]string{KindQueue, KindLease, KindSteal, KindComplete,
-	KindAttempt, KindCheckpoint, KindCacheHit, KindQuarantine, "events"}
+	KindAttempt, KindCacheHit, KindQuarantine, "events"}
 
 func laneOf(kind string) int {
 	for i, k := range lanes[:len(lanes)-1] {

@@ -1,7 +1,7 @@
 // Package trace is the fleet's wall-clock observability layer: a span model
 // with campaign/job/attempt correlation IDs that follows one job from
 // coordinator submit through lease, worker attempt (watchdog, retry,
-// checkpoint, quarantine) and result delivery, and a Tracer that doubles as
+// quarantine) and result delivery, and a Tracer that doubles as
 // an always-on bounded flight recorder.
 //
 // The package mirrors the two load-bearing properties of internal/obs:
@@ -37,7 +37,6 @@ const (
 	KindSteal      = "steal"      // coordinator: work-steal grant decision
 	KindComplete   = "complete"   // coordinator: outcome ingested
 	KindAttempt    = "attempt"    // runner: one execution attempt
-	KindCheckpoint = "checkpoint" // runner: checkpoint file made durable
 	KindQuarantine = "quarantine" // runner: post-mortem of a permanent failure
 	KindCacheHit   = "cache-hit"  // coordinator: job answered from the result cache
 )

@@ -277,7 +277,8 @@ func TestExportPerfettoLayout(t *testing.T) {
 
 // TestExportPerfettoFixture pins the fleet layout: testdata/fleet_fixture.json
 // is the export of fleetFixture by the fleet exporter that predates the
-// shared trace-event writer (indented JSON). The current export must decode
+// shared trace-event writer (indented JSON), with the lane of the retired
+// checkpoint span kind folded into "events". The current export must decode
 // to the same events in the same order, whatever the input order.
 func TestExportPerfettoFixture(t *testing.T) {
 	want, err := os.ReadFile("testdata/fleet_fixture.json")
@@ -301,7 +302,8 @@ func TestExportPerfettoFixture(t *testing.T) {
 
 // fleetFixture covers every layout rule: three processes (the coordinator
 // plus two workers that sort by name), a nameless span of a kind outside
-// the lane table, instants, start-time ties broken by ID, and flow chains
+// the lane table and an older worker's "checkpoint" instant that shares its
+// lane, instants, start-time ties broken by ID, and flow chains
 // of three and two spans ending on an instant or a slice, and of one span
 // (which draws no arrow).
 func fleetFixture() []Span {
@@ -311,7 +313,7 @@ func fleetFixture() []Span {
 		{ID: 21, Proc: "worker-b", Name: "job1", Kind: KindAttempt, Start: 1_000_200, Dur: 250, Campaign: "c-1", Key: "k1", Attempt: 1, Flow: 42},
 		{ID: 13, Proc: "coordinator", Name: "job1", Kind: KindComplete, Start: 1_000_500, Campaign: "c-1", Key: "k1", Flow: 42},
 		{ID: 31, Proc: "worker-a", Name: "", Kind: "gc-pause", Start: 1_000_200, Dur: 30, Note: "unnamed, unknown kind"},
-		{ID: 32, Proc: "worker-a", Name: "job2", Kind: KindCheckpoint, Start: 1_000_300, Key: "k2", Flow: 7},
+		{ID: 32, Proc: "worker-a", Name: "job2", Kind: "checkpoint", Start: 1_000_300, Key: "k2", Flow: 7},
 		{ID: 14, Proc: "coordinator", Name: "job2", Kind: KindLease, Start: 1_000_120, Dur: 600, Key: "k2", Flow: 7, Err: "lease expired"},
 		{ID: 33, Proc: "worker-a", Name: "job2", Kind: KindQuarantine, Start: 1_000_700, Key: "k2", Attempt: 2, Note: "panic"},
 		{ID: 15, Proc: "coordinator", Name: "job3", Kind: KindCacheHit, Start: 1_000_100, Key: "k3"},

@@ -51,25 +51,23 @@ type Options struct {
 	// grid's failure manifest instead of hanging the sweep.
 	JobTimeout time.Duration
 	// Context, when non-nil, bounds every sweep run with these options:
-	// cancelling it makes in-flight simulations checkpoint and stop (the
-	// graceful-shutdown path). Nil means background.
+	// cancelling it makes in-flight simulations halt at their next commit
+	// (the graceful-shutdown path). Nil means background.
 	Context context.Context
-	// Journal, when non-nil, receives the campaign WAL (lease, checkpoint,
+	// Journal, when non-nil, receives the campaign WAL (lease, lease-return,
 	// job-done records) for crash recovery via -resume.
 	Journal *exp.Journal
-	// CheckpointDir enables mid-run simulator checkpoints under that
-	// directory, written every CheckpointEvery commits and at interrupts.
+	// CheckpointDir names only the post-mortem directory (exp.Runner's
+	// PostMortemDir): quarantine manifests and watchdog progress reports
+	// land there. Simulations are never checkpointed mid-run.
 	CheckpointDir string
-	// CheckpointEvery is the auto-checkpoint cadence in committed tasks
-	// (0 with a CheckpointDir still checkpoints at interrupts).
-	CheckpointEvery int
 	// Resume is a previous campaign's replayed journal (exp.LoadCampaign):
-	// completed jobs are served from it or the cache, in-flight jobs restore
-	// from its checkpoints.
+	// completed jobs are served from it or the cache, every other job runs
+	// from its start.
 	Resume exp.CampaignState
 	// Batcher, when non-nil, executes job batches instead of a locally
 	// built cluster.Local — the hook `-coordinator URL` uses to run a sweep on
-	// a distributed fleet. Execution options (cache, journal, checkpoints,
+	// a distributed fleet. Execution options (cache, journal, post-mortems,
 	// timeout, worker count) are then the executor's business and ignored
 	// here; Progress and JobObserver still fire for every result.
 	Batcher Batcher
@@ -98,12 +96,8 @@ func (o *Options) runner() (*cluster.Local, error) {
 		workers = 1
 	}
 	r := &cluster.Local{
-		Workers: workers,
-		Runner: exp.Runner{
-			JobTimeout: o.JobTimeout, Journal: o.Journal,
-			CheckpointDir: o.CheckpointDir, CheckpointEvery: o.CheckpointEvery,
-			Resume: o.Resume,
-		},
+		Workers: workers, Journal: o.Journal, Resume: o.Resume,
+		Runner: exp.Runner{JobTimeout: o.JobTimeout, PostMortemDir: o.CheckpointDir},
 	}
 	if o.CacheDir != "" {
 		c, err := exp.NewCache(o.CacheDir)

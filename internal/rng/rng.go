@@ -179,15 +179,3 @@ func (r *Source) Perm(out []int) {
 		out[i], out[j] = out[j], out[i]
 	}
 }
-
-// State returns the generator's current internal state for a checkpoint.
-func (r *Source) State() [4]uint64 { return r.s }
-
-// SetState reinstates a checkpointed state. An all-zero state is invalid for
-// xoshiro256** and panics rather than silently degenerating.
-func (r *Source) SetState(s [4]uint64) {
-	if s[0]|s[1]|s[2]|s[3] == 0 {
-		panic("rng: SetState with all-zero state")
-	}
-	r.s = s
-}

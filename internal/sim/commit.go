@@ -1,6 +1,10 @@
 package sim
 
 import (
+	"cmp"
+	"runtime"
+	"slices"
+
 	"repro/internal/event"
 	"repro/internal/ids"
 	"repro/internal/memsys"
@@ -37,7 +41,7 @@ func (s *Simulator) maybeCommit(now event.Time) {
 		// the committing task is always s.committing when the event fires.
 		s.commitDone = func(done event.Time) { s.finishCommit(s.committing, done) }
 	}
-	s.commitHandle = s.q.At(start+dur, s.commitDone)
+	s.q.At(start+dur, s.commitDone)
 }
 
 // commitDuration is the time the task holds the commit token.
@@ -198,11 +202,21 @@ func (s *Simulator) finishCommit(t *task, now event.Time) {
 		}
 	}
 	s.maybeCommit(now)
-	// Commit boundary: the pending schedule is fully described by the
-	// simulator's own bookkeeping, so this is where checkpoints are taken
-	// and interrupts serviced (a no-op for runs without a sink).
+	// Commit boundary: this is where interrupts are serviced.
 	s.afterCommit()
 }
+
+// lingering is one committed cache line still held at section end.
+type lingering struct {
+	tag      memsys.LineAddr
+	producer ids.TaskID
+}
+
+// lingeringBufs recycles finishSection's gather buffers across
+// simulations, one per simulation that can run at once. Unlike a
+// sync.Pool it keeps them across garbage collections, which a campaign
+// triggers between most simulations.
+var lingeringBufs = make(chan []lingering, runtime.GOMAXPROCS(0))
 
 // finishSection ends the run. Committed versions still lingering in caches
 // (Lazy AMM, ORB, and uncollected FMM future state) are merged with memory
@@ -213,27 +227,48 @@ func (s *Simulator) finishCommit(t *task, now event.Time) {
 func (s *Simulator) finishSection(now event.Time) {
 	end := now
 	charge := s.scheme.KeepsCommittedVersionsInCache() || s.orbCommit
-	// Gather the latest committed version of every lingering line across
-	// all caches (the VCL/MTID outcome), then merge once per line.
-	latest := map[memsys.LineAddr]ids.TaskID{}
+	// Gather every lingering committed line across all caches, then merge
+	// the latest version of each line once (the VCL/MTID outcome), in
+	// ascending line order.
+	var lines []lingering
+	select {
+	case lines = <-lingeringBufs:
+	default:
+	}
+	// The buffer is sized once for every valid line: grown by appends, one
+	// that is not recycled (a single large simulation per process) would
+	// cost twice its size.
+	valid := 0
 	for _, p := range s.procs {
-		lines := 0
+		valid += p.l2.LiveLines()
+	}
+	lines = slices.Grow(lines, valid)
+	for _, p := range s.procs {
+		n := len(lines)
 		p.l2.ForEach(func(l *memsys.Line) {
 			if l.Kind == memsys.KindCommitted {
-				if cur, ok := latest[l.Tag]; !ok || l.Producer.After(cur) {
-					latest[l.Tag] = l.Producer
-				}
-				lines++
+				lines = append(lines, lingering{l.Tag, l.Producer})
 			}
 		})
 		if charge {
-			if done := now + event.Time(lines)*s.cfg.FinalMergeLine; done > end {
+			if done := now + event.Time(len(lines)-n)*s.cfg.FinalMergeLine; done > end {
 				end = done
 			}
 		}
 	}
-	for tag, producer := range latest {
-		s.memWriteBack(tag, producer, now)
+	slices.SortFunc(lines, func(a, b lingering) int { return cmp.Compare(a.tag, b.tag) })
+	for i := 0; i < len(lines); {
+		latest := lines[i]
+		for i++; i < len(lines) && lines[i].tag == latest.tag; i++ {
+			if lines[i].producer.After(latest.producer) {
+				latest.producer = lines[i].producer
+			}
+		}
+		s.memWriteBack(latest.tag, latest.producer, now)
+	}
+	select {
+	case lingeringBufs <- lines[:0]:
+	default:
 	}
 	if s.scheme.Coarse && s.coarseViolated {
 		end = s.coarseRecover(end)

@@ -30,11 +30,10 @@ type ConcurrentWorkload interface {
 
 // SetParallel selects the parallel simulation mode with n prefetch
 // workers. n <= 1 selects the serial loop (the default). It must be called
-// before Run and before Restore. The workers live only for the duration of
-// Run.
+// before Run. The workers live only for the duration of Run.
 func (s *Simulator) SetParallel(n int) {
 	if s.started {
-		panic("sim: SetParallel after Run or Restore")
+		panic("sim: SetParallel after Run")
 	}
 	if n <= 1 {
 		n = 0

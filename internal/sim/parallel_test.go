@@ -74,45 +74,6 @@ func TestParallelMatchesSerialWithFaults(t *testing.T) {
 	}
 }
 
-// Checkpoints must be mode-portable: one taken mid-run by a parallel
-// simulator restores into a serial one (and vice versa) and the resumed
-// run completes identically to the uninterrupted serial run.
-func TestParallelCheckpointCrossModeRestore(t *testing.T) {
-	mach := machine.NUMA16()
-	p := workload.Tree().Scale(0.1, 0.1, 0.25)
-	sch := core.MultiTMVLazy
-	golden := Run(mach, sch, p, 99)
-	build := func(n int) func() *Simulator {
-		return func() *Simulator {
-			s := New(mach, sch, workload.NewGenerator(p, 99))
-			if n > 1 {
-				s.SetParallel(n)
-			}
-			return s
-		}
-	}
-
-	// Parallel runs checkpoint without perturbing their (serial-identical)
-	// results; each capture mode restores into each run mode.
-	for _, capN := range []int{1, 8} {
-		ck, withCkpt := captureAt(t, build(capN), max(1, golden.Commits/2))
-		if !reflect.DeepEqual(golden, withCkpt) {
-			t.Errorf("capture parallel=%d: taking a checkpoint perturbed the run", capN)
-		}
-		for _, resN := range []int{1, 8} {
-			resumed := build(resN)()
-			if err := resumed.Restore(ck); err != nil {
-				t.Errorf("capture parallel=%d restore parallel=%d: %v", capN, resN, err)
-				continue
-			}
-			if got := resumed.Run(); !reflect.DeepEqual(golden, got) {
-				t.Errorf("capture parallel=%d restore parallel=%d: resumed result differs (%d vs %d cycles)",
-					capN, resN, got.ExecCycles, golden.ExecCycles)
-			}
-		}
-	}
-}
-
 // The sequential baseline (one processor) runs in parallel mode too — the
 // degenerate machine must not trip the prefetcher.
 func TestParallelSequentialBaseline(t *testing.T) {
@@ -127,7 +88,8 @@ func TestParallelSequentialBaseline(t *testing.T) {
 }
 
 // Interrupting a parallel run halts at a commit boundary exactly like the
-// serial loop, and the checkpoint resumes to the identical result.
+// serial loop — at the same cycle, with the same progress report — and the
+// job re-run from its start reproduces the uninterrupted serial result.
 func TestParallelInterruptResume(t *testing.T) {
 	mach := machine.NUMA16()
 	p := workload.Euler().Scale(0.1, 0.1, 0.25)
@@ -140,26 +102,23 @@ func TestParallelInterruptResume(t *testing.T) {
 	}
 	golden := build(1).Run()
 
-	s := build(8)
-	var last *Checkpoint
-	calls := 0
-	s.SetAutoCheckpoint(1)
-	s.SetCheckpointSink(func(c *Checkpoint) {
-		last = c
-		calls++
-		if calls == 5 {
-			s.Interrupt()
+	var reports []ProgressReport
+	for _, n := range []int{1, 8} {
+		s := build(n)
+		s.Interrupt()
+		if res := s.Run(); !s.Halted() || !reflect.DeepEqual(res, Result{}) {
+			t.Fatalf("interrupted run (parallel=%d): halted=%v result=%+v", n, s.Halted(), res)
 		}
-	})
-	if res := s.Run(); !s.Halted() || res.Commits != 0 {
-		t.Fatalf("interrupted parallel run: halted=%v result=%+v", s.Halted(), res)
+		reports = append(reports, s.ProgressReport())
 	}
-	resumed := build(8)
-	if err := resumed.Restore(last); err != nil {
-		t.Fatalf("restore: %v", err)
+	if rep := reports[0]; rep.Commits != 1 || rep.Cycle == 0 {
+		t.Fatalf("interrupt did not halt at the first commit: %+v", rep)
 	}
-	if got := resumed.Run(); !reflect.DeepEqual(golden, got) {
-		t.Errorf("parallel interrupt-resume differs from uninterrupted serial run")
+	if !reflect.DeepEqual(reports[0], reports[1]) {
+		t.Errorf("parallel run halted elsewhere than the serial one:\n%+v\n%+v", reports[1], reports[0])
+	}
+	if got := build(8).Run(); !reflect.DeepEqual(golden, got) {
+		t.Errorf("re-run after an interrupt differs from the uninterrupted serial run")
 	}
 }
 

@@ -79,11 +79,9 @@ type processor struct {
 
 	// scheduled is true while a continuation event is pending; cont is the
 	// processor's single continuation closure, built once in New so the
-	// per-event schedule path does not allocate. contHandle names the pending
-	// occurrence so a checkpoint can record its (when, seq).
-	scheduled  bool
-	cont       func(now event.Time)
-	contHandle event.Handle
+	// per-event schedule path does not allocate.
+	scheduled bool
+	cont      func(now event.Time)
 
 	opBuf []workload.Op
 }

@@ -157,8 +157,8 @@ func RunSequential(cfg *machine.Config, prof workload.Profile, seed uint64) Resu
 }
 
 // NewSequential builds (without running) the sequential-baseline simulator
-// RunSequential uses, so callers that checkpoint or interrupt runs can treat
-// baselines like any other simulation.
+// RunSequential uses, so callers that interrupt runs can treat baselines
+// like any other simulation.
 func NewSequential(cfg *machine.Config, prof workload.Profile, seed uint64) *Simulator {
 	return NewSequentialOf(cfg, workload.NewGenerator(prof, seed))
 }

@@ -777,3 +777,24 @@ func TestContentionObserved(t *testing.T) {
 		t.Fatal("no bank contention observed on a memory-heavy run")
 	}
 }
+
+// ProgressReport, taken after an interrupted Run returned, describes where
+// the run halted — the watchdog post-mortem payload.
+func TestProgressReport(t *testing.T) {
+	mach := machine.NUMA16()
+	p := workload.Euler().Scale(0.1, 0.1, 0.25)
+	s := New(mach, core.MultiTMVLazy, workload.NewGenerator(p, 99))
+	s.Interrupt()
+	s.Run()
+	if !s.Halted() {
+		t.Fatal("interrupted run did not halt")
+	}
+	rep := s.ProgressReport()
+	if rep.Machine != mach.Name || rep.App != p.Name {
+		t.Errorf("report identity wrong: %+v", rep)
+	}
+	if rep.Cycle == 0 || rep.Commits == 0 || len(rep.Procs) != mach.Procs {
+		t.Errorf("report not mid-run shaped: cycle=%d commits=%d procs=%d",
+			rep.Cycle, rep.Commits, len(rep.Procs))
+	}
+}

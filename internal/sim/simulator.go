@@ -84,7 +84,6 @@ type Simulator struct {
 
 	committing   *task
 	commitDone   func(done event.Time)
-	commitHandle event.Handle // pending commit-done occurrence, for checkpoints
 	tokenFreeAt  event.Time
 	lastCommitBy ids.ProcID
 	waiters      map[ids.TaskID][]*processor
@@ -92,14 +91,11 @@ type Simulator struct {
 	done    bool
 	endTime event.Time
 
-	// Checkpoint/interrupt plumbing (see checkpoint.go). started guards
-	// against double Run and marks a restored simulator; halted is set when
-	// an Interrupt stopped the run at a commit boundary.
+	// started guards against a second Run; halted is set when an Interrupt
+	// stopped the run at a commit boundary.
 	started   bool
 	halted    bool
 	interrupt atomic.Bool
-	ckptEvery int
-	ckptSink  func(*Checkpoint)
 
 	// Verification: committed communication reads checked against the
 	// sequential-order oracle.
@@ -199,20 +195,19 @@ func (s *Simulator) schedule(p *processor, at event.Time) {
 		return
 	}
 	p.scheduled = true
-	p.contHandle = s.q.At(at, p.cont)
+	s.q.At(at, p.cont)
 }
 
-// Run executes the section to completion and returns the results. On a
-// simulator primed by Restore it continues from the checkpoint instead of
-// starting fresh. When an Interrupt halts the run, Run returns a zero
-// Result; check Halted().
+// Run executes the section to completion and returns the results. When an
+// Interrupt halts the run, Run returns a zero Result; check Halted().
 func (s *Simulator) Run() Result {
-	if !s.started {
-		s.started = true
-		s.specSampler.Observe(0, 0)
-		for _, p := range s.procs {
-			s.schedule(p, 0)
-		}
+	if s.started {
+		panic("sim: Run called twice")
+	}
+	s.started = true
+	s.specSampler.Observe(0, 0)
+	for _, p := range s.procs {
+		s.schedule(p, 0)
 	}
 	if s.startPrefetch() {
 		defer s.pf.close()
@@ -232,6 +227,82 @@ func (s *Simulator) Run() Result {
 			s.cfg.Name, s.scheme, s.gen.Name(), reason, s.commits, s.total, s.q.Fired()))
 	}
 	return s.collect()
+}
+
+// Interrupt requests a cooperative stop: at the next commit boundary the
+// simulator halts the event queue, and Run returns a zero Result with
+// Halted() true. Safe to call from another goroutine — this is the
+// graceful-shutdown and watchdog entry point. A halted run is not resumable:
+// the job it belongs to is re-run from its start.
+func (s *Simulator) Interrupt() { s.interrupt.Store(true) }
+
+// Halted reports whether the run was stopped by Interrupt before finishing.
+func (s *Simulator) Halted() bool { return s.halted }
+
+// afterCommit runs at the end of every mid-section finishCommit and halts
+// the run when an Interrupt is pending.
+func (s *Simulator) afterCommit() {
+	if s.interrupt.Load() {
+		s.halted = true
+		s.q.Halt()
+	}
+}
+
+// ProcProgress is one processor's slice of a ProgressReport.
+type ProcProgress struct {
+	Proc         int    `json:"proc"`
+	Task         string `json:"task,omitempty"` // current task, "" when idle
+	Wait         string `json:"wait"`
+	LocalTasks   int    `json:"local_tasks"`
+	RedoTasks    int    `json:"redo_tasks"`
+	BlockedUntil uint64 `json:"blocked_until,omitempty"`
+}
+
+// ProgressReport is a human-readable snapshot of where a run is — the
+// post-mortem attached to a watchdog-killed job. It must be taken from the
+// simulation's goroutine (e.g. after a halted Run returned).
+type ProgressReport struct {
+	Machine    string         `json:"machine"`
+	Scheme     string         `json:"scheme"`
+	App        string         `json:"app"`
+	Cycle      uint64         `json:"cycle"`
+	QueueDepth int            `json:"queue_depth"`
+	Events     uint64         `json:"events_fired"`
+	Commits    int            `json:"commits"`
+	Tasks      int            `json:"tasks"`
+	LiveSpec   int            `json:"live_speculative"`
+	Committing string         `json:"committing,omitempty"`
+	Procs      []ProcProgress `json:"procs"`
+}
+
+// ProgressReport captures the run's current position.
+func (s *Simulator) ProgressReport() ProgressReport {
+	r := ProgressReport{
+		Machine:    s.cfg.Name,
+		Scheme:     s.scheme.String(),
+		App:        s.gen.Name(),
+		Cycle:      uint64(s.q.Now()),
+		QueueDepth: s.q.Len(),
+		Events:     s.q.Fired(),
+		Commits:    s.commits,
+		Tasks:      s.total,
+		LiveSpec:   s.liveSpec,
+	}
+	if s.committing != nil {
+		r.Committing = s.committing.id.String()
+	}
+	for _, p := range s.procs {
+		pp := ProcProgress{
+			Proc: int(p.id), Wait: p.wait.String(),
+			LocalTasks: len(p.local), RedoTasks: len(p.redo),
+			BlockedUntil: uint64(p.blockedUntil),
+		}
+		if p.cur != nil {
+			pp.Task = p.cur.id.String()
+		}
+		r.Procs = append(r.Procs, pp)
+	}
+	return r
 }
 
 // ReleasePages hands the version directory's and main memory's pages to

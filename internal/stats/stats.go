@@ -188,33 +188,3 @@ func (t *Tally) Min() float64 { return t.min }
 
 // Max returns the largest sample (0 when empty).
 func (t *Tally) Max() float64 { return t.max }
-
-// SamplerState is the serializable state of a Sampler.
-type SamplerState struct {
-	Last     event.Time
-	Level    int
-	Weighted float64
-	Started  bool
-}
-
-// State captures the sampler for a checkpoint.
-func (s *Sampler) State() SamplerState {
-	return SamplerState{Last: s.last, Level: s.level, Weighted: s.weighted, Started: s.started}
-}
-
-// RestoreState reinstates a checkpointed sampler.
-func (s *Sampler) RestoreState(st SamplerState) {
-	s.last, s.level, s.weighted, s.started = st.Last, st.Level, st.Weighted, st.Started
-}
-
-// MeanState is the serializable state of a Mean.
-type MeanState struct {
-	Sum float64
-	N   int
-}
-
-// State captures the accumulator for a checkpoint.
-func (m *Mean) State() MeanState { return MeanState{Sum: m.sum, N: m.n} }
-
-// RestoreState reinstates a checkpointed accumulator.
-func (m *Mean) RestoreState(st MeanState) { m.sum, m.n = st.Sum, st.N }

@@ -294,10 +294,10 @@ type (
 	// JournalRecord is one line of the campaign journal.
 	JournalRecord = exp.JournalRecord
 	// CampaignState is the resume-relevant digest of a journal: completed
-	// jobs (results in the cache) and in-flight checkpoints.
+	// jobs (results in the cache), failures and outstanding leases.
 	CampaignState = exp.CampaignState
 	// Shutdown is the two-stage SIGINT/SIGTERM handler: first signal
-	// cancels the campaign context (workers checkpoint and drain), second
+	// cancels the campaign context (workers halt and drain), second
 	// hard-exits.
 	Shutdown = exp.Shutdown
 )
@@ -307,7 +307,6 @@ type (
 const (
 	RecCampaign     = exp.RecCampaign
 	RecJobStart     = exp.RecJobStart
-	RecCheckpoint   = exp.RecCheckpoint
 	RecJobDone      = exp.RecJobDone
 	ExitInterrupted = exp.ExitInterrupted
 	// ExitPowerCut is the exit code of a campaign killed by an injected
@@ -326,7 +325,7 @@ func OpenJournalFS(fsys iofault.FS, path string) (*Journal, error) {
 }
 
 // LoadCampaign reads and replays the journal at path into the digest a
-// resumed campaign needs (completed job keys, latest checkpoints).
+// resumed campaign needs (completed job keys, failures, outstanding leases).
 func LoadCampaign(path string) (CampaignState, error) { return exp.LoadCampaign(path) }
 
 // NewShutdown installs the two-stage signal handler. Call Stop when the

@@ -2,14 +2,13 @@
 # Interrupt-resume drill for `make chaos`: SIGINT a journaled tlschaos
 # campaign at a random point, resume it from the journal, and require that
 # the resume re-runs no completed case and that its report is byte-identical
-# to an uninterrupted run's. Artifacts
-# (journal, checkpoints, reports) land in $CHAOS_DRILL_DIR for CI upload on
-# failure.
+# to an uninterrupted run's. Artifacts (journal, post-mortems, reports) land
+# in $CHAOS_DRILL_DIR for CI upload on failure.
 set -eu
 
 GO="${GO:-go}"
 dir="${CHAOS_DRILL_DIR:-chaos-drill}"
-args="-seeds 30 -jobs 2 -checkpoint-every 20"
+args="-seeds 30 -jobs 2"
 
 rm -rf "$dir"
 mkdir -p "$dir"

@@ -12,7 +12,7 @@ dir="${FSCK_DRILL_DIR:-fsck-drill}"
 # Zero fault probabilities before the cut: the campaign runs exactly like a
 # clean one until the power dies, so resume-vs-clean must match bytewise.
 plan="${FSCK_DRILL_PLAN:-seed=7,cut=25,cutmode=torn}"
-args='-app Euler -param depprob -values 0,0.1 -tasks 0.1 -instr 0.05 -jobs 2 -checkpoint-every 10'
+args='-app Euler -param depprob -values 0,0.1 -tasks 0.1 -instr 0.05 -jobs 2'
 
 rm -rf "$dir"
 mkdir -p "$dir/state"
@@ -29,7 +29,6 @@ status=0
 	-io-chaos "$plan" \
 	-journal "$dir/state/journal.jsonl" \
 	-cache "$dir/state/cache" \
-	-checkpoint-dir "$dir/state/ckpt" \
 	>"$dir/faulted.csv" 2>"$dir/faulted.err" || status=$?
 if [ "$status" -eq 0 ]; then
 	echo "fsck-drill: campaign outran the power cut; drill degenerates to a verify + rerun diff"
@@ -67,7 +66,6 @@ echo "fsck-drill: resuming the campaign from the repaired state"
 "$dir/tlssweep" $args \
 	-resume "$dir/state/journal.jsonl" \
 	-cache "$dir/state/cache" \
-	-checkpoint-dir "$dir/state/ckpt" \
 	>"$dir/resumed.csv" 2>"$dir/resumed.err"
 
 if ! diff "$dir/resumed.csv" "$dir/clean.csv"; then
