@@ -31,9 +31,10 @@ vet:
 
 # race exercises the packages that run jobs concurrently (the in-process
 # coordinator, its worker and the runner), the sweeps built on them, the
-# stream store its workers share and the page pool its simulations share.
+# stream store its workers share, and the caches, directory and memory
+# whose storage one simulation hands to the next.
 race:
-	$(GO) test -race ./internal/exp ./internal/cluster ./internal/report ./internal/sim ./internal/workload ./internal/memsys
+	$(GO) test -race ./internal/exp ./internal/cluster ./internal/report ./internal/sim ./internal/workload ./internal/memsys ./internal/coherence
 
 # race-short runs the whole module under the race detector in short mode —
 # the CI job that guards the parallel simulation core (prefetch workers and
@@ -108,4 +109,4 @@ bench:
 # performance change (run on a quiet machine, then commit the file written).
 bench-baseline:
 	$(GO) run ./cmd/tlsbench $(BENCHFLAGS) -out \
-		-note "baseline after the version directory moved to fixed entry chunks with slab-carved version and reader lists and task op streams are sized up front; adds directory/fresh-words; previous baseline BENCH_24.json"
+		-note "baseline after finished simulations hand their caches, directory, memory and buffers to the next one built in the process; adds sim/recycled-run; previous baseline BENCH_26.json"

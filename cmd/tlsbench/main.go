@@ -11,7 +11,7 @@
 //	tlsbench -compare                 # run and gate against the baseline
 //	tlsbench -baseline BENCH_4.json -out   # cut the next baseline
 //
-// The baseline lives at -baseline (default BENCH_26.json, the checked-in
+// The baseline lives at -baseline (default BENCH_28.json, the checked-in
 // document); -out and -compare write and read that path. The flag's default
 // is the one place that names the current baseline: make bench, make
 // bench-baseline and CI all use it, so cutting the next baseline edits only
@@ -81,6 +81,7 @@ var suite = []struct {
 	{"cache/commit-own", benchCacheCommitOwn},
 	{"memory/write-back", benchMemWriteBack},
 	{"sim/full-run", benchFullRun},
+	{"sim/recycled-run", benchRecycledRun},
 	{"sim/full-run-parallel", benchFullRunParallel},
 }
 
@@ -306,6 +307,27 @@ func benchFullRun(b *testing.B) {
 	b.ReportMetric(float64(events)/float64(b.N), "events/op")
 }
 
+// benchRecycledRun is benchFullRun with every simulation built on the
+// storage a same-geometry simulation released before it, as the campaign
+// path builds them: the per-job cost once a batch is under way.
+func benchRecycledRun(b *testing.B) {
+	b.ReportAllocs()
+	prof := repro.Bdna().Scale(0.25, 0.25, 0.25)
+	run := func() sim.Result {
+		s := sim.New(repro.NUMA16(), repro.MultiTMVLazy, workload.NewGenerator(prof, 1))
+		r := s.Run()
+		s.Release()
+		return r
+	}
+	run() // the first measured simulation builds on this one's storage
+	var events uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		events += run().Events
+	}
+	b.ReportMetric(float64(events)/float64(b.N), "events/op")
+}
+
 // benchFullRunParallel is benchFullRun on the parallel simulation core with
 // GOMAXPROCS workers. Results are identical to the serial run by
 // construction; the wall-clock ratio against sim/full-run is the parallel
@@ -504,7 +526,7 @@ func compare(baseline Baseline, cur []Measurement, band float64) int {
 
 func main() {
 	var (
-		basePath = flag.String("baseline", "BENCH_26.json", "path of the JSON benchmark baseline (-out writes it, -compare reads it)")
+		basePath = flag.String("baseline", "BENCH_28.json", "path of the JSON benchmark baseline (-out writes it, -compare reads it)")
 		out      = flag.Bool("out", false, "write measurements to the -baseline file")
 		against  = flag.Bool("compare", false, "compare against the -baseline file; exit 1 outside the band")
 		band     = flag.Float64("band", 0.30, "guard band for the allocs/op comparison")

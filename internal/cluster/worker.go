@@ -159,6 +159,8 @@ pull:
 		free := cap(slots) - len(slots) + 1
 		resp, err := w.lease(LeaseRequest{Worker: w.cfg.Name, Max: free})
 		if err != nil || len(resp.Leases) == 0 {
+			// Nothing to build next: an idle slot keeps no spare storage.
+			sim.DropSpare()
 			<-slots
 			wait := w.cfg.poll()
 			switch {

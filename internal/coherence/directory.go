@@ -155,15 +155,17 @@ type Directory struct {
 	entries int32
 	// freeWords lists recycled (emptied) entry numbers.
 	freeWords []int32
-	// versionSlab and readerSlab are the uncarved rests of the current slabs.
-	versionSlab []ids.TaskID
-	readerSlab  []readerMark
+	// versionSlabs and readerSlabs are what first lists are carved from.
+	versionSlabs slabs[ids.TaskID]
+	readerSlabs  slabs[readerMark]
 
 	// slots is the task-marks ring (power-of-two length); live lists the
-	// same marks densely; marksFree pools released marks.
+	// same marks densely; marksFree pools released marks; livePeak is the
+	// most marks live at once since the last Reset.
 	slots     []taskSlot
 	live      []*taskMarks
 	marksFree []*taskMarks
+	livePeak  int
 
 	// scratch backs laterReaders.
 	scratch []ids.TaskID
@@ -189,18 +191,51 @@ type Directory struct {
 
 // NewDirectory returns an empty directory.
 func NewDirectory() *Directory {
-	d := &Directory{}
-	d.words.UsePool(&wordPages)
-	return d
+	return &Directory{}
 }
 
-// wordPages recycles the word-index pages of finished simulations.
-var wordPages memsys.PagePool[int32]
-
-// ReleasePages returns the directory's word-index pages to the process-wide
-// pool. The directory no longer finds any word afterwards, so call it only
-// once the simulation's results have been taken.
-func (d *Directory) ReleasePages() { d.words.Release() }
+// Reset makes d an empty directory, as NewDirectory returns, that keeps
+// the storage its last section used for the next one: the index pages
+// (as many as were in use at once), the entry chunks the section filled,
+// the slabs it carved from (carving starts again at the first), the
+// task-marks ring, and as many marks structs, with their lists and flag
+// bitmaps, as were live at once. Lists that outgrew their carve and
+// bitmaps longer than the section's entries need are dropped, so no part
+// carries an earlier, larger section's size forward. Statistics are zeroed
+// and the hooks detached. Reset assumes nothing about what the storage
+// holds, so a halted or crashed run's directory resets as well as a
+// finished one's.
+func (d *Directory) Reset() {
+	d.words.Reset()
+	used := (int(d.entries) + chunkSize - 1) >> chunkShift
+	clear(d.chunks[used:])
+	d.chunks = d.chunks[:used]
+	for _, c := range d.chunks {
+		clear(c[:])
+	}
+	d.versionSlabs.reset()
+	d.readerSlabs.reset()
+	d.marksFree = append(d.marksFree, d.live...)
+	keep := min(len(d.marksFree), d.livePeak)
+	clear(d.marksFree[keep:])
+	d.marksFree = d.marksFree[:keep]
+	words := int(d.entries>>5) + 1 // a flag bitmap never needs more
+	for _, m := range d.marksFree {
+		flags := m.flags[:0]
+		if cap(flags) > words {
+			flags = nil
+		}
+		*m = taskMarks{writes: m.writes[:0], pruned: m.pruned[:0], reads: m.reads[:0], flags: flags}
+	}
+	clear(d.live)
+	clear(d.slots)
+	*d = Directory{
+		words: d.words, chunks: d.chunks, freeWords: d.freeWords[:0],
+		versionSlabs: d.versionSlabs, readerSlabs: d.readerSlabs,
+		slots: d.slots, live: d.live[:0], marksFree: d.marksFree,
+		scratch: d.scratch[:0],
+	}
+}
 
 // lowerBound returns the first index i with !v[i].Before(t) (i.e. v[i] >= t)
 // in the ascending version list v.
@@ -247,24 +282,44 @@ func (d *Directory) newEntry() int32 {
 	return d.entries - 1
 }
 
-// carve cuts an empty list of capacity n from *slab, starting a new slab of
-// size elements when the rest is too short. The full slice expression caps
-// the list at n, so an append past it reallocates instead of running into
-// the next carve.
-func carve[T any](slab *[]T, n, size int) []T {
-	if len(*slab) < n {
-		*slab = make([]T, max(n, size))
+// slabs is the arena first lists are carved from: every slab allocated so
+// far, of which all[:next] are in use and rest is the uncarved rest of the
+// last one taken.
+type slabs[T any] struct {
+	all  [][]T
+	next int
+	rest []T
+}
+
+// carve cuts an empty list of capacity n, taking the next slab (allocating
+// one of size elements when none is left) when the rest is too short. The
+// full slice expression caps the list at n, so an append past it
+// reallocates instead of running into the next carve.
+func (sl *slabs[T]) carve(n, size int) []T {
+	if len(sl.rest) < n {
+		if sl.next == len(sl.all) {
+			sl.all = append(sl.all, make([]T, max(n, size)))
+		}
+		sl.rest = sl.all[sl.next]
+		sl.next++
 	}
-	s := (*slab)[0:0:n]
-	*slab = (*slab)[n:]
+	s := sl.rest[0:0:n]
+	sl.rest = sl.rest[n:]
 	return s
+}
+
+// reset keeps the slabs carved from since the last reset and makes them
+// available for carving again; the caller drops the lists carved so far.
+func (sl *slabs[T]) reset() {
+	clear(sl.all[sl.next:])
+	sl.all, sl.next, sl.rest = sl.all[:sl.next], 0, nil
 }
 
 // addVersionSlot makes room for one more version in w, carving the list's
 // first capacity from the version slab.
 func (d *Directory) addVersionSlot(w *wordState) {
 	if cap(w.versions) == 0 {
-		w.versions = carve(&d.versionSlab, carveCap, versionSlabSize)
+		w.versions = d.versionSlabs.carve(carveCap, versionSlabSize)
 	}
 	w.versions = append(w.versions, ids.None)
 }
@@ -273,7 +328,7 @@ func (d *Directory) addVersionSlot(w *wordState) {
 // from the reader slab.
 func (d *Directory) addReader(w *wordState, rm readerMark) {
 	if cap(w.readers) == 0 {
-		w.readers = carve(&d.readerSlab, carveCap, readerSlabSize)
+		w.readers = d.readerSlabs.carve(carveCap, readerSlabSize)
 	}
 	w.readers = append(w.readers, rm)
 }
@@ -327,6 +382,7 @@ func (d *Directory) marks(t ids.TaskID) *taskMarks {
 			}
 			m.id, m.live = t, len(d.live)
 			d.live = append(d.live, m)
+			d.livePeak = max(d.livePeak, len(d.live))
 			*s = taskSlot{id: t, m: m}
 			return m
 		}

@@ -228,7 +228,5 @@ func (j Job) Execute() sim.Result {
 func (j Job) ExecuteWithVerdict() (sim.Result, *ChaosVerdict) {
 	s, plan := j.build()
 	res := s.Run()
-	v := j.verdict(s, plan)
-	s.ReleasePages()
-	return res, v
+	return res, j.verdict(s, plan)
 }

@@ -189,6 +189,11 @@ func (r *Runner) attempt(ctx context.Context, j Job, at Attempt, recorded <-chan
 			<-recorded
 			r.dumpProgress(j, s, at.Campaign)
 		}
+		if s != nil {
+			// Finished, halted or crashed, the run hands its storage to the
+			// next simulation this process builds.
+			s.Release()
+		}
 		ch <- outcome{res, v, err}
 	}()
 	var deadline <-chan time.Time
@@ -236,9 +241,7 @@ func (r *Runner) execute(j Job, s *sim.Simulator, plan *fault.Plan) (res sim.Res
 	if s.Halted() {
 		return sim.Result{}, nil, fmt.Errorf("job %s: %w", j.Label(), ErrJobInterrupted)
 	}
-	v = j.verdict(s, plan)
-	s.ReleasePages()
-	return res, v, nil
+	return res, j.verdict(s, plan), nil
 }
 
 // buildSafely constructs the job's simulator, converting a construction

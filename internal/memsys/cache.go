@@ -112,8 +112,9 @@ type Cache struct {
 	// allocated once, by the first list: an L1, which only ever holds
 	// copies, never needs them, and building a simulator stays as cheap as
 	// before. The index is derived state: Insert, Invalidate,
-	// InvalidateWhere, SetProducer and Flush keep it, and nothing else changes a line's producer or validity or makes it an own
-	// version.
+	// InvalidateWhere, InvalidateOwnVersions, SetProducer and Reset keep it,
+	// and nothing else changes a line's producer or validity or makes it an
+	// own version.
 	next  []int32 // per slot
 	heads []int32 // per bucket
 	own   []int32 // ForEachOwnVersion's slot scratch
@@ -390,6 +391,24 @@ func (c *Cache) InvalidateWhere(match func(*Line) bool) int {
 	return n
 }
 
+// InvalidateOwnVersions removes every own version of the given producers,
+// found through the producer index instead of a walk over the whole cache,
+// and returns how many were removed: squash recovery's gang-invalidation of
+// the squashed tasks' versions. The slots are collected first and cleared
+// after, so no list is unlinked while it is walked.
+func (c *Cache) InvalidateOwnVersions(producers []ids.TaskID) int {
+	own := c.own[:0]
+	for _, p := range producers {
+		own = c.appendOwnSlots(own, p)
+	}
+	for _, i := range own {
+		c.unlist(int(i))
+		c.lines[i] = Line{}
+	}
+	c.own = own
+	return len(own)
+}
+
 // SetProducer re-tags the valid line l, which must be one of this cache's
 // lines, as produced by producer: the fault injector's tag corruption.
 func (c *Cache) SetProducer(l *Line, producer ids.TaskID) {
@@ -427,7 +446,15 @@ func (c *Cache) OwnVersions(producer ids.TaskID) int { return len(c.ownSlots(pro
 // ownSlots returns the slots of producer's own versions in ascending
 // order, in the cache's scratch.
 func (c *Cache) ownSlots(producer ids.TaskID) []int32 {
-	own := c.own[:0]
+	own := c.appendOwnSlots(c.own[:0], producer)
+	slices.Sort(own)
+	c.own = own
+	return own
+}
+
+// appendOwnSlots appends the slots of producer's own versions to own, in
+// list order.
+func (c *Cache) appendOwnSlots(own []int32, producer ids.TaskID) []int32 {
 	if producer != ids.None && c.heads != nil {
 		for i := c.heads[c.bucket(producer)]; i != 0; i = c.next[i-1] {
 			if l := &c.lines[i-1]; l.Producer == producer && l.Kind == KindOwnVersion {
@@ -435,8 +462,6 @@ func (c *Cache) ownSlots(producer ids.TaskID) []int32 {
 			}
 		}
 	}
-	slices.Sort(own)
-	c.own = own
 	return own
 }
 
@@ -532,10 +557,15 @@ func (c *Cache) Stats() (hits, misses, evictions uint64) {
 	return c.hits, c.misses, c.evictions
 }
 
-// Flush invalidates the entire cache without writing anything back; tests
-// and section boundaries use it.
-func (c *Cache) Flush() {
+// Reset empties the cache and zeroes its statistics and LRU clock, keeping
+// its line and index arrays, and detaches the pressure hook: the cache is
+// then as NewCache returned it, whatever its lines held. A finished
+// simulation's caches are reset for the next one (see sim's Release).
+func (c *Cache) Reset() {
 	clear(c.lines)
 	clear(c.next)
 	clear(c.heads)
+	c.own = c.own[:0]
+	c.useTick, c.hits, c.misses, c.evictions = 0, 0, 0, 0
+	c.pressure = nil
 }

@@ -277,12 +277,20 @@ func TestForEach(t *testing.T) {
 	}
 }
 
-func TestFlush(t *testing.T) {
+// TestReset: a reset cache is empty, indexed consistently and has zeroed
+// statistics, and it works like a new one afterwards.
+func TestReset(t *testing.T) {
 	c := tinyCache(2)
 	c.Insert(4, ids.TaskID(1), KindOwnVersion)
-	c.Flush()
-	if c.LiveLines() != 0 || c.CheckIndex() != nil {
-		t.Fatal("flush left lines behind")
+	c.Probe(4, ids.TaskID(1))
+	c.SetPressure(func() bool { return true })
+	c.Reset()
+	if h, m, e := c.Stats(); c.LiveLines() != 0 || c.CheckIndex() != nil || h+m+e != 0 {
+		t.Fatal("reset left lines or statistics behind")
+	}
+	c.Insert(4, ids.TaskID(2), KindOwnVersion)
+	if _, dirty := c.Insert(5, ids.TaskID(2), KindOwnVersion); dirty || c.OwnVersions(2) != 2 {
+		t.Fatal("a reset cache kept its pressure hook or lost an insert")
 	}
 }
 

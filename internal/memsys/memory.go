@@ -35,18 +35,16 @@ func (m *Memory) SetObs(writebacks, rejected *obs.Counter) {
 // write-back is accepted (the caller — an AMM scheme using the VCL — must
 // itself guarantee in-order merging).
 func NewMemory(mtid bool) *Memory {
-	m := &Memory{mtidEnabled: mtid}
-	m.version.UsePool(&tagPages)
-	return m
+	return &Memory{mtidEnabled: mtid}
 }
 
-// tagPages recycles the MTID tag pages of finished simulations.
-var tagPages PagePool[ids.TaskID]
-
-// ReleasePages returns the memory's tag pages to the process-wide pool,
-// leaving the memory empty: every line back to its architectural data.
-// Call it only once the simulation's results have been taken.
-func (m *Memory) ReleasePages() { m.version.Release() }
+// Reset makes m the memory NewMemory(mtid) returns, keeping its tag pages
+// for reuse: every line back to its architectural data, statistics zeroed
+// and observability detached.
+func (m *Memory) Reset(mtid bool) {
+	m.version.Reset()
+	*m = Memory{mtidEnabled: mtid, version: m.version}
+}
 
 // MTIDEnabled reports whether the memory filters stale write-backs.
 func (m *Memory) MTIDEnabled() bool { return m.mtidEnabled }

@@ -113,3 +113,8 @@ func (m *MHB) ReleaseCommitted(committedThrough ids.TaskID) int {
 func (m *MHB) Stats() (appends, restored uint64, peak int) {
 	return m.appends, m.restored, m.peak
 }
+
+// Reset empties the log and zeroes its statistics, keeping its array.
+func (m *MHB) Reset() {
+	*m = MHB{entries: m.entries[:0]}
+}

@@ -168,3 +168,14 @@ func (o *Overflow) Len() int { return len(o.entries) }
 func (o *Overflow) Stats() (spills, retrievals uint64, peak int) {
 	return o.spills, o.retrievals, o.peak
 }
+
+// Reset empties the area and zeroes its statistics, keeping its maps and
+// per-task lists for reuse, whatever they held.
+func (o *Overflow) Reset() {
+	for _, l := range o.byTask {
+		o.listFree = append(o.listFree, l[:0])
+	}
+	clear(o.entries)
+	clear(o.byTask)
+	o.spills, o.retrievals, o.peak = 0, 0, 0
+}

@@ -44,9 +44,9 @@ func checkOwnIndex(t *testing.T, step int, c *Cache, producers int) {
 }
 
 // TestOwnIndexMatchesScan drives random inserts (with evictions and
-// capacity theft), invalidations, gang invalidations, kind changes through
-// line pointers, re-tags and flushes, and compares the
-// producer index with a ForEach filter after every step. Producer counts
+// capacity theft), invalidations, gang invalidations (by scan and through
+// the index), kind changes through line pointers, re-tags and resets, and
+// compares the producer index with a ForEach filter after every step. Producer counts
 // above the set count make producers share buckets.
 func TestOwnIndexMatchesScan(t *testing.T) {
 	kinds := []LineKind{KindCopy, KindOwnVersion, KindCommitted}
@@ -54,9 +54,12 @@ func TestOwnIndexMatchesScan(t *testing.T) {
 		r := rng.New(seed)
 		c := tinyCache(1 + r.Intn(4))
 		producers := 3 + r.Intn(12)
-		if seed%2 == 0 {
-			c.SetPressure(func() bool { return r.Bool(0.1) })
+		pressure := func() {
+			if seed%2 == 0 {
+				c.SetPressure(func() bool { return r.Bool(0.1) })
+			}
 		}
+		pressure()
 		pick := func() (LineAddr, ids.TaskID) {
 			return LineAddr(r.Intn(24)), ids.TaskID(r.Intn(producers + 1))
 		}
@@ -80,13 +83,27 @@ func TestOwnIndexMatchesScan(t *testing.T) {
 				c.InvalidateWhere(func(l *Line) bool {
 					return l.Kind == KindOwnVersion && !l.Producer.Before(first)
 				})
-			case op < 95:
+			case op < 93:
+				// Squash recovery's gang invalidation through the index.
+				victims := []ids.TaskID{ids.TaskID(1 + r.Intn(producers)), ids.TaskID(1 + r.Intn(producers))}
+				if victims[0] == victims[1] {
+					victims = victims[:1]
+				}
+				want := 0
+				for _, p := range victims {
+					want += len(ownByScan(c, p))
+				}
+				if n := c.InvalidateOwnVersions(victims); n != want || len(ownByScan(c, victims[0])) != 0 {
+					t.Fatalf("step %d: InvalidateOwnVersions(%v) removed %d lines, want %d", step, victims, n, want)
+				}
+			case op < 97:
 				tag, p := pick()
 				if l, ok := c.Peek(tag, p); ok {
 					c.SetProducer(l, ids.TaskID(r.Intn(producers+1)))
 				}
 			default:
-				c.Flush()
+				c.Reset()
+				pressure()
 			}
 			checkOwnIndex(t, step, c, producers)
 		}

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"math/bits"
 	"slices"
-	"sync"
 )
 
 // PageTable is a paged map from 64-bit keys to values; the zero value of V
@@ -27,72 +26,30 @@ type PageTable[K ~uint64, V comparable] struct {
 	used  int          // occupied buckets
 	free  []*page[V]   // emptied pages (all slots zero)
 	live  int          // non-zero slots
-	pool  *PagePool[V] // where new pages come from and Release returns them
+	peak  int          // most pages in use at once since the last Reset
 }
 
-// PagePool recycles pages across page tables: a table that is done hands
-// its pages back (Release), and a table using the pool takes its new pages
-// from it, zeroed, before allocating. A simulation's tables are built from
-// nothing and dropped whole, so one pool per value type lets each
-// simulation reuse the pages of the ones that finished before it. The pool
-// keeps at most pagePoolCap pages and drops the rest to the garbage
-// collector: kept pages are live heap, which the collector's heap goal
-// doubles. The zero PagePool is ready to use and safe for concurrent use.
-type PagePool[V comparable] struct {
-	mu    sync.Mutex
-	pages []*page[V]
-}
-
-// pagePoolCap bounds a pool at 64 pages (256 KB of directory pages, 512 KB
-// of MTID tag pages), a fraction of what one standard-scale simulation's
-// table grows to. Larger pools saved more allocation but cost more peak
-// RSS than they saved (DESIGN.md §10).
-const pagePoolCap = 64
-
-// get returns a zeroed page, or nil when the pool is empty.
-func (pp *PagePool[V]) get() *page[V] {
-	pp.mu.Lock()
-	n := len(pp.pages)
-	if n == 0 {
-		pp.mu.Unlock()
-		return nil
-	}
-	p := pp.pages[n-1]
-	pp.pages[n-1] = nil
-	pp.pages = pp.pages[:n-1]
-	pp.mu.Unlock()
-	clear(p.slots[:])
-	p.live = 0
-	return p
-}
-
-// put keeps the pages, up to the pool's bound.
-func (pp *PagePool[V]) put(ps []*page[V]) {
-	pp.mu.Lock()
-	if room := pagePoolCap - len(pp.pages); len(ps) > room {
-		ps = ps[:max(room, 0)]
-	}
-	pp.pages = append(pp.pages, ps...)
-	pp.mu.Unlock()
-}
-
-// UsePool makes the table draw its new pages from pool and Release return
-// them there.
-func (x *PageTable[K, V]) UsePool(pool *PagePool[V]) { x.pool = pool }
-
-// Release empties the table and hands its pages to its pool (if any). The
-// table stays usable and empty.
-func (x *PageTable[K, V]) Release() {
-	if x.pool != nil {
-		ps := x.free
-		for _, e := range x.table {
-			if e.p != nil {
-				ps = append(ps, e.p)
-			}
+// Reset empties the table but keeps, zeroed on the free list, as many of
+// its pages as it had in use at once since the last Reset, and its bucket
+// array: a table reused by the next simulation (see sim's Release) fills
+// from the pages the last one needed instead of allocating, and never
+// keeps more than that. It assumes nothing about what the pages hold.
+func (x *PageTable[K, V]) Reset() {
+	for _, e := range x.table {
+		if e.p != nil {
+			x.free = append(x.free, e.p)
 		}
-		x.pool.put(ps)
 	}
-	*x = PageTable[K, V]{pool: x.pool}
+	if len(x.free) > x.peak {
+		clear(x.free[x.peak:])
+		x.free = x.free[:x.peak]
+	}
+	for _, p := range x.free {
+		clear(p.slots[:])
+		p.live = 0
+	}
+	clear(x.table)
+	x.used, x.live, x.peak = 0, 0, 0
 }
 
 const (
@@ -205,15 +162,13 @@ func (x *PageTable[K, V]) addPage(num uint64) *page[V] {
 	if n := len(x.free); n > 0 {
 		p = x.free[n-1]
 		x.free = x.free[:n-1]
-	} else if x.pool != nil {
-		p = x.pool.get()
-	}
-	if p == nil {
+	} else {
 		p = new(page[V])
 	}
 	p.num = num
 	x.insert(pageRef[V]{num: num, p: p})
 	x.used++
+	x.peak = max(x.peak, x.used)
 	return p
 }
 

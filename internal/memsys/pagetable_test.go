@@ -167,37 +167,47 @@ func TestPageTableTaskIDValues(t *testing.T) {
 	}
 }
 
-// TestPagePoolRecyclesZeroedPages: a released table's pages come back to
-// the next table of the pool zeroed, so a recycled page never leaks an old
-// simulation's values, and the released table is empty and reusable.
-func TestPagePoolRecyclesZeroedPages(t *testing.T) {
-	var pool PagePool[ids.TaskID]
+// TestPageTableResetKeepsZeroedPages: a reset table keeps as many pages as
+// it had in use at once and hands them out again zeroed, whatever they
+// held, so a recycled page never leaks an old simulation's values, and the
+// next round allocates only the pages it needs beyond those.
+func TestPageTableResetKeepsZeroedPages(t *testing.T) {
 	r := rng.New(3)
 	keys := keyPool(r, 3000)
-	var a PageTable[Addr, ids.TaskID]
-	a.UsePool(&pool)
+	var x PageTable[Addr, ids.TaskID]
 	for i, k := range keys {
-		a.Put(k, ids.TaskID(i+1))
+		x.Put(k, ids.TaskID(i+1))
 	}
 	for _, k := range keys[:500] {
-		a.Put(k, ids.None) // some pages empty into the free list
-	}
-	a.Release()
-	if a.Len() != 0 || a.Get(keys[600]) != ids.None {
-		t.Fatal("a released table still holds keys")
+		x.Put(k, ids.None) // some pages empty into the free list
 	}
 	for round := 0; round < 3; round++ {
-		var b PageTable[Addr, ids.TaskID]
-		b.UsePool(&pool)
-		fresh := keyPool(rng.New(uint64(10+round)), 2000)
+		// Scribble over every page, as a halted run could leave it.
+		for _, e := range x.table {
+			if e.p != nil {
+				x.free = append(x.free, e.p)
+			}
+		}
+		for _, p := range x.free {
+			for i := range p.slots {
+				p.slots[i] = ids.TaskID(i + 7)
+			}
+			p.live = -1
+		}
+		peak := x.peak
+		x.Reset()
+		if x.Len() != 0 || x.used != 0 || len(x.free) != peak || x.Get(keys[600]) != ids.None {
+			t.Fatalf("round %d: reset table holds %d keys in %d pages, keeps %d pages, want %d", round, x.Len(), x.used, len(x.free), peak)
+		}
+		fresh := keyPool(rng.New(uint64(10+round)), 2000+500*round)
 		for i, k := range fresh {
-			if got := b.Get(k); got != ids.None {
+			if got := x.Get(k); got != ids.None {
 				t.Fatalf("round %d: key %#x reads %v before any Put", round, uint64(k), got)
 			}
-			b.Put(k, ids.TaskID(i+1))
+			x.Put(k, ids.TaskID(i+1))
 		}
 		n := 0
-		b.Ascend(func(k Addr, v ids.TaskID) {
+		x.Ascend(func(k Addr, v ids.TaskID) {
 			if v != ids.TaskID(slices.Index(fresh, k)+1) {
 				t.Fatalf("round %d: key %#x holds %v, a recycled page kept an old value", round, uint64(k), v)
 			}
@@ -206,11 +216,8 @@ func TestPagePoolRecyclesZeroedPages(t *testing.T) {
 		if n != len(fresh) {
 			t.Fatalf("round %d: %d keys present, want %d", round, n, len(fresh))
 		}
-		b.Release()
-	}
-	// The released table is still usable.
-	a.Put(keys[0], 9)
-	if a.Get(keys[0]) != 9 || a.Len() != 1 {
-		t.Fatal("a released table does not accept new keys")
+		if got, want := x.used+len(x.free), max(peak, x.peak); got != want {
+			t.Fatalf("round %d: table holds %d pages, want %d (%d kept, %d in use at most)", round, got, want, peak, x.peak)
+		}
 	}
 }

@@ -23,7 +23,7 @@ func (s *Simulator) SetLineGranularityConflicts(on bool) {
 // benchmark compares their behaviour and counts MTID's rejections. Call
 // before Run.
 func (s *Simulator) ForceMTID() {
-	s.mem = memsys.NewMemory(true)
+	s.mem.Reset(true)
 	s.forceMTID = true
 }
 

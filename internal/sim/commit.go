@@ -2,7 +2,6 @@ package sim
 
 import (
 	"cmp"
-	"runtime"
 	"slices"
 
 	"repro/internal/event"
@@ -212,12 +211,6 @@ type lingering struct {
 	producer ids.TaskID
 }
 
-// lingeringBufs recycles finishSection's gather buffers across
-// simulations, one per simulation that can run at once. Unlike a
-// sync.Pool it keeps them across garbage collections, which a campaign
-// triggers between most simulations.
-var lingeringBufs = make(chan []lingering, runtime.GOMAXPROCS(0))
-
 // finishSection ends the run. Committed versions still lingering in caches
 // (Lazy AMM, ORB, and uncollected FMM future state) are merged with memory
 // by a final background pass, one per processor in parallel — the diamonds
@@ -230,14 +223,10 @@ func (s *Simulator) finishSection(now event.Time) {
 	// Gather every lingering committed line across all caches, then merge
 	// the latest version of each line once (the VCL/MTID outcome), in
 	// ascending line order.
-	var lines []lingering
-	select {
-	case lines = <-lingeringBufs:
-	default:
-	}
-	// The buffer is sized once for every valid line: grown by appends, one
-	// that is not recycled (a single large simulation per process) would
-	// cost twice its size.
+	// The buffer, recycled with the simulation's other storage, is sized
+	// once for every valid line: grown by appends, one that is not recycled
+	// (a single large simulation per process) would cost twice its size.
+	lines := s.parts.lingering[:0]
 	valid := 0
 	for _, p := range s.procs {
 		valid += p.l2.LiveLines()
@@ -266,10 +255,7 @@ func (s *Simulator) finishSection(now event.Time) {
 		}
 		s.memWriteBack(latest.tag, latest.producer, now)
 	}
-	select {
-	case lingeringBufs <- lines[:0]:
-	default:
-	}
+	s.parts.lingering = lines[:0]
 	if s.scheme.Coarse && s.coarseViolated {
 		end = s.coarseRecover(end)
 	}

@@ -67,6 +67,9 @@ type Simulator struct {
 	pf   *prefetcher
 	parN int
 
+	// parts is the storage dir, mem and procs live in, handed to the next
+	// simulation by Release (recycle.go).
+	parts *parts
 	dir   *coherence.Directory
 	mem   *memsys.Memory
 	net   *interconnect.Network
@@ -138,9 +141,11 @@ type Simulator struct {
 	inject FaultInjector
 	inv    *invariantChecker
 
-	// Reused hot-path scratch: per-processor squash victim lists, FMM
-	// recovery's undo records and the stale-version buffer of the VCL merge.
+	// Reused hot-path scratch: per-processor squash victim lists and all
+	// their IDs, FMM recovery's undo records and the stale-version buffer
+	// of the VCL merge.
 	squashScratch [][]*task
+	squashedIDs   []ids.TaskID
 	undoScratch   []memsys.LogEntry
 	vclStale      []ids.TaskID
 }
@@ -151,12 +156,14 @@ func New(cfg *machine.Config, scheme core.Scheme, gen Workload) *Simulator {
 	if !scheme.Valid() || !scheme.Interesting() {
 		panic(fmt.Sprintf("sim: scheme %v is not modelled", scheme))
 	}
+	pt := takeParts(cfg, gen.Name())
 	s := &Simulator{
 		cfg:          cfg,
 		scheme:       scheme,
 		gen:          gen,
-		dir:          coherence.NewDirectory(),
-		mem:          memsys.NewMemory(scheme.MemoryNeedsMTID()),
+		parts:        pt,
+		dir:          pt.directory(),
+		mem:          pt.memory(scheme.MemoryNeedsMTID()),
 		net:          cfg.NewNetwork(),
 		total:        gen.NumTasks(),
 		tasks:        make(map[ids.TaskID]*task),
@@ -169,13 +176,7 @@ func New(cfg *machine.Config, scheme core.Scheme, gen Workload) *Simulator {
 		s.l3 = make(map[memsys.LineAddr]bool)
 	}
 	for i := 0; i < cfg.Procs; i++ {
-		p := &processor{
-			id:  ids.ProcID(i),
-			l1:  memsys.NewCache(cfg.L1),
-			l2:  memsys.NewCache(cfg.L2),
-			ovf: memsys.NewOverflow(),
-			mhb: memsys.NewMHB(),
-		}
+		p := pt.processor(i, cfg)
 		// One continuation closure per processor for the whole run: schedule
 		// is the hottest event producer and must not allocate per event.
 		p.cont = func(now event.Time) {
@@ -303,15 +304,6 @@ func (s *Simulator) ProgressReport() ProgressReport {
 		r.Procs = append(r.Procs, pp)
 	}
 	return r
-}
-
-// ReleasePages hands the version directory's and main memory's pages to
-// their process-wide pools, for the next simulation to reuse. The simulator
-// must not be run or inspected afterwards: call it only once its Result
-// (and any verdict derived from its final state) has been taken.
-func (s *Simulator) ReleasePages() {
-	s.dir.ReleasePages()
-	s.mem.ReleasePages()
 }
 
 // step runs processor p from time now for up to one quantum.

@@ -38,13 +38,18 @@ func (s *Simulator) squashFrom(first ids.TaskID, now event.Time, word memsys.Add
 			perProc[t.proc] = append(perProc[t.proc], t)
 		}
 	}
+	squashed := s.squashedIDs[:0]
 	for _, victims := range perProc {
 		for i := 1; i < len(victims); i++ {
 			for j := i; j > 0 && victims[j].id.Before(victims[j-1].id); j-- {
 				victims[j], victims[j-1] = victims[j-1], victims[j]
 			}
 		}
+		for _, t := range victims {
+			squashed = append(squashed, t.id)
+		}
 	}
+	s.squashedIDs = squashed
 
 	for pi, victims := range perProc {
 		p := s.procs[pi]
@@ -113,7 +118,7 @@ func (s *Simulator) squashFrom(first ids.TaskID, now event.Time, word memsys.Add
 			n := len(undo)
 			undo = p.mhb.PopForRecovery(undo, victims[0].id)
 			serial += s.cfg.FMMRestoreFixed + event.Time(len(undo)-n)*s.cfg.FMMRestoreLine
-			s.invalidateVersions(p, victims)
+			s.invalidateVersions(p, victims, squashed)
 		}
 		restoreOrder(undo)
 		for _, e := range undo {
@@ -129,7 +134,7 @@ func (s *Simulator) squashFrom(first ids.TaskID, now event.Time, word memsys.Add
 			if len(victims) == 0 {
 				continue
 			}
-			lines := s.invalidateVersions(s.procs[pi], victims)
+			lines := s.invalidateVersions(s.procs[pi], victims, squashed)
 			if d := event.Time(lines) * s.cfg.AMMInvalidate; d > worst {
 				worst = d
 			}
@@ -161,13 +166,13 @@ func restoreOrder(undo []memsys.LogEntry) {
 }
 
 // invalidateVersions removes the cached and overflowed versions produced by
-// the given squashed tasks on processor p, returning how many lines were
-// touched.
-func (s *Simulator) invalidateVersions(p *processor, victims []*task) int {
-	first := victims[0].id
-	n := p.l2.InvalidateWhere(func(l *memsys.Line) bool {
-		return l.Kind == memsys.KindOwnVersion && !l.Producer.Before(first)
-	})
+// the squashed tasks on processor p, returning how many lines were touched.
+// victims are p's own squashed tasks and squashed every processor's: the
+// L2 walk goes through the producer index for all of them, because a
+// corrupted tag (fault injection) can leave another processor's victim's
+// ID on one of p's versions, and every version of a squashed task goes.
+func (s *Simulator) invalidateVersions(p *processor, victims []*task, squashed []ids.TaskID) int {
+	n := p.l2.InvalidateOwnVersions(squashed)
 	for _, t := range victims {
 		n += p.ovf.DropTask(t.id)
 	}
