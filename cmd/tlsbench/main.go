@@ -68,7 +68,6 @@ var suite = []struct {
 	fn   func(b *testing.B)
 }{
 	{"event/schedule-fire", benchEventScheduleFire},
-	{"event/cancel-compact", benchEventCancelCompact},
 	{"directory/record-write-read", benchDirRecordWriteRead},
 	{"directory/version-for", benchDirVersionFor},
 	{"directory/footprint", benchDirFootprint},
@@ -93,16 +92,6 @@ func benchEventScheduleFire(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		q.At(q.Now()+event.Time(i%256), fn)
 		q.Step()
-	}
-}
-
-func benchEventCancelCompact(b *testing.B) {
-	b.ReportAllocs()
-	var q event.Queue
-	fn := func(event.Time) {}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q.Cancel(q.At(q.Now()+event.Time(i%256+1), fn))
 	}
 }
 

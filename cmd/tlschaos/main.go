@@ -144,9 +144,9 @@ func main() {
 		}
 	}
 
-	cfg, ok := machineByName(*machineF)
-	if !ok {
-		fatalf("unknown machine %q (numa16 or cmp8)", *machineF)
+	cfg, err := machine.ByName(*machineF)
+	if err != nil {
+		fatalf("%v", err)
 	}
 	var schemes []core.Scheme
 	for _, name := range strings.Split(*schemesF, ";") {
@@ -376,8 +376,8 @@ func replayRecords(path string, deadline time.Duration) int {
 	var jobs []exp.Job
 	var flipsOf []bool
 	for _, rec := range records {
-		cfg, ok := machineByName(rec.Machine)
-		if !ok {
+		cfg, err := machine.ByName(rec.Machine)
+		if err != nil {
 			chaosLog.Error("recording: unknown machine", "path", path, "machine", rec.Machine)
 			return 2
 		}
@@ -453,16 +453,6 @@ func parseFaults(spec string) (map[fault.Kind]bool, bool, error) {
 		sel[k] = true
 	}
 	return sel, sel[fault.FlipTag], nil
-}
-
-func machineByName(name string) (*machine.Config, bool) {
-	switch strings.ToLower(name) {
-	case "numa16":
-		return machine.NUMA16(), true
-	case "cmp8":
-		return machine.CMP8(), true
-	}
-	return nil, false
 }
 
 func verdict(o outcome) string {

@@ -32,6 +32,7 @@ import (
 	"repro/internal/cluster/chaosnet"
 	"repro/internal/core"
 	"repro/internal/exp"
+	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/obs/trace"
 	"repro/internal/report"
@@ -202,7 +203,7 @@ func durOff(d time.Duration) time.Duration {
 // exactly the jobs a later `tlsreport -coordinator` run with the same
 // machine, apps and seed will ask for (same scaling, same order, same keys).
 func gridSpecs(machineName, schemesSpec, appsSpec string, seed uint64) ([]cluster.JobSpec, error) {
-	mach, err := cluster.ResolveMachine(machineName)
+	mach, err := machine.ByName(machineName)
 	if err != nil {
 		return nil, err
 	}

@@ -12,9 +12,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"repro"
+	"repro/internal/machine"
 	"repro/internal/profiling"
 )
 
@@ -63,16 +63,9 @@ func main() {
 		prof = prof.Scale(*tasks, *instr, *foot)
 	}
 
-	var mach *repro.Machine
-	switch strings.ToLower(*machName) {
-	case "numa":
-		mach = repro.NUMA16()
-	case "cmp":
-		mach = repro.CMP8()
-	case "numa-bigl2":
-		mach = repro.NUMA16BigL2()
-	default:
-		fmt.Fprintf(os.Stderr, "tlssim: unknown machine %q\n", *machName)
+	mach, err := machine.ByName(*machName)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "tlssim: %v\n", err)
 		os.Exit(2)
 	}
 

@@ -22,6 +22,7 @@ import (
 
 	"repro"
 	"repro/internal/iofault"
+	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/report"
 )
@@ -50,18 +51,6 @@ func resolveProfile(name string, tasks float64) (repro.Profile, error) {
 			name, strings.Join(validApps(), ", "))
 	}
 	return p.Scale(tasks, 0.1, 0.25), nil
-}
-
-// resolveMachine maps a -machine value to a machine configuration.
-func resolveMachine(name string) (*repro.Machine, error) {
-	switch strings.ToLower(name) {
-	case "numa":
-		return repro.NUMA16(), nil
-	case "cmp":
-		return repro.CMP8(), nil
-	default:
-		return nil, fmt.Errorf("unknown machine %q (valid: numa, cmp)", name)
-	}
 }
 
 // validateFile checks an existing trace-event JSON file and reports its
@@ -114,7 +103,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "tlstrace: %v\n", err)
 		os.Exit(2)
 	}
-	mach, err := resolveMachine(*machName)
+	mach, err := machine.ByName(*machName)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tlstrace: %v\n", err)
 		os.Exit(2)

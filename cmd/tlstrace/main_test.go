@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/report"
 )
@@ -32,14 +33,15 @@ func TestResolveProfileUnknownAppListsValidOnes(t *testing.T) {
 	}
 }
 
+// TestResolveMachine: the -machine spellings tlstrace documents resolve.
 func TestResolveMachine(t *testing.T) {
-	if m, err := resolveMachine("NUMA"); err != nil || m.Procs != 16 {
+	if m, err := machine.ByName("NUMA"); err != nil || m.Procs != 16 {
 		t.Errorf("numa: %v, %v", m, err)
 	}
-	if m, err := resolveMachine("cmp"); err != nil || m.Procs != 8 {
+	if m, err := machine.ByName("cmp"); err != nil || m.Procs != 8 {
 		t.Errorf("cmp: %v, %v", m, err)
 	}
-	if _, err := resolveMachine("torus"); err == nil {
+	if _, err := machine.ByName("torus"); err == nil {
 		t.Error("bogus machine accepted")
 	}
 }

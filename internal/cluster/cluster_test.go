@@ -37,15 +37,20 @@ func testJobs() []exp.Job {
 	}
 }
 
-// serialResults executes every job directly, in order: the reference any
-// fabric's results must be DeepEqual to.
+// serialResults executes every job once on a plain runner, in order: the
+// reference any fabric's results must be DeepEqual to.
 func serialResults(jobs []exp.Job) []exp.JobResult {
 	out := make([]exp.JobResult, len(jobs))
 	for i, j := range jobs {
-		res, v := j.ExecuteWithVerdict()
-		out[i] = exp.JobResult{Job: j, Result: res, Chaos: v}
+		jr := runJob(j)
+		out[i] = exp.JobResult{Job: j, Result: jr.Result, Chaos: jr.Chaos}
 	}
 	return out
+}
+
+// runJob executes j once through a fresh runner.
+func runJob(j exp.Job) exp.JobResult {
+	return (&exp.Runner{}).Run(context.Background(), j, exp.Attempt{N: 1})
 }
 
 func TestSpecRoundTrip(t *testing.T) {

@@ -357,7 +357,7 @@ func TestStolenDuplicateCountsOnce(t *testing.T) {
 		Profile: workload.StandardScale(workload.Tree()), Seed: 1}
 	ref := job
 	ref.Obs = &obs.Config{Registry: obs.NewRegistry()}
-	ref.Execute()
+	runJob(ref)
 	one := ref.Obs.Registry.CounterValue("sim_commits")
 	if one == 0 {
 		t.Fatal("observed run recorded no commits")

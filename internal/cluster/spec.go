@@ -18,8 +18,6 @@ package cluster
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/exp"
@@ -73,7 +71,7 @@ func SpecOf(j exp.Job) JobSpec {
 // disagree about what the job is (a version skew or an unknown machine) and
 // running it would poison the cache under the wrong identity.
 func (s JobSpec) Job() (exp.Job, error) {
-	cfg, err := ResolveMachine(s.Machine)
+	cfg, err := machine.ByName(s.Machine)
 	if err != nil {
 		return exp.Job{}, err
 	}
@@ -87,24 +85,4 @@ func (s JobSpec) Job() (exp.Job, error) {
 			j.Label(), key, s.Key)
 	}
 	return j, nil
-}
-
-// ResolveMachine rebuilds a machine config from its canonical name. The
-// special-cased names must come before the NUMA<n> parse: "NUMA16.L2" is not
-// a node count.
-func ResolveMachine(name string) (*machine.Config, error) {
-	switch name {
-	case "NUMA16":
-		return machine.NUMA16(), nil
-	case "NUMA16.L2":
-		return machine.NUMA16BigL2(), nil
-	case "CMP8":
-		return machine.CMP8(), nil
-	}
-	if rest, ok := strings.CutPrefix(name, "NUMA"); ok {
-		if n, err := strconv.Atoi(rest); err == nil && n >= 1 && n <= 4096 {
-			return machine.ScalableNUMA(n), nil
-		}
-	}
-	return nil, fmt.Errorf("cluster: unknown machine %q", name)
 }

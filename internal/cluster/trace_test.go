@@ -82,7 +82,7 @@ func TestFleetTraceLoopback(t *testing.T) {
 		if got[i].Err != nil {
 			t.Fatalf("job %d: %v", i, got[i].Err)
 		}
-		if !reflect.DeepEqual(jobs[i].Execute(), got[i].Result) {
+		if !reflect.DeepEqual((&exp.Runner{}).Run(context.Background(), jobs[i], exp.Attempt{N: 1}).Result, got[i].Result) {
 			t.Errorf("job %d: traced fleet result diverged from untraced serial run", i)
 		}
 	}

@@ -39,7 +39,6 @@ import (
 
 	"repro/internal/ids"
 	"repro/internal/memsys"
-	"repro/internal/obs"
 )
 
 // readerMark records that an uncommitted reader observed the version of one
@@ -175,18 +174,12 @@ type Directory struct {
 	reads      uint64
 	writes     uint64
 
-	// Observability mirrors of the statistics (nil = disabled, free).
-	obsReads      *obs.Counter
-	obsWrites     *obs.Counter
-	obsViolations *obs.Counter
-
 	// spurious, when non-nil, is the fault-injection hook consulted by a
 	// conflict-free RecordWrite: given the word's uncommitted readers ordered
 	// after the writer (ascending), it may name one to squash as if an
-	// out-of-order RAW had been detected. Injected conflicts are counted
-	// apart from genuine violations.
+	// out-of-order RAW had been detected. Injected conflicts are not
+	// counted as violations.
 	spurious func(readers []ids.TaskID) ids.TaskID
-	injected uint64
 }
 
 // NewDirectory returns an empty directory.
@@ -471,7 +464,6 @@ func versionFor(v []ids.TaskID, reader ids.TaskID) ids.TaskID {
 // reader commits or is squashed.
 func (d *Directory) RecordRead(a memsys.Addr, reader ids.TaskID) ids.TaskID {
 	d.reads++
-	d.obsReads.Inc()
 	e := d.words.Get(a)
 	if e != 0 {
 		// Own-version read: the reader's live version is the latest at or
@@ -506,7 +498,6 @@ func (d *Directory) RecordRead(a memsys.Addr, reader ids.TaskID) ids.TaskID {
 // write by the same task is idempotent here.
 func (d *Directory) RecordWrite(a memsys.Addr, writer ids.TaskID) ids.TaskID {
 	d.writes++
-	d.obsWrites.Inc()
 	e := d.words.Get(a)
 	var i int32
 	if m := d.lookupMarks(writer); e != 0 && m != nil && m.flags.get(e-1)&flagWrote != 0 {
@@ -535,11 +526,9 @@ func (d *Directory) RecordWrite(a memsys.Addr, writer ids.TaskID) ids.TaskID {
 	}
 	if victim != ids.None {
 		d.violations++
-		d.obsViolations.Inc()
 	} else if d.spurious != nil {
 		if v := d.spurious(d.laterReaders(i, writer)); v != ids.None {
 			victim = v
-			d.injected++
 		}
 	}
 	return victim
@@ -581,23 +570,11 @@ func insertSorted(out []ids.TaskID, t ids.TaskID) []ids.TaskID {
 	return out
 }
 
-// SetObs installs observability counters mirroring the directory's
-// statistics. Nil counters (the default) are free no-ops.
-func (d *Directory) SetObs(reads, writes, violations *obs.Counter) {
-	d.obsReads = reads
-	d.obsWrites = writes
-	d.obsViolations = violations
-}
-
 // SetSpuriousConflict installs the fault-injection hook consulted on every
 // conflict-free write; nil (the default) disables injection.
 func (d *Directory) SetSpuriousConflict(h func(readers []ids.TaskID) ids.TaskID) {
 	d.spurious = h
 }
-
-// InjectedConflicts returns how many squashes were injected rather than
-// detected; they are excluded from the violations statistic.
-func (d *Directory) InjectedConflicts() uint64 { return d.injected }
 
 // findReader returns the index of t's listed mark in w, or -1.
 func findReader(w *wordState, t ids.TaskID) int {

@@ -49,10 +49,14 @@ func view(d *Directory) dirView {
 	var v dirView
 	tasks := slices.Clone(d.live)
 	slices.SortFunc(tasks, func(a, b *taskMarks) int { return cmp.Compare(a.id, b.id) })
-	d.words.Ascend(func(a memsys.Addr, e int32) {
-		i := e - 1
+	// The live entries are the ones the word index points at; a released
+	// entry keeps its stale address.
+	for i := range d.entries {
 		w := d.state(i)
-		wv := wordView{Addr: a, Versions: append([]ids.TaskID(nil), w.versions...)}
+		if d.words.Get(w.addr) != i+1 {
+			continue
+		}
+		wv := wordView{Addr: w.addr, Versions: append([]ids.TaskID(nil), w.versions...)}
 		for _, rm := range w.readers {
 			wv.Readers = append(wv.Readers, readerView{Reader: rm.reader, Consumed: rm.consumed})
 		}
@@ -63,7 +67,8 @@ func view(d *Directory) dirView {
 		}
 		slices.SortFunc(wv.Readers, func(a, b readerView) int { return cmp.Compare(a.Reader, b.Reader) })
 		v.Words = append(v.Words, wv)
-	})
+	}
+	slices.SortFunc(v.Words, func(a, b wordView) int { return cmp.Compare(a.Addr, b.Addr) })
 	for _, m := range tasks {
 		tv := taskView{Task: m.id, Writes: append([]memsys.Addr(nil), m.pruned...)}
 		for _, i := range m.reads {

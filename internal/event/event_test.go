@@ -50,18 +50,6 @@ func TestClockAdvances(t *testing.T) {
 	}
 }
 
-func TestAfterIsRelative(t *testing.T) {
-	var q Queue
-	q.At(10, func(now Time) {
-		q.After(5, func(now2 Time) {
-			if now2 != 15 {
-				t.Errorf("After(5) from t=10 fired at %d", now2)
-			}
-		})
-	})
-	q.Run(0)
-}
-
 func TestSchedulingInPastPanics(t *testing.T) {
 	var q Queue
 	q.At(10, func(Time) {})
@@ -74,41 +62,6 @@ func TestSchedulingInPastPanics(t *testing.T) {
 	q.At(5, func(Time) {})
 }
 
-func TestCancel(t *testing.T) {
-	var q Queue
-	fired := false
-	h := q.At(10, func(Time) { fired = true })
-	if !h.Pending() {
-		t.Fatal("Pending() = false for a scheduled event")
-	}
-	q.Cancel(h)
-	q.Run(0)
-	if fired {
-		t.Fatal("canceled event fired")
-	}
-	if h.Pending() {
-		t.Fatal("Pending() = true after Cancel")
-	}
-	q.Cancel(h)        // double cancel must be a no-op
-	q.Cancel(Handle{}) // zero handle must not panic
-}
-
-func TestCancelStaleHandleIsNoop(t *testing.T) {
-	var q Queue
-	h := q.At(10, func(Time) {})
-	q.Run(0)
-	// The Event behind h is recycled for the next occurrence; canceling the
-	// stale handle must not touch it.
-	h2 := q.At(20, func(Time) {})
-	q.Cancel(h)
-	if !h2.Pending() {
-		t.Fatal("stale Cancel killed a recycled event")
-	}
-	if q.Len() != 1 {
-		t.Fatalf("Len() = %d after stale Cancel, want 1", q.Len())
-	}
-}
-
 func TestAtNeverPanics(t *testing.T) {
 	var q Queue
 	defer func() {
@@ -119,58 +72,8 @@ func TestAtNeverPanics(t *testing.T) {
 	q.At(Never, func(Time) {})
 }
 
-// TestCanceledEventsCompacted is the regression lock for the unbounded-heap
-// leak: a watchdog-heavy run that schedules and cancels a million events
-// must keep the raw heap bounded by the live population, not the
-// cancellation churn, and Len must stay exact throughout.
-func TestCanceledEventsCompacted(t *testing.T) {
-	var q Queue
-	fn := func(Time) {}
-	const n = 1_000_000
-	live := 0
-	for i := 0; i < n; i++ {
-		h := q.At(Time(i+1), fn)
-		if i%1000 == 0 {
-			live++ // every 1000th event survives
-		} else {
-			q.Cancel(h)
-			q.Cancel(h) // double cancel must stay a no-op
-		}
-		// The heap may lag by the <50% dead allowance but must never grow
-		// with total cancellations.
-		if s := q.heapSize(); s > 2*live+compactMinHeap {
-			t.Fatalf("heap holds %d entries for %d live events at iteration %d", s, live, i)
-		}
-	}
-	if q.Len() != live {
-		t.Fatalf("Len() = %d, want %d", q.Len(), live)
-	}
-	if q.Compactions() == 0 {
-		t.Fatal("cancel-heavy run never compacted")
-	}
-	if got := q.Run(0); got != uint64(live) {
-		t.Fatalf("Run fired %d of the %d surviving events", got, live)
-	}
-}
-
-// TestCancelOnlyHeapStaysBounded cancels every scheduled event: the heap
-// must stay near-empty instead of accumulating a million dead entries.
-func TestCancelOnlyHeapStaysBounded(t *testing.T) {
-	var q Queue
-	fn := func(Time) {}
-	for i := 0; i < 1_000_000; i++ {
-		q.Cancel(q.At(Time(i+1), fn))
-		if s := q.heapSize(); s > compactMinHeap {
-			t.Fatalf("heap grew to %d dead entries at iteration %d", s, i)
-		}
-	}
-	if q.Len() != 0 {
-		t.Fatalf("Len() = %d, want 0", q.Len())
-	}
-}
-
-// TestScheduleFireAllocFree locks the free-list pooling: after warm-up,
-// the schedule+fire steady state must not touch the allocator.
+// TestScheduleFireAllocFree locks the value heap: after warm-up, the
+// schedule+fire steady state must not touch the allocator.
 func TestScheduleFireAllocFree(t *testing.T) {
 	var q Queue
 	fn := func(Time) {}
@@ -183,16 +86,6 @@ func TestScheduleFireAllocFree(t *testing.T) {
 		q.Step()
 	}); n != 0 {
 		t.Fatalf("schedule+fire allocates %.1f allocs/op in steady state, want 0", n)
-	}
-}
-
-func TestLenSkipsCanceled(t *testing.T) {
-	var q Queue
-	h1 := q.At(1, func(Time) {})
-	q.At(2, func(Time) {})
-	q.Cancel(h1)
-	if q.Len() != 1 {
-		t.Fatalf("Len() = %d, want 1", q.Len())
 	}
 }
 
@@ -213,11 +106,14 @@ func TestRunLimit(t *testing.T) {
 func TestFiredCounter(t *testing.T) {
 	var q Queue
 	q.At(1, func(Time) {})
-	h := q.At(2, func(Time) {})
-	q.Cancel(h)
-	q.Run(0)
+	q.At(2, func(Time) {})
+	q.Run(1)
 	if q.Fired() != 1 {
-		t.Fatalf("Fired() = %d, want 1 (canceled events don't count)", q.Fired())
+		t.Fatalf("Fired() = %d after Run(1), want 1", q.Fired())
+	}
+	q.Run(0)
+	if q.Fired() != 2 {
+		t.Fatalf("Fired() = %d after draining, want 2", q.Fired())
 	}
 }
 
@@ -295,19 +191,8 @@ func TestResourceIdleGap(t *testing.T) {
 	if start != 50 {
 		t.Fatalf("request after idle gap starts at %d, want 50", start)
 	}
-	if r.BusyCycles() != 15 {
-		t.Fatalf("BusyCycles = %d, want 15", r.BusyCycles())
-	}
-}
-
-func TestResourceUtilization(t *testing.T) {
-	var r Resource
-	r.Acquire(0, 25)
-	if u := r.Utilization(100); u != 0.25 {
-		t.Fatalf("Utilization = %v, want 0.25", u)
-	}
-	if u := r.Utilization(0); u != 0 {
-		t.Fatalf("Utilization(0) = %v, want 0", u)
+	if r.WaitCycles() != 0 {
+		t.Fatalf("WaitCycles = %d after an idle gap, want 0", r.WaitCycles())
 	}
 }
 
@@ -315,7 +200,7 @@ func TestResourceReset(t *testing.T) {
 	var r Resource
 	r.Acquire(0, 10)
 	r.Reset()
-	if r.BusyUntil() != 0 || r.Requests() != 0 || r.BusyCycles() != 0 {
+	if r.BusyUntil() != 0 || r.Requests() != 0 || r.WaitCycles() != 0 {
 		t.Fatal("Reset did not clear state")
 	}
 }

@@ -9,7 +9,6 @@ package event
 // abstraction.
 type Resource struct {
 	busyUntil Time
-	busyTotal Time // cumulative occupied cycles, for utilization stats
 	requests  uint64
 	waited    Time // cumulative queuing delay experienced by requests
 }
@@ -25,7 +24,6 @@ func (r *Resource) Acquire(now Time, service Time) (start, done Time) {
 	done = start + service
 	r.waited += start - now
 	r.busyUntil = done
-	r.busyTotal += service
 	r.requests++
 	return start, done
 }
@@ -36,20 +34,8 @@ func (r *Resource) BusyUntil() Time { return r.busyUntil }
 // Requests returns the number of Acquire calls served.
 func (r *Resource) Requests() uint64 { return r.requests }
 
-// BusyCycles returns the cumulative cycles the resource was occupied.
-func (r *Resource) BusyCycles() Time { return r.busyTotal }
-
 // WaitCycles returns the cumulative queuing delay experienced by requests.
 func (r *Resource) WaitCycles() Time { return r.waited }
-
-// Utilization returns busy cycles divided by the horizon, in [0, 1] when
-// horizon covers the measurement period.
-func (r *Resource) Utilization(horizon Time) float64 {
-	if horizon == 0 {
-		return 0
-	}
-	return float64(r.busyTotal) / float64(horizon)
-}
 
 // Reset clears occupancy and statistics.
 func (r *Resource) Reset() { *r = Resource{} }
@@ -90,6 +76,15 @@ func (b *Banks) TotalWait() Time {
 		w += b.banks[i].WaitCycles()
 	}
 	return w
+}
+
+// Requests returns the number of Acquire calls served across all banks.
+func (b *Banks) Requests() uint64 {
+	var n uint64
+	for i := range b.banks {
+		n += b.banks[i].Requests()
+	}
+	return n
 }
 
 // BusyAt returns how many banks are occupied at time now — an observability

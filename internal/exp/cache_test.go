@@ -16,7 +16,7 @@ func TestCacheRoundTrip(t *testing.T) {
 	if _, ok := c.Get(j); ok {
 		t.Fatal("empty cache reported a hit")
 	}
-	want := j.Execute()
+	want := runJob(j).Result
 	if err := c.Put(j, want); err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestCacheVersionInvalidates(t *testing.T) {
 	dir := t.TempDir()
 	c1 := &Cache{dir: dir, version: "version-a"}
 	j := tinyJob()
-	if err := c1.Put(j, j.Execute()); err != nil {
+	if err := c1.Put(j, runJob(j).Result); err != nil {
 		t.Fatal(err)
 	}
 	c2 := &Cache{dir: dir, version: "version-b"}
@@ -53,7 +53,7 @@ func TestCacheCorruptEntryIsMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	j := tinyJob()
-	if err := c.Put(j, j.Execute()); err != nil {
+	if err := c.Put(j, runJob(j).Result); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(c.path(j), []byte("{truncated"), 0o644); err != nil {
@@ -71,7 +71,7 @@ func TestCacheHealQuarantinesTornFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	j := tinyJob()
-	want := j.Execute()
+	want := runJob(j).Result
 	if err := c.Put(j, want); err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestCacheMissOnChangedInput(t *testing.T) {
 		t.Fatal(err)
 	}
 	j := tinyJob()
-	if err := cache.Put(j, j.Execute()); err != nil {
+	if err := cache.Put(j, runJob(j).Result); err != nil {
 		t.Fatal(err)
 	}
 	j.Seed = 99

@@ -215,18 +215,3 @@ func (j Job) verdict(s *sim.Simulator, plan *fault.Plan) *ChaosVerdict {
 	}
 	return v
 }
-
-// Execute runs the simulation the job describes. It is a pure function of
-// the job's fields.
-func (j Job) Execute() sim.Result {
-	res, _ := j.ExecuteWithVerdict()
-	return res
-}
-
-// ExecuteWithVerdict runs the simulation and, for chaotic jobs, derives the
-// chaos verdict from the finished simulator.
-func (j Job) ExecuteWithVerdict() (sim.Result, *ChaosVerdict) {
-	s, plan := j.build()
-	res := s.Run()
-	return res, j.verdict(s, plan)
-}

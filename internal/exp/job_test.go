@@ -1,11 +1,13 @@
 package exp
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/machine"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -98,12 +100,15 @@ func TestLabel(t *testing.T) {
 
 func TestExecuteMatchesDirectRun(t *testing.T) {
 	j := tinyJob()
-	direct := j.Execute()
-	again := j.Execute()
+	direct := runJob(j).Result
+	again := runJob(j).Result
 	if direct.ExecCycles != again.ExecCycles || direct.Commits != again.Commits {
-		t.Fatalf("Execute not deterministic: %d vs %d cycles", direct.ExecCycles, again.ExecCycles)
+		t.Fatalf("runs not deterministic: %d vs %d cycles", direct.ExecCycles, again.ExecCycles)
 	}
-	seq := Job{Machine: j.Machine, Profile: j.Profile, Seed: j.Seed, Sequential: true}.Execute()
+	if want := sim.Run(j.Machine, j.Scheme, j.Profile, j.Seed); !reflect.DeepEqual(want, direct) {
+		t.Fatal("runner result differs from a direct simulation")
+	}
+	seq := runJob(Job{Machine: j.Machine, Profile: j.Profile, Seed: j.Seed, Sequential: true}).Result
 	if seq.ExecCycles <= direct.ExecCycles {
 		t.Fatalf("sequential baseline (%d) should be slower than speculative (%d)",
 			seq.ExecCycles, direct.ExecCycles)

@@ -51,7 +51,7 @@ func TestRunBatchDeterministicOrdering(t *testing.T) {
 		if serial[i].Job.Key() != jobs[i].Key() || parallel[i].Job.Key() != jobs[i].Key() {
 			t.Fatalf("job %d: result order does not match submission order", i)
 		}
-		if !reflect.DeepEqual(serial[i].Result, jobs[i].Execute()) {
+		if !reflect.DeepEqual(serial[i].Result, exp.RunJob(jobs[i]).Result) {
 			t.Fatalf("job %d: batch result differs from a direct run", i)
 		}
 		if !reflect.DeepEqual(serial[i].Result, parallel[i].Result) {
@@ -131,6 +131,16 @@ func TestProgressSerializedAndComplete(t *testing.T) {
 	}
 }
 
+// execute runs j once on a plain runner inside an exec override, raising a
+// failed run's error again as the panic of a crashed simulation.
+func execute(j exp.Job) sim.Result {
+	jr := exp.RunJob(j)
+	if jr.Err != nil {
+		panic(jr.Err)
+	}
+	return jr.Result
+}
+
 // hangOn returns an exec override that blocks forever for jobs matching the
 // scheme and executes everything else normally.
 func hangOn(sch core.Scheme) func(exp.Job) sim.Result {
@@ -138,7 +148,7 @@ func hangOn(sch core.Scheme) func(exp.Job) sim.Result {
 		if j.Scheme == sch && !j.Sequential {
 			select {} // a hung simulation: never returns
 		}
-		return j.Execute()
+		return execute(j)
 	}
 }
 
@@ -230,7 +240,7 @@ func TestFlakyJobRecoversOnReexecution(t *testing.T) {
 		if n == 1 {
 			panic("transient crash")
 		}
-		return j.Execute()
+		return execute(j)
 	})
 	jobs := testBatch()[:2]
 	results, err := l.RunBatch(context.Background(), jobs)
@@ -350,7 +360,7 @@ func TestMetricsAccounting(t *testing.T) {
 			panic("transient crash")
 		}
 		time.Sleep(2 * time.Millisecond) // a measurable wall time
-		return j.Execute()
+		return execute(j)
 	})
 	results, err := l.RunBatch(context.Background(), jobs)
 	if err != nil {

@@ -1,6 +1,7 @@
 package fsck
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -46,7 +47,7 @@ func TestFsckCleanState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cache.Put(job, job.Execute()); err != nil {
+	if err := cache.Put(job, (&exp.Runner{}).Run(context.Background(), job, exp.Attempt{N: 1}).Result); err != nil {
 		t.Fatal(err)
 	}
 	writeJournal(t, jpath,

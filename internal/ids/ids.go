@@ -52,23 +52,6 @@ func (t TaskID) String() string {
 	return fmt.Sprintf("T%d", uint64(t)-1)
 }
 
-// MaxID returns the later of a and b in sequential order.
-func MaxID(a, b TaskID) TaskID {
-	if a.After(b) {
-		return a
-	}
-	return b
-}
-
-// MinID returns the earlier of a and b in sequential order. None counts as
-// earlier than any real task.
-func MinID(a, b TaskID) TaskID {
-	if a.Before(b) {
-		return a
-	}
-	return b
-}
-
 // ProcID identifies a processor (node) in the simulated machine.
 type ProcID int
 

@@ -58,19 +58,6 @@ func TestString(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
-	a, b := TaskID(3), TaskID(7)
-	if MaxID(a, b) != b || MaxID(b, a) != b {
-		t.Error("MaxID wrong")
-	}
-	if MinID(a, b) != a || MinID(b, a) != a {
-		t.Error("MinID wrong")
-	}
-	if MinID(None, a) != None {
-		t.Error("MinID(None, a) should be None")
-	}
-}
-
 // Property: Before is a strict total order consistent with After.
 func TestOrderProperties(t *testing.T) {
 	f := func(x, y uint64) bool {

@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/event"
 	"repro/internal/ids"
-	"repro/internal/obs"
 )
 
 // Topology exposes the node-to-node distance of a network.
@@ -102,15 +101,7 @@ type Network struct {
 	msgOccupancy event.Time
 	// bankOccupancy is how long one line transfer occupies a bank.
 	bankOccupancy event.Time
-
-	// obsMessages counts transfers for the observability layer (nil =
-	// disabled, free).
-	obsMessages *obs.Counter
 }
-
-// SetObs installs an observability counter incremented per Transfer. A nil
-// counter (the default) is a free no-op.
-func (n *Network) SetObs(messages *obs.Counter) { n.obsMessages = messages }
 
 // InFlight returns how many network interfaces and banks are occupied at
 // time now — the in-flight-messages gauge. A pure observability read.
@@ -150,7 +141,6 @@ func (n *Network) Home(key uint64) ids.ProcID {
 // delay) is returned. Local L1/L2 hits must not call Transfer — they don't
 // touch the network.
 func (n *Network) Transfer(from ids.ProcID, bankKey uint64, now, lat event.Time) (done event.Time) {
-	n.obsMessages.Inc()
 	start := now
 	if int(from) >= 0 && int(from) < len(n.ifs) {
 		start, _ = n.ifs[from].Acquire(now, n.msgOccupancy)
@@ -158,6 +148,10 @@ func (n *Network) Transfer(from ids.ProcID, bankKey uint64, now, lat event.Time)
 	bankStart, _ := n.banks.Acquire(bankKey, start, n.bankOccupancy)
 	return bankStart + lat
 }
+
+// Messages returns how many transfers the network carried: every Transfer
+// occupies exactly one bank, so it is the banks' request count.
+func (n *Network) Messages() uint64 { return n.banks.Requests() }
 
 // QueueDelay returns the cumulative queuing delay observed at the banks;
 // interface delay is reported separately by IfDelay.

@@ -7,6 +7,8 @@ package machine
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"repro/internal/event"
 	"repro/internal/interconnect"
@@ -237,6 +239,30 @@ func CMP8() *Config {
 		topo: interconnect.NewCrossbar(8),
 	}
 	return c
+}
+
+// ByName returns the machine a name spells, ignoring case: "numa" or
+// "numa16" (NUMA16), "numa-bigl2" or "numa16.l2" (NUMA16BigL2), "cmp" or
+// "cmp8" (CMP8), and "numa<n>" for a scalable NUMA of n nodes (1..4096).
+// The Name of every machine built here but Sequential's spells itself, so a
+// name read back from a job spec or a recording resolves to the same
+// machine.
+func ByName(name string) (*Config, error) {
+	lower := strings.ToLower(name)
+	switch lower {
+	case "numa", "numa16":
+		return NUMA16(), nil
+	case "numa-bigl2", "numa16.l2":
+		return NUMA16BigL2(), nil
+	case "cmp", "cmp8":
+		return CMP8(), nil
+	}
+	if rest, ok := strings.CutPrefix(lower, "numa"); ok {
+		if n, err := strconv.Atoi(rest); err == nil && n >= 1 && n <= 4096 {
+			return ScalableNUMA(n), nil
+		}
+	}
+	return nil, fmt.Errorf("unknown machine %q (valid: numa, numa-bigl2, cmp, numa<n>)", name)
 }
 
 // Sequential returns a single-processor variant of c used to measure the

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/memsys"
@@ -160,4 +161,46 @@ func TestMeshDimsPanics(t *testing.T) {
 		}
 	}()
 	meshDims(0)
+}
+
+// TestByName covers every spelling a command line, a job spec or a chaos
+// recording uses, in any case, and rejects the rest.
+func TestByName(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want *Config
+	}{
+		{"numa", NUMA16()},
+		{"NUMA", NUMA16()},
+		{"numa16", NUMA16()},
+		{"NUMA16", NUMA16()},
+		{"numa-bigl2", NUMA16BigL2()},
+		{"NUMA16.L2", NUMA16BigL2()},
+		{"numa16.l2", NUMA16BigL2()},
+		{"cmp", CMP8()},
+		{"cmp8", CMP8()},
+		{"CMP8", CMP8()},
+		{"NUMA4", ScalableNUMA(4)},
+		{"numa64", ScalableNUMA(64)},
+		{"NUMA4096", ScalableNUMA(4096)},
+	} {
+		got, err := ByName(tc.name)
+		if err != nil {
+			t.Errorf("ByName(%q): %v", tc.name, err)
+			continue
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("ByName(%q) = %s, want %s", tc.name, got.Name, tc.want.Name)
+		}
+	}
+	for _, m := range []*Config{NUMA16(), NUMA16BigL2(), CMP8(), ScalableNUMA(32)} {
+		if got, err := ByName(m.Name); err != nil || !reflect.DeepEqual(got, m) {
+			t.Errorf("%s does not resolve to itself: %v, %v", m.Name, got, err)
+		}
+	}
+	for _, bad := range []string{"", "torus", "numa0", "NUMA4097", "cmp4", "numa-8", "NUMA16.seq"} {
+		if _, err := ByName(bad); err == nil {
+			t.Errorf("ByName(%q) accepted", bad)
+		}
+	}
 }

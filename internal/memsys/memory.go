@@ -1,9 +1,6 @@
 package memsys
 
-import (
-	"repro/internal/ids"
-	"repro/internal/obs"
-)
+import "repro/internal/ids"
 
 // Memory models main memory's version state. Under AMM it holds only
 // architectural (safe) data; under FMM it holds the latest future state and
@@ -17,17 +14,6 @@ type Memory struct {
 	// Statistics.
 	writebacks uint64
 	rejected   uint64
-
-	// Observability mirrors of the statistics (nil = disabled, free).
-	obsWritebacks *obs.Counter
-	obsRejected   *obs.Counter
-}
-
-// SetObs installs observability counters mirroring the write-back
-// statistics. Nil counters (the default) are free no-ops.
-func (m *Memory) SetObs(writebacks, rejected *obs.Counter) {
-	m.obsWritebacks = writebacks
-	m.obsRejected = rejected
 }
 
 // NewMemory returns an empty memory. When mtid is true the memory carries
@@ -39,8 +25,8 @@ func NewMemory(mtid bool) *Memory {
 }
 
 // Reset makes m the memory NewMemory(mtid) returns, keeping its tag pages
-// for reuse: every line back to its architectural data, statistics zeroed
-// and observability detached.
+// for reuse: every line back to its architectural data and statistics
+// zeroed.
 func (m *Memory) Reset(mtid bool) {
 	m.version.Reset()
 	*m = Memory{mtidEnabled: mtid, version: m.version}
@@ -63,10 +49,8 @@ func (m *Memory) WriteBack(tag LineAddr, producer ids.TaskID) bool {
 		panic("memsys: write-back of the architectural version")
 	}
 	m.writebacks++
-	m.obsWritebacks.Inc()
 	if m.mtidEnabled && !m.version.Get(tag).Before(producer) {
 		m.rejected++
-		m.obsRejected.Inc()
 		return false
 	}
 	m.version.Put(tag, producer)
@@ -80,9 +64,6 @@ func (m *Memory) WriteBack(tag LineAddr, producer ids.TaskID) bool {
 func (m *Memory) Restore(tag LineAddr, producer ids.TaskID) {
 	m.version.Put(tag, producer)
 }
-
-// LinesWithVersions returns how many lines hold a post-section version.
-func (m *Memory) LinesWithVersions() int { return m.version.Len() }
 
 // Stats returns cumulative (write-backs attempted, write-backs rejected by
 // MTID).

@@ -261,7 +261,7 @@ func TestMemoryRestoreBypassesMTID(t *testing.T) {
 	if m.Version(4) != ids.None {
 		t.Fatal("restore to architectural state failed")
 	}
-	if m.LinesWithVersions() != 0 {
+	if m.version.Len() != 0 {
 		t.Fatal("architectural restore should clear the version entry")
 	}
 }

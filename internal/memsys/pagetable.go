@@ -1,10 +1,6 @@
 package memsys
 
-import (
-	"cmp"
-	"math/bits"
-	"slices"
-)
+import "math/bits"
 
 // PageTable is a paged map from 64-bit keys to values; the zero value of V
 // means "absent". Keys are split into a page number (key >> pageShift) and a
@@ -110,26 +106,6 @@ func (x *PageTable[K, V]) Put(k K, v V) {
 
 // Len returns the number of present keys.
 func (x *PageTable[K, V]) Len() int { return x.live }
-
-// Ascend visits every present key in ascending order. The visitor must not
-// modify the table.
-func (x *PageTable[K, V]) Ascend(visit func(K, V)) {
-	var zero V
-	ps := make([]*page[V], 0, x.used)
-	for _, e := range x.table {
-		if e.p != nil {
-			ps = append(ps, e.p)
-		}
-	}
-	slices.SortFunc(ps, func(a, b *page[V]) int { return cmp.Compare(a.num, b.num) })
-	for _, p := range ps {
-		for off, v := range p.slots {
-			if v != zero {
-				visit(K(p.num<<pageShift|uint64(off)), v)
-			}
-		}
-	}
-}
 
 // home returns the preferred bucket of page number num.
 func (x *PageTable[K, V]) home(num uint64) int {

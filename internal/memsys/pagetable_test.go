@@ -1,6 +1,7 @@
 package memsys
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"testing"
@@ -63,18 +64,18 @@ func checkTable(t *testing.T, x *PageTable[Addr, int32], ref map[Addr]int32, poo
 		t.Fatalf("%d pages in use, reference spans %d", x.used, len(pageSet))
 	}
 	var keys []Addr
-	x.Ascend(func(a Addr, v int32) {
+	ascend(x, func(a Addr, v int32) {
 		if v == 0 || ref[a] != v {
-			t.Fatalf("Ascend visited (%v, %d), reference %d", a, v, ref[a])
+			t.Fatalf("ascend visited (%v, %d), reference %d", a, v, ref[a])
 		}
 		keys = append(keys, a)
 	})
 	if len(keys) != len(ref) {
-		t.Fatalf("Ascend visited %d keys, reference holds %d", len(keys), len(ref))
+		t.Fatalf("ascend visited %d keys, reference holds %d", len(keys), len(ref))
 	}
 	for i := 1; i < len(keys); i++ {
 		if keys[i-1] >= keys[i] {
-			t.Fatalf("Ascend not ascending at %d: %v then %v", i, keys[i-1], keys[i])
+			t.Fatalf("ascend not ascending at %d: %v then %v", i, keys[i-1], keys[i])
 		}
 	}
 }
@@ -157,9 +158,9 @@ func TestPageTableTaskIDValues(t *testing.T) {
 		t.Fatalf("Get = %d, %d; Len %d; pages %d", x.Get(5), x.Get(5<<pageShift), x.Len(), x.used)
 	}
 	var got []LineAddr
-	x.Ascend(func(k LineAddr, _ ids.TaskID) { got = append(got, k) })
+	ascend(&x, func(k LineAddr, _ ids.TaskID) { got = append(got, k) })
 	if !slices.Equal(got, []LineAddr{5, 5 << pageShift}) {
-		t.Fatalf("Ascend keys = %v", got)
+		t.Fatalf("ascend keys = %v", got)
 	}
 	x.Put(5, ids.None)
 	if x.Get(5) != ids.None || x.Len() != 1 || x.used != 1 || len(x.free) != 1 {
@@ -207,7 +208,7 @@ func TestPageTableResetKeepsZeroedPages(t *testing.T) {
 			x.Put(k, ids.TaskID(i+1))
 		}
 		n := 0
-		x.Ascend(func(k Addr, v ids.TaskID) {
+		ascend(&x, func(k Addr, v ids.TaskID) {
 			if v != ids.TaskID(slices.Index(fresh, k)+1) {
 				t.Fatalf("round %d: key %#x holds %v, a recycled page kept an old value", round, uint64(k), v)
 			}
@@ -218,6 +219,25 @@ func TestPageTableResetKeepsZeroedPages(t *testing.T) {
 		}
 		if got, want := x.used+len(x.free), max(peak, x.peak); got != want {
 			t.Fatalf("round %d: table holds %d pages, want %d (%d kept, %d in use at most)", round, got, want, peak, x.peak)
+		}
+	}
+}
+
+// ascend visits every present key of x in ascending order.
+func ascend[K ~uint64, V comparable](x *PageTable[K, V], visit func(K, V)) {
+	var zero V
+	var ps []*page[V]
+	for _, e := range x.table {
+		if e.p != nil {
+			ps = append(ps, e.p)
+		}
+	}
+	slices.SortFunc(ps, func(a, b *page[V]) int { return cmp.Compare(a.num, b.num) })
+	for _, p := range ps {
+		for off, v := range p.slots {
+			if v != zero {
+				visit(K(p.num<<pageShift|uint64(off)), v)
+			}
 		}
 	}
 }

@@ -6,10 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/machine"
-	"repro/internal/sim"
 )
 
 // countingBatcher delegates to a local executor while recording the calls —
@@ -27,8 +25,8 @@ func (b *countingBatcher) RunBatch(ctx context.Context, jobs []exp.Job) ([]exp.J
 
 // TestBatcherGridAgreesWithLocal routes a grid sweep through Options.Batcher
 // and requires the assembled grid — cells, baselines, failure manifest — to
-// be identical to the default local run, with the Progress hook firing the
-// same number of times.
+// be identical to the default local run, with the JobObserver hook firing
+// once per job.
 func TestBatcherGridAgreesWithLocal(t *testing.T) {
 	apps := fastApps()
 	local := RunGrid(machine.CMP8(), Figure9Schemes(), Options{Apps: apps, Seed: 5})
@@ -37,9 +35,9 @@ func TestBatcherGridAgreesWithLocal(t *testing.T) {
 	progress := 0
 	remote := RunGrid(machine.CMP8(), Figure9Schemes(), Options{
 		Apps: apps, Seed: 5, Batcher: b,
-		Progress: func(m, a string, s core.Scheme, _ sim.Result) { progress++ },
+		JobObserver: func(exp.JobResult) { progress++ },
 	})
-	if want := len(apps) * len(Figure9Schemes()); progress != want {
+	if want := len(apps) * (len(Figure9Schemes()) + 1); progress != want {
 		t.Fatalf("progress fired %d times, want %d", progress, want)
 	}
 	if b.batches != 1 {

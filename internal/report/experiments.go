@@ -28,18 +28,12 @@ type Options struct {
 	Seed uint64
 	// Apps to run; nil selects the full standard suite.
 	Apps []workload.Profile
-	// Progress, if non-nil, is called after every completed speculative run
-	// (from the goroutine that ran it; calls are serialized).
-	Progress func(machine, app string, scheme core.Scheme, r sim.Result)
 	// JobObserver, if non-nil, receives every finished job — cached,
-	// executed, sequential, or failed — before Progress filtering.
+	// executed, sequential, or failed (calls are serialized).
 	JobObserver func(exp.JobResult)
-	// Serial disables the default run-level parallelism. Results are
-	// identical either way — each simulation is an isolated deterministic
-	// function of its inputs — so Serial only matters for debugging.
-	Serial bool
 	// Jobs overrides how many simulations run concurrently (0 selects
-	// GOMAXPROCS; ignored when Serial is set).
+	// GOMAXPROCS). Results are identical for every value — each simulation
+	// is an isolated deterministic function of its inputs.
 	Jobs int
 	// CacheDir, when non-empty, enables exp's persistent result cache
 	// rooted at that directory: a warm rerun only re-simulates jobs whose
@@ -69,7 +63,7 @@ type Options struct {
 	// built cluster.Local — the hook `-coordinator URL` uses to run a sweep on
 	// a distributed fleet. Execution options (cache, journal, post-mortems,
 	// timeout, worker count) are then the executor's business and ignored
-	// here; Progress and JobObserver still fire for every result.
+	// here; JobObserver still fires for every result.
 	Batcher Batcher
 }
 
@@ -91,12 +85,8 @@ func (o *Options) ctx() context.Context {
 
 // runner builds the local executor these options describe.
 func (o *Options) runner() (*cluster.Local, error) {
-	workers := o.Jobs
-	if o.Serial {
-		workers = 1
-	}
 	r := &cluster.Local{
-		Workers: workers, Journal: o.Journal, Resume: o.Resume,
+		Workers: o.Jobs, Journal: o.Journal, Resume: o.Resume,
 		Runner: exp.Runner{JobTimeout: o.JobTimeout, PostMortemDir: o.CheckpointDir},
 	}
 	if o.CacheDir != "" {
@@ -106,18 +96,7 @@ func (o *Options) runner() (*cluster.Local, error) {
 		}
 		r.Cache = c
 	}
-	if o.Progress != nil || o.JobObserver != nil {
-		p, observe := o.Progress, o.JobObserver
-		r.Progress = func(jr exp.JobResult) {
-			if observe != nil {
-				observe(jr)
-			}
-			if p == nil || jr.Err != nil || jr.Job.Sequential {
-				return
-			}
-			p(jr.Job.Machine.Name, jr.Job.Profile.Name, jr.Job.Scheme, jr.Result)
-		}
-	}
+	r.Progress = o.JobObserver
 	return r, nil
 }
 
@@ -140,14 +119,11 @@ func (o *Options) runBatch(jobs []exp.Job) []exp.JobResult {
 		return results
 	}
 	results, _ := o.Batcher.RunBatch(o.ctx(), jobs)
-	// The local runner invokes these hooks as jobs finish; a remote batch
-	// arrives all at once, so fire them here (same order, same filtering).
-	for _, jr := range results {
-		if o.JobObserver != nil {
+	// The local runner invokes the observer as jobs finish; a remote batch
+	// arrives all at once, so fire it here, in submission order.
+	if o.JobObserver != nil {
+		for _, jr := range results {
 			o.JobObserver(jr)
-		}
-		if o.Progress != nil && jr.Err == nil && !jr.Job.Sequential && jr.Job.Machine != nil {
-			o.Progress(jr.Job.Machine.Name, jr.Job.Profile.Name, jr.Job.Scheme, jr.Result)
 		}
 	}
 	return results

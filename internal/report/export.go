@@ -2,12 +2,10 @@ package report
 
 import (
 	"encoding/csv"
-	"fmt"
 	"io"
 	"sort"
 	"strconv"
 
-	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -67,50 +65,6 @@ func ExportGridCSV(w io.Writer, g *Grid) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// ExportGridMarkdown writes a grid as a Markdown table of normalized
-// execution times (rows: applications; columns: schemes), the format
-// EXPERIMENTS.md uses.
-func ExportGridMarkdown(w io.Writer, g *Grid) error {
-	// A sticky first error keeps the table-building logic linear; once a
-	// write fails (full disk, closed pipe) the rest are skipped and the
-	// failure propagates instead of emitting a silently truncated table.
-	var err error
-	p := func(format string, args ...any) {
-		if err == nil {
-			_, err = fmt.Fprintf(w, format, args...)
-		}
-	}
-	p("| App |")
-	for _, sch := range g.Schemes {
-		p(" %s |", sch.ShortName()+" "+sch.Sep.String())
-	}
-	p("\n|---|")
-	for range g.Schemes {
-		p("---|")
-	}
-	p("\n")
-	for _, app := range g.Apps {
-		base := g.Cell(app, g.Schemes[0]).Result.ExecCycles
-		p("| %s |", app)
-		for _, sch := range g.Schemes {
-			p(" %.2f |", g.Cell(app, sch).Normalized(base))
-		}
-		p("\n")
-	}
-	// Average row.
-	p("| **Avg** |")
-	for _, sch := range g.Schemes {
-		sum := 0.0
-		for _, app := range g.Apps {
-			base := g.Cell(app, g.Schemes[0]).Result.ExecCycles
-			sum += g.Cell(app, sch).Normalized(base)
-		}
-		p(" **%.2f** |", sum/float64(len(g.Apps)))
-	}
-	p("\n")
-	return err
 }
 
 // ExportCharacterizationCSV writes Figure 1 / Table 3 data as CSV.
@@ -184,27 +138,6 @@ func ExportSquashHotspotsCSV(w io.Writer, r sim.Result) error {
 			h.SampleWriter.String(),
 			h.SampleReader.String(),
 		}); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// ExportSeriesCSV writes an obs gauge time series as CSV: a cycle column
-// followed by one column per source.
-func ExportSeriesCSV(w io.Writer, series obs.Series) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(append([]string{"cycle"}, series.Names...)); err != nil {
-		return err
-	}
-	row := make([]string, 0, len(series.Names)+1)
-	for _, s := range series.Samples {
-		row = append(row[:0], strconv.FormatUint(s.Cycle, 10))
-		for _, v := range s.Values {
-			row = append(row, strconv.FormatInt(v, 10))
-		}
-		if err := cw.Write(row); err != nil {
 			return err
 		}
 	}

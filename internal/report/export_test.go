@@ -3,7 +3,6 @@ package report
 import (
 	"bytes"
 	"encoding/csv"
-	"errors"
 	"strconv"
 	"strings"
 	"testing"
@@ -67,29 +66,6 @@ func TestExportGridCSV(t *testing.T) {
 	// The base scheme normalizes to 1.
 	if rows[1][5] != "1" {
 		t.Errorf("first scheme normalized = %q, want 1", rows[1][5])
-	}
-}
-
-func TestExportGridMarkdown(t *testing.T) {
-	g := exportGrid(t)
-	var buf bytes.Buffer
-	if err := ExportGridMarkdown(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	// Header, separator, 2 app rows, average row.
-	if len(lines) != 5 {
-		t.Fatalf("markdown lines = %d:\n%s", len(lines), out)
-	}
-	if !strings.HasPrefix(lines[0], "| App |") || !strings.Contains(lines[0], "Lazy MultiT&MV") {
-		t.Fatalf("header wrong: %q", lines[0])
-	}
-	if !strings.Contains(lines[2], " 1.00 |") {
-		t.Fatalf("base scheme must normalize to 1.00: %q", lines[2])
-	}
-	if !strings.HasPrefix(lines[4], "| **Avg** |") {
-		t.Fatalf("average row missing: %q", lines[4])
 	}
 }
 
@@ -183,32 +159,4 @@ func TestRenderScalabilitySVG(t *testing.T) {
 	if !strings.Contains(out, "16 procs") || !strings.Contains(out, "MultiT&amp;MV Lazy") {
 		t.Fatal("scalability SVG incomplete")
 	}
-}
-
-// A write failure anywhere in the markdown table must surface as the
-// export's error, not a silently truncated artifact.
-func TestExportGridMarkdownPropagatesWriteErrors(t *testing.T) {
-	g := exportGrid(t)
-	var full bytes.Buffer
-	if err := ExportGridMarkdown(&full, g); err != nil {
-		t.Fatal(err)
-	}
-	for limit := 0; limit < full.Len(); limit += 7 {
-		if err := ExportGridMarkdown(&cappedWriter{limit: limit}, g); err == nil {
-			t.Fatalf("write failure at byte %d swallowed", limit)
-		}
-	}
-}
-
-// cappedWriter fails every write that would run past its byte limit.
-type cappedWriter struct {
-	n, limit int
-}
-
-func (w *cappedWriter) Write(p []byte) (int, error) {
-	if w.n+len(p) > w.limit {
-		return 0, errors.New("disk full")
-	}
-	w.n += len(p)
-	return len(p), nil
 }

@@ -128,21 +128,3 @@ func TestExportSquashHotspotsCSV(t *testing.T) {
 		t.Fatalf("unexpected header %q", lines[0])
 	}
 }
-
-func TestExportSeriesCSV(t *testing.T) {
-	_, series := perfettoRun(t)
-	var buf bytes.Buffer
-	if err := ExportSeriesCSV(&buf, series); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != len(series.Samples)+1 {
-		t.Fatalf("rows = %d, want %d samples + header", len(lines), len(series.Samples))
-	}
-	wantCols := len(series.Names) + 1
-	for i, ln := range lines {
-		if got := len(strings.Split(ln, ",")); got != wantCols {
-			t.Fatalf("row %d has %d columns, want %d", i, got, wantCols)
-		}
-	}
-}

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/exp"
 )
 
 const barWidth = 44
@@ -186,18 +185,6 @@ func RenderSummary(w io.Writer, s Summary, paperMV, paperLazySimple, paperLazyMV
 		s.LazinessSimplePct, paperLazySimple)
 	fmt.Fprintf(w, "  laziness on MultiT&MV:                         %5.1f%%  (paper %.0f%%)\n",
 		s.LazinessMultiTMVPct, paperLazyMV)
-	fmt.Fprintln(w)
-}
-
-// RenderFailures prints a grid's failure manifest (nothing when the sweep
-// was healthy). A degraded grid's tables still render — with zero cells for
-// the lost jobs — so the manifest is the place that says what is missing.
-func RenderFailures(w io.Writer, g *Grid) {
-	if !g.Degraded() {
-		return
-	}
-	fmt.Fprintf(w, "%s sweep degraded — %s", g.Machine,
-		exp.RenderFailureManifest(g.Failures))
 	fmt.Fprintln(w)
 }
 

@@ -6,8 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/exp"
 	"repro/internal/machine"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -52,10 +52,10 @@ func TestGridProgressCallback(t *testing.T) {
 	calls := 0
 	RunGrid(machine.CMP8(), []core.Scheme{core.SingleTEager}, Options{
 		Apps: fastApps()[:1], Seed: 2,
-		Progress: func(m, a string, s core.Scheme, _ sim.Result) { calls++ },
+		JobObserver: func(exp.JobResult) { calls++ },
 	})
-	if calls != 1 {
-		t.Fatalf("progress called %d times, want 1", calls)
+	if calls != 2 {
+		t.Fatalf("observer called %d times, want 2 (baseline and scheme)", calls)
 	}
 }
 
@@ -233,7 +233,7 @@ func TestOptionsDefaults(t *testing.T) {
 func TestSerialAndParallelGridsAgree(t *testing.T) {
 	apps := fastApps()[:2]
 	par := RunGrid(machine.CMP8(), Figure9Schemes()[:3], Options{Apps: apps, Seed: 31})
-	ser := RunGrid(machine.CMP8(), Figure9Schemes()[:3], Options{Apps: apps, Seed: 31, Serial: true})
+	ser := RunGrid(machine.CMP8(), Figure9Schemes()[:3], Options{Apps: apps, Seed: 31, Jobs: 1})
 	for _, app := range par.Apps {
 		for _, sch := range par.Schemes {
 			a, b := par.Cell(app, sch), ser.Cell(app, sch)

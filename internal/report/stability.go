@@ -2,12 +2,10 @@ package report
 
 import (
 	"math"
-	"runtime"
-	"sync"
 
 	"repro/internal/core"
+	"repro/internal/exp"
 	"repro/internal/machine"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -38,26 +36,24 @@ func (s SeedStability) CV() float64 {
 }
 
 // MeasureSeedStability runs the combination across seeds [first, first+n)
-// in parallel and returns the spread statistics.
+// as one batch and returns the spread statistics. It panics when a run
+// fails, as a direct simulation would.
 func MeasureSeedStability(cfg *machine.Config, scheme core.Scheme, prof workload.Profile, first uint64, n int) SeedStability {
 	if n < 1 {
 		n = 1
 	}
-	cycles := make([]uint64, n)
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		i := i
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			r := sim.Run(cfg, scheme, prof, first+uint64(i))
-			cycles[i] = uint64(r.ExecCycles)
-		}()
+	jobs := make([]exp.Job, n)
+	for i := range jobs {
+		jobs[i] = exp.Job{Machine: cfg, Scheme: scheme, Profile: prof, Seed: first + uint64(i)}
 	}
-	wg.Wait()
+	var opt Options
+	cycles := make([]uint64, n)
+	for i, jr := range opt.runBatch(jobs) {
+		if jr.Err != nil {
+			panic(jr.Err)
+		}
+		cycles[i] = uint64(jr.Result.ExecCycles)
+	}
 
 	out := SeedStability{
 		Machine: cfg.Name, App: prof.Name, Scheme: scheme, Seeds: n,

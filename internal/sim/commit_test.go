@@ -40,7 +40,7 @@ func TestSectionEndMergesInLineOrder(t *testing.T) {
 
 	merged := s.InvariantViolations()
 	if len(merged) != lines {
-		t.Fatalf("%d merges reported, want one per line (%d): %s", len(merged), lines, s.InvariantSummary())
+		t.Fatalf("%d merges reported, want one per line (%d): %s", len(merged), lines, s.InvariantViolations())
 	}
 	for i, v := range merged {
 		if v.Rule != "spec-escape" {

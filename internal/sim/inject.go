@@ -95,7 +95,3 @@ func (s *Simulator) maybeFlipTag(p *processor) {
 		p.l2.SetProducer(l, l.Producer+1)
 	}
 }
-
-// InjectedSquashes returns how many squash triggers were injected rather
-// than detected.
-func (s *Simulator) InjectedSquashes() uint64 { return s.dir.InjectedConflicts() }

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/event"
 	"repro/internal/ids"
@@ -51,13 +50,12 @@ func (v InvariantViolation) String() string {
 }
 
 // invariantSampleCap bounds how many violation samples are retained; the
-// per-rule counts keep counting past it.
+// count keeps going past it.
 const invariantSampleCap = 64
 
 type invariantChecker struct {
 	samples []InvariantViolation
 	total   int
-	byRule  map[string]int
 }
 
 // EnableInvariantChecks turns the runtime protocol checker on. Call before
@@ -65,7 +63,7 @@ type invariantChecker struct {
 // composes with fault injection to distinguish "survived the faults" from
 // "silently corrupted state".
 func (s *Simulator) EnableInvariantChecks() {
-	s.inv = &invariantChecker{byRule: make(map[string]int)}
+	s.inv = &invariantChecker{}
 }
 
 // InvariantViolationCount returns how many violations the checker saw
@@ -86,29 +84,8 @@ func (s *Simulator) InvariantViolations() []InvariantViolation {
 	return s.inv.samples
 }
 
-// InvariantSummary renders per-rule violation counts, "" when clean or off.
-func (s *Simulator) InvariantSummary() string {
-	if s.inv == nil || s.inv.total == 0 {
-		return ""
-	}
-	rules := make([]string, 0, len(s.inv.byRule))
-	for r := range s.inv.byRule {
-		rules = append(rules, r)
-	}
-	sort.Strings(rules)
-	out := ""
-	for i, r := range rules {
-		if i > 0 {
-			out += " "
-		}
-		out += fmt.Sprintf("%s=%d", r, s.inv.byRule[r])
-	}
-	return out
-}
-
 func (c *invariantChecker) report(rule string, now event.Time, t ids.TaskID, line memsys.LineAddr, format string, args ...any) {
 	c.total++
-	c.byRule[rule]++
 	if len(c.samples) < invariantSampleCap {
 		c.samples = append(c.samples, InvariantViolation{
 			Rule: rule, Cycle: now, Task: t, Line: line,

@@ -53,7 +53,7 @@ func TestFMMRecoveryRestoresGlobalReverseOrder(t *testing.T) {
 			res.SquashEvents, res.TasksSquashed)
 	}
 	if n := s.InvariantViolationCount(); n != 0 {
-		t.Fatalf("recovery broke invariants: %s", s.InvariantSummary())
+		t.Fatalf("recovery broke invariants: %s", s.InvariantViolations())
 	}
 	if v := s.mem.Version(wordL.Line()); v != ids.TaskID(0) && v != ids.TaskID(4) {
 		t.Fatalf("memory holds version %v of the contended line", v)
@@ -122,7 +122,7 @@ func TestRecoverableFaultsKeepInvariants(t *testing.T) {
 			}
 			if n := s.InvariantViolationCount(); n != 0 {
 				t.Errorf("seed %d %v: %d invariant violations under recoverable faults (%s): %s",
-					seed, sch, n, plan.Summary(), s.InvariantSummary())
+					seed, sch, n, plan.Summary(), s.InvariantViolations())
 			}
 			if _, wrong := s.VerifyFinalMemory(); wrong != 0 {
 				t.Errorf("seed %d %v: %d wrong lines after faults (%s)",

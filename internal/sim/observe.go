@@ -16,12 +16,16 @@ type simObs struct {
 	reg     *obs.Registry
 	sampler *obs.Sampler
 
+	// Counters with no other source, counted per event.
 	tasksStarted  *obs.Counter
 	tasksFinished *obs.Counter
-	commits       *obs.Counter
-	squashEvents  *obs.Counter
-	tasksSquashed *obs.Counter
 	wastedCycles  *obs.Counter
+
+	// Counters the simulator and its components already keep, written by
+	// publish once the run ends.
+	commits, squashEvents, tasksSquashed    *obs.Counter
+	dirReads, dirWrites, dirViolations      *obs.Counter
+	memWritebacks, memRejected, netMessages *obs.Counter
 
 	execHist   *obs.Histogram
 	commitHist *obs.Histogram
@@ -46,24 +50,17 @@ func (s *Simulator) Observe(cfg obs.Config) {
 		squashEvents:  cfg.Registry.Counter("sim_squash_events"),
 		tasksSquashed: cfg.Registry.Counter("sim_tasks_squashed"),
 		wastedCycles:  cfg.Registry.Counter("sim_wasted_cycles"),
+		dirReads:      cfg.Registry.Counter("dir_reads"),
+		dirWrites:     cfg.Registry.Counter("dir_writes"),
+		dirViolations: cfg.Registry.Counter("dir_violations"),
+		memWritebacks: cfg.Registry.Counter("mem_writebacks"),
+		memRejected:   cfg.Registry.Counter("mem_writebacks_rejected"),
+		netMessages:   cfg.Registry.Counter("net_messages"),
 
 		execHist:   cfg.Registry.Histogram("sim_exec_cycles_per_task", []uint64{100, 300, 1000, 3000, 10000, 30000, 100000}),
 		commitHist: cfg.Registry.Histogram("sim_commit_cycles_per_task", []uint64{10, 30, 100, 300, 1000, 3000, 10000}),
 		distHist:   cfg.Registry.Histogram("sim_squash_distance", []uint64{1, 2, 4, 8, 16, 32}),
 	}
-
-	// Component counters: the components mirror their own statistics into
-	// these handles on their hot paths.
-	s.dir.SetObs(
-		cfg.Registry.Counter("dir_reads"),
-		cfg.Registry.Counter("dir_writes"),
-		cfg.Registry.Counter("dir_violations"),
-	)
-	s.mem.SetObs(
-		cfg.Registry.Counter("mem_writebacks"),
-		cfg.Registry.Counter("mem_writebacks_rejected"),
-	)
-	s.net.SetObs(cfg.Registry.Counter("net_messages"))
 
 	// Gauge sources, polled at the sampling cadence. Every closure only
 	// reads state. Aggregate occupancies first, then one cache-occupancy
@@ -155,24 +152,35 @@ func (o *simObs) commitDone(commitCycles event.Time) {
 	if o == nil {
 		return
 	}
-	o.commits.Inc()
 	o.commitHist.Observe(uint64(commitCycles))
-}
-
-func (o *simObs) squashEvent() {
-	if o == nil {
-		return
-	}
-	o.squashEvents.Inc()
 }
 
 func (o *simObs) taskSquashed(wasted event.Time, reader, writer ids.TaskID) {
 	if o == nil {
 		return
 	}
-	o.tasksSquashed.Inc()
 	o.wastedCycles.Add(uint64(wasted))
 	if writer != ids.None && reader.After(writer) {
 		o.distHist.Observe(uint64(reader) - uint64(writer))
 	}
+}
+
+// publish adds the run's commit and squash counts and its components'
+// statistics to the registry. Run calls it once, however the run ends.
+func (s *Simulator) publish() {
+	o := s.obs
+	if o == nil {
+		return
+	}
+	o.commits.Add(uint64(s.commits))
+	o.squashEvents.Add(uint64(s.squashEvents))
+	o.tasksSquashed.Add(uint64(s.tasksSquashed))
+	reads, writes, violations := s.dir.Stats()
+	o.dirReads.Add(reads)
+	o.dirWrites.Add(writes)
+	o.dirViolations.Add(violations)
+	writebacks, rejected := s.mem.Stats()
+	o.memWritebacks.Add(writebacks)
+	o.memRejected.Add(rejected)
+	o.netMessages.Add(s.net.Messages())
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -25,7 +26,7 @@ func obsTestProfile() workload.Profile {
 // must never perturb simulation.
 func TestObserverEffectFreedom(t *testing.T) {
 	apps := []workload.Profile{obsTestProfile(), workload.StandardScale(workload.P3m()), workload.StandardScale(workload.Tree())}
-	schemes := []core.Scheme{core.SingleTEager, core.MultiTMVLazy, core.MultiTMVFMM}
+	schemes := []core.Scheme{core.SingleTEager, core.MultiTMVLazy, core.MultiTMVFMM, core.CoarseRecovery}
 	for _, prof := range apps {
 		for _, scheme := range schemes {
 			baseSim := New(machine.CMP8(), scheme, workload.NewGenerator(prof, 99))
@@ -45,6 +46,9 @@ func TestObserverEffectFreedom(t *testing.T) {
 			if c := reg.CounterValue("sim_commits"); c != uint64(got.Commits) {
 				t.Errorf("%s/%v: obs commits %d, result %d", prof.Name, scheme, c, got.Commits)
 			}
+			if c := reg.CounterValue("sim_squash_events"); c != uint64(got.SquashEvents) {
+				t.Errorf("%s/%v: obs squash events %d, result %d", prof.Name, scheme, c, got.SquashEvents)
+			}
 			if c := reg.CounterValue("sim_tasks_squashed"); c != uint64(got.TasksSquashed) {
 				t.Errorf("%s/%v: obs squashed %d, result %d", prof.Name, scheme, c, got.TasksSquashed)
 			}
@@ -53,6 +57,15 @@ func TestObserverEffectFreedom(t *testing.T) {
 			}
 			if c := reg.CounterValue("mem_writebacks"); c != got.MemWritebacks {
 				t.Errorf("%s/%v: obs writebacks %d, result %d", prof.Name, scheme, c, got.MemWritebacks)
+			}
+			if c := reg.CounterValue("mem_writebacks_rejected"); c != got.MemRejected {
+				t.Errorf("%s/%v: obs rejected write-backs %d, result %d", prof.Name, scheme, c, got.MemRejected)
+			}
+			if c := reg.CounterValue("dir_reads"); c != got.DirReads {
+				t.Errorf("%s/%v: obs directory reads %d, result %d", prof.Name, scheme, c, got.DirReads)
+			}
+			if c := reg.CounterValue("dir_writes"); c != got.DirWrites {
+				t.Errorf("%s/%v: obs directory writes %d, result %d", prof.Name, scheme, c, got.DirWrites)
 			}
 			series := obsSim.Sampled()
 			if len(series.Samples) == 0 {
@@ -117,6 +130,69 @@ func TestObserverEffectFreedomParallel(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestObservedCountersGolden pins every counter of one observed
+// squash-heavy run, so moving a statistic between the per-event hooks and
+// the end-of-run publish cannot change what the registry reports.
+func TestObservedCountersGolden(t *testing.T) {
+	reg := obs.NewRegistry()
+	s := New(machine.NUMA16(), core.MultiTMVFMM, workload.NewGenerator(obsTestProfile(), 99))
+	s.Observe(obs.Config{Registry: reg, SamplePeriod: 500})
+	s.Run()
+	want := map[string]uint64{
+		"dir_reads":               61862,
+		"dir_violations":          11,
+		"dir_writes":              51747,
+		"mem_writebacks":          9420,
+		"mem_writebacks_rejected": 0,
+		"net_messages":            14140,
+		"sim_commits":             60,
+		"sim_squash_events":       11,
+		"sim_tasks_finished":      70,
+		"sim_tasks_squashed":      131,
+		"sim_tasks_started":       154,
+		"sim_wasted_cycles":       2159503,
+	}
+	if got := reg.CounterSnapshot(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("counters = %v\nwant %v", got, want)
+	}
+}
+
+// TestEventQueueBound: the sampled event-queue length never exceeds one
+// continuation per processor plus the commit in flight, for every scheme
+// on both machines — the bound that lets the queue be a plain heap with no
+// cancellation.
+func TestEventQueueBound(t *testing.T) {
+	prof := workload.Tree().Scale(0.05, 0.1, 0.25)
+	for _, m := range []*machine.Config{machine.NUMA16(), machine.CMP8()} {
+		for _, scheme := range core.ExtendedSchemes() {
+			s := New(m, scheme, workload.NewGenerator(prof, 5))
+			s.Observe(obs.Config{Registry: obs.NewRegistry(), SamplePeriod: 50})
+			s.Run()
+			peak := seriesPeak(t, s.Sampled(), "event_queue_len")
+			if peak > int64(m.Procs+1) {
+				t.Errorf("%s/%v: event queue held %d events, bound %d", m.Name, scheme, peak, m.Procs+1)
+			}
+			if peak == 0 {
+				t.Errorf("%s/%v: event queue gauge never sampled a pending event", m.Name, scheme)
+			}
+		}
+	}
+}
+
+// seriesPeak returns the largest sample of the named gauge track.
+func seriesPeak(t *testing.T, series obs.Series, name string) int64 {
+	t.Helper()
+	col := slices.Index(series.Names, name)
+	if col < 0 {
+		t.Fatalf("no %s track in %v", name, series.Names)
+	}
+	var peak int64
+	for _, row := range series.Samples {
+		peak = max(peak, row.Values[col])
+	}
+	return peak
 }
 
 // TestObserveIsDeterministic locks the registry and series themselves: two

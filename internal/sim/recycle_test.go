@@ -57,14 +57,16 @@ func recycleJobs() (jobs []exp.Job, halt int) {
 }
 
 // fresh returns every job's result and chaos verdict from simulators that
-// reuse nothing: the spare set is dropped first, and Execute never
-// releases one.
+// reuse nothing: the spare set the previous run released is dropped before
+// each one is built.
 func fresh(jobs []exp.Job) ([]sim.Result, []*exp.ChaosVerdict) {
-	sim.DropSpare()
 	res := make([]sim.Result, len(jobs))
 	verdicts := make([]*exp.ChaosVerdict, len(jobs))
+	r := &exp.Runner{}
 	for i, j := range jobs {
-		res[i], verdicts[i] = j.ExecuteWithVerdict()
+		sim.DropSpare()
+		jr := r.Run(context.Background(), j, exp.Attempt{N: 1})
+		res[i], verdicts[i] = jr.Result, jr.Chaos
 	}
 	return res, verdicts
 }

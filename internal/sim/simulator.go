@@ -213,6 +213,7 @@ func (s *Simulator) Run() Result {
 	if s.startPrefetch() {
 		defer s.pf.close()
 	}
+	defer s.publish()
 	// Run(limit) with limit > 0 is a budget: a return value equal to the
 	// limit means the budget was exhausted, not that the queue drained.
 	fired := s.q.Run(eventLimit)

@@ -24,7 +24,6 @@ import (
 // across processors).
 func (s *Simulator) squashFrom(first ids.TaskID, now event.Time, word memsys.Addr, writer ids.TaskID) {
 	s.squashEvents++
-	s.obs.squashEvent()
 
 	// Collect the victims: every uncommitted task at or after first,
 	// grouped per processor, in deterministic ID order. The per-processor
