@@ -109,4 +109,4 @@ bench:
 # performance change (run on a quiet machine, then commit the file written).
 bench-baseline:
 	$(GO) run ./cmd/tlsbench $(BENCHFLAGS) -out \
-		-note "baseline after finished simulations hand their caches, directory, memory and buffers to the next one built in the process; adds sim/recycled-run; previous baseline BENCH_26.json"
+		-note "baseline after task streams became 8-byte ops (each memory op carries the compute chunk before it) from generator to store to simulator; previous baseline BENCH_28.json"

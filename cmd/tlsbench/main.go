@@ -11,7 +11,7 @@
 //	tlsbench -compare                 # run and gate against the baseline
 //	tlsbench -baseline BENCH_4.json -out   # cut the next baseline
 //
-// The baseline lives at -baseline (default BENCH_28.json, the checked-in
+// The baseline lives at -baseline (default BENCH_30.json, the checked-in
 // document); -out and -compare write and read that path. The flag's default
 // is the one place that names the current baseline: make bench, make
 // bench-baseline and CI all use it, so cutting the next baseline edits only
@@ -515,7 +515,7 @@ func compare(baseline Baseline, cur []Measurement, band float64) int {
 
 func main() {
 	var (
-		basePath = flag.String("baseline", "BENCH_28.json", "path of the JSON benchmark baseline (-out writes it, -compare reads it)")
+		basePath = flag.String("baseline", "BENCH_30.json", "path of the JSON benchmark baseline (-out writes it, -compare reads it)")
 		out      = flag.Bool("out", false, "write measurements to the -baseline file")
 		against  = flag.Bool("compare", false, "compare against the -baseline file; exit 1 outside the band")
 		band     = flag.Float64("band", 0.30, "guard band for the allocs/op comparison")

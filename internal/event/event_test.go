@@ -196,15 +196,6 @@ func TestResourceIdleGap(t *testing.T) {
 	}
 }
 
-func TestResourceReset(t *testing.T) {
-	var r Resource
-	r.Acquire(0, 10)
-	r.Reset()
-	if r.BusyUntil() != 0 || r.Requests() != 0 || r.WaitCycles() != 0 {
-		t.Fatal("Reset did not clear state")
-	}
-}
-
 // Property: service is never preempted — completions are start+service and
 // starts never precede arrival or the previous completion.
 func TestResourceProperty(t *testing.T) {
@@ -234,8 +225,8 @@ func TestResourceProperty(t *testing.T) {
 
 func TestBanksInterleave(t *testing.T) {
 	b := NewBanks(4)
-	if b.Len() != 4 {
-		t.Fatalf("Len = %d", b.Len())
+	if len(b.banks) != 4 {
+		t.Fatalf("%d banks, want 4", len(b.banks))
 	}
 	// Requests to different banks at the same time don't queue on each other.
 	_, d0 := b.Acquire(0, 0, 10)

@@ -37,9 +37,6 @@ func (r *Resource) Requests() uint64 { return r.requests }
 // WaitCycles returns the cumulative queuing delay experienced by requests.
 func (r *Resource) WaitCycles() Time { return r.waited }
 
-// Reset clears occupancy and statistics.
-func (r *Resource) Reset() { *r = Resource{} }
-
 // Bank array helpers: a set of interleaved resources addressed by an index
 // (e.g. memory banks interleaved by line address).
 
@@ -55,9 +52,6 @@ func NewBanks(n int) *Banks {
 	}
 	return &Banks{banks: make([]Resource, n)}
 }
-
-// Len returns the number of banks.
-func (b *Banks) Len() int { return len(b.banks) }
 
 // Bank returns the resource for key (interleaved by modulo).
 func (b *Banks) Bank(key uint64) *Resource {

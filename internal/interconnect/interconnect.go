@@ -127,9 +127,6 @@ func NewNetwork(topo Topology, banks int, msgOccupancy, bankOccupancy event.Time
 	}
 }
 
-// Topology returns the underlying topology.
-func (n *Network) Topology() Topology { return n.topo }
-
 // Home returns the home bank/node index for a line key.
 func (n *Network) Home(key uint64) ids.ProcID {
 	return ids.ProcID(key % uint64(n.topo.Nodes()))

@@ -124,8 +124,8 @@ func TestNetworkHome(t *testing.T) {
 	if n.Home(0) != 0 || n.Home(17) != 1 || n.Home(31) != 15 {
 		t.Fatal("home interleaving wrong")
 	}
-	if n.Topology().Nodes() != 16 {
-		t.Fatal("Topology accessor broken")
+	if n.topo.Nodes() != 16 {
+		t.Fatal("network lost its topology")
 	}
 }
 

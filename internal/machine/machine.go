@@ -91,9 +91,6 @@ type Config struct {
 	topo interconnect.Topology
 }
 
-// Topology returns the machine's network topology.
-func (c *Config) Topology() interconnect.Topology { return c.topo }
-
 // NewNetwork instantiates a fresh contention model for one simulation run.
 func (c *Config) NewNetwork() *interconnect.Network {
 	return interconnect.NewNetwork(c.topo, c.Banks, c.MsgOccupancy, c.BankOccupancy)

@@ -129,15 +129,15 @@ func TestNUMASizes(t *testing.T) {
 		if c.Procs != n || c.Banks != n {
 			t.Errorf("NUMA(%d): procs %d banks %d", n, c.Procs, c.Banks)
 		}
-		if c.Topology().Nodes() < n {
-			t.Errorf("NUMA(%d): topology has %d nodes", n, c.Topology().Nodes())
+		if c.topo.Nodes() < n {
+			t.Errorf("NUMA(%d): topology has %d nodes", n, c.topo.Nodes())
 		}
 		if c.L2.SizeBytes != 512<<10 {
 			t.Errorf("NUMA(%d): per-node caches must not change", n)
 		}
 	}
-	if ScalableNUMA(16).Topology().Name() != "4x4 mesh" {
-		t.Errorf("ScalableNUMA(16) mesh = %q", ScalableNUMA(16).Topology().Name())
+	if ScalableNUMA(16).topo.Name() != "4x4 mesh" {
+		t.Errorf("ScalableNUMA(16) mesh = %q", ScalableNUMA(16).topo.Name())
 	}
 }
 

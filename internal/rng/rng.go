@@ -130,12 +130,22 @@ func (r *Source) Exp(mean float64) float64 {
 	return -mean * math.Log(u)
 }
 
+// minUniform is the smallest positive value Float64 returns.
+const minUniform = 0x1p-53
+
+// NormalBound bounds the magnitude of Normal's standard deviate, which is
+// at most sqrt(-2·ln minUniform) ≈ 8.57167: Normal(mean, stddev) never
+// leaves mean ± stddev·NormalBound.
+const NormalBound = 8.5717
+
 // Normal returns a normally distributed value with the given mean and
-// standard deviation (Box–Muller, one value per call for determinism).
+// standard deviation (Box–Muller, one value per call for determinism). A
+// zero first uniform is raised to minUniform, which keeps the deviate
+// finite and within NormalBound.
 func (r *Source) Normal(mean, stddev float64) float64 {
 	u1 := r.Float64()
-	if u1 < 1e-300 {
-		u1 = 1e-300
+	if u1 < minUniform {
+		u1 = minUniform
 	}
 	u2 := r.Float64()
 	z := math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)

@@ -142,6 +142,20 @@ func TestExpMean(t *testing.T) {
 	}
 }
 
+// TestNormalBound: the largest deviate Normal can draw, at a zero first
+// uniform and a zero second one, lies within NormalBound.
+func TestNormalBound(t *testing.T) {
+	if z := math.Sqrt(-2*math.Log(minUniform)) * math.Cos(0); z > NormalBound || z < NormalBound-1e-4 {
+		t.Fatalf("largest deviate %v, NormalBound %v", z, NormalBound)
+	}
+	r := New(3)
+	for i := 0; i < 100000; i++ {
+		if z := r.Normal(0, 1); math.Abs(z) > NormalBound {
+			t.Fatalf("draw %d: deviate %v beyond NormalBound", i, z)
+		}
+	}
+}
+
 func TestNormalMoments(t *testing.T) {
 	r := New(17)
 	const draws = 200000

@@ -38,8 +38,8 @@ func (s *Simulator) coarseRecover(end event.Time) event.Time {
 	for idx := 0; idx < s.total; idx++ {
 		buf, _ = s.gen.Task(idx, buf[:0])
 		for _, op := range buf {
-			if op.Kind == workload.OpWrite {
-				last[op.Addr.Line()] = ids.TaskID(idx + 1)
+			if op.Kind() == workload.OpWrite {
+				last[op.Addr().Line()] = ids.TaskID(idx + 1)
 			}
 		}
 	}

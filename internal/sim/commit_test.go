@@ -18,7 +18,7 @@ import (
 // producers has committed, so the invariant checker reports each merge as a
 // spec-escape, and the reports list the merged lines in merge order.
 func TestSectionEndMergesInLineOrder(t *testing.T) {
-	gen := workload.NewTrace("section-end", [][]workload.Op{{{Kind: workload.OpCompute, Instr: 1}}}, 0)
+	gen := workload.NewTrace("section-end", [][]workload.Op{new(workload.TraceBuilder).Compute(1).Ops()}, 0)
 	s := New(machine.NUMA16(), core.MultiTMVLazy, gen)
 	s.EnableInvariantChecks()
 	r := rng.New(7)

@@ -152,8 +152,8 @@ func TestVerifyFinalMemoryDetectsWrongVersion(t *testing.T) {
 	var line memsys.LineAddr
 	found := false
 	for _, op := range buf {
-		if op.Kind == workload.OpWrite {
-			line, found = op.Addr.Line(), true
+		if op.Kind() == workload.OpWrite {
+			line, found = op.Addr().Line(), true
 			break
 		}
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -644,6 +645,37 @@ func TestExplicitTraceWorkload(t *testing.T) {
 	}
 	if r.App != "chain" {
 		t.Fatalf("workload name lost: %q", r.App)
+	}
+}
+
+// TestChunkBeforeReadIsItsOwnStep: a read's compute chunk that crosses the
+// quantum deadline yields before the read, exactly as a separate compute op
+// did. Both tasks dispatch at time 0 and cross the 256-cycle deadline in
+// their first step. The producer's write steps at cycle 270, before the
+// consumer's read at 280 but after the consumer's first step, so a read
+// issued in the chunk's step would miss the version and squash.
+func TestChunkBeforeReadIsItsOwnStep(t *testing.T) {
+	const word = memsys.Addr(1 << 16)
+	run := func(consumer []workload.Op) Result {
+		var producer workload.TraceBuilder
+		producer.Compute(188).Ops() // Ops flushes the chunk into an op of its own
+		producer.Write(word).Compute(1000)
+		tr := workload.NewTrace("quantum", [][]workload.Op{producer.Ops(), consumer}, 0)
+		return New(machine.NUMA16(), core.MultiTMVLazy, tr).Run()
+	}
+	var fused, split workload.TraceBuilder
+	fused.Compute(200).Read(word).Compute(1000)
+	split.Compute(200).Ops()
+	split.Read(word).Compute(1000)
+	if len(fused.Ops()) != 2 || len(split.Ops()) != 3 {
+		t.Fatalf("streams of %d and %d ops, want 2 and 3", len(fused.Ops()), len(split.Ops()))
+	}
+	got, want := run(fused.Ops()), run(split.Ops())
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("fused chunk result differs from the two-op form:\n got %+v\nwant %+v", got, want)
+	}
+	if got.SquashEvents != 0 {
+		t.Fatal("the read ran before the producer's earlier write")
 	}
 }
 

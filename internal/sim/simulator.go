@@ -334,22 +334,27 @@ func (s *Simulator) step(p *processor, now event.Time) {
 			continue
 		}
 		op := t.ops[t.pc]
-		switch op.Kind {
-		case workload.OpCompute:
-			p.spend(s.cycles(op.Instr), &p.bd.Busy)
+		switch kind := op.Kind(); {
+		case kind == workload.OpCompute:
+			p.spend(s.cycles(op.Chunk()), &p.bd.Busy)
 			t.pc++
-		case workload.OpRead:
-			dt := s.read(p, t, op.Addr)
+		case !t.spent && op.Chunk() > 0:
+			// The chunk before an access is a step of its own: the access
+			// waits for the next pass, past the deadline check.
+			p.spend(s.cycles(op.Chunk()), &p.bd.Busy)
+			t.spent = true
+		case kind == workload.OpRead:
+			dt := s.read(p, t, op.Addr())
 			s.chargeMemory(p, dt)
-			t.pc++
-		case workload.OpWrite:
-			dt, stalled := s.write(p, t, op.Addr)
+			t.pc, t.spent = t.pc+1, false
+		case kind == workload.OpWrite:
+			dt, stalled := s.write(p, t, op.Addr())
 			if stalled {
 				p.wait = waitVersion
-				return // op not consumed; retried after wake
+				return // access not consumed; retried after wake
 			}
 			s.chargeMemory(p, dt)
-			t.pc++
+			t.pc, t.spent = t.pc+1, false
 			if s.inject != nil {
 				s.maybeFlipTag(p)
 			}

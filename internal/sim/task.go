@@ -35,6 +35,9 @@ type task struct {
 
 	ops []workload.Op
 	pc  int
+	// spent records that the compute chunk of ops[pc] has run and only
+	// its memory access is left.
+	spent bool
 
 	startedAt  event.Time
 	finishedAt event.Time
@@ -78,6 +81,7 @@ func (t *task) reset() {
 	t.state = taskRunning
 	t.ops = nil
 	t.pc = 0
+	t.spent = false
 	t.wordsWritten = 0
 	t.privWords = 0
 	t.consumed = t.consumed[:0]

@@ -26,8 +26,8 @@ func (s *Simulator) VerifyFinalMemory() (checked, wrong int) {
 	for idx := 0; idx < s.total; idx++ {
 		buf, _ = s.gen.Task(idx, buf[:0])
 		for _, op := range buf {
-			if op.Kind == workload.OpWrite {
-				last[op.Addr.Line()] = ids.TaskID(idx + 1)
+			if op.Kind() == workload.OpWrite {
+				last[op.Addr().Line()] = ids.TaskID(idx + 1)
 			}
 		}
 	}

@@ -1,30 +1,13 @@
 package workload
 
 import (
+	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/memsys"
 	"repro/internal/rng"
 )
-
-// OpKind is the kind of one task operation.
-type OpKind uint8
-
-const (
-	// OpCompute executes Instr instructions with no memory access.
-	OpCompute OpKind = iota
-	// OpRead loads one word.
-	OpRead
-	// OpWrite stores one word.
-	OpWrite
-)
-
-// Op is one operation of a task's dynamic stream.
-type Op struct {
-	Kind  OpKind
-	Addr  memsys.Addr
-	Instr int // instructions in this compute chunk (OpCompute only)
-}
 
 // Address-space layout (word addresses). The regions are far apart so they
 // can never alias.
@@ -76,6 +59,10 @@ type Generator struct {
 
 	privLines   int
 	uniqueLines int
+	// writes and memOps are the words every task writes and the most
+	// memory operations a task issues, which size the scratch up front.
+	writes int
+	memOps int
 
 	// set, when non-nil, holds the stored streams Task replays (Store).
 	set *streamSet
@@ -93,11 +80,15 @@ func NewGenerator(prof Profile, seed uint64) *Generator {
 	if priv > lines {
 		priv = lines
 	}
+	writes := lines * prof.WriteDensity
+	reads := max(0, int(prof.ReadsPerWrite*float64(writes)+0.5))
 	return &Generator{
 		prof:        prof,
 		seed:        seed,
 		privLines:   priv,
 		uniqueLines: lines - priv,
+		writes:      writes,
+		memOps:      writes + reads + 2, // + the channel write and read
 	}
 }
 
@@ -130,13 +121,13 @@ func (g *Generator) channelAddr(index int) memsys.Addr {
 	return CommBase + memsys.Addr(index%commChannels)*memsys.WordsPerLine
 }
 
-// timed pairs an operation with its fractional position in the task. Its
-// index in the construction sequence (seq) is implicit: ops are appended in
-// seq order and every reordering pass below is stable.
+// timed pairs a memory operation, packed without its chunk, with its
+// fractional position in the task. Its index in the construction sequence
+// (seq) is implicit: ops are appended in seq order and every reordering
+// pass below is stable.
 type timed struct {
-	pos  float64
-	kind OpKind
-	addr memsys.Addr
+	pos float64
+	op  Op
 }
 
 // taskScratch is the per-call working memory of Task, recycled through
@@ -165,18 +156,31 @@ func (g *Generator) LengthMultiplier(index int) float64 {
 	return r.LogNormalCV(1, g.prof.ImbalanceCV)
 }
 
+// maxLengthMultiplier bounds LengthMultiplier over every task of p: the
+// log-normal's arithmetic at rng.NormalBound, or the heavy tail's maximum.
+// A NaN parameter yields NaN.
+func maxLengthMultiplier(p *Profile) float64 {
+	m := 1.0
+	if !(p.ImbalanceCV <= 0) {
+		sigma2 := math.Log(1 + p.ImbalanceCV*p.ImbalanceCV)
+		m = math.Exp(-sigma2/2 + math.Sqrt(sigma2)*rng.NormalBound)
+	}
+	if p.HeavyTailFrac > 0 {
+		m = math.Max(m, math.Max(p.HeavyTailMax, p.HeavyTailMax/4))
+	}
+	return m
+}
+
 // Task generates the operation stream of task index (0-based), appending
 // into buf to avoid allocation, and returns the stream and its total
 // instruction count. Streams interleave compute chunks with the memory
 // operations of the profile: versioned writes (privatized and task-private
 // lines), re-reads of own data, scattered shared reads, and occasional
-// cross-task communication. A generator from a Store replays the stored
-// copy of the stream into buf instead of generating it again.
+// cross-task communication. A generator from a Store copies the stored
+// stream of a task of the section into buf instead of generating it again.
 func (g *Generator) Task(index int, buf []Op) (ops []Op, instr int) {
-	if g.set != nil {
-		if ops, instr, ok := g.set.replay(g, index, buf); ok {
-			return ops, instr
-		}
+	if g.set != nil && index >= 0 && index < len(g.set.tasks) {
+		return g.set.replay(g, index, buf)
 	}
 	return g.generate(index, buf)
 }
@@ -190,7 +194,7 @@ func (g *Generator) generate(index int, buf []Op) (ops []Op, instr int) {
 	// gaps. seq is unique, so the order is total and any correct sort yields
 	// the same stream; bucketing on pos avoids a comparison sort on what
 	// profiling shows is the hottest single call in a full run.
-	return emit(sc.orderByPos(), instr, buf), instr
+	return emit(sc.orderByPos(), instr, g.streamBuf(buf)), instr
 }
 
 // timedOps generates the memory operations of task index into sc.mem, in
@@ -206,9 +210,9 @@ func (g *Generator) timedOps(index int, sc *taskScratch) (instr int) {
 	}
 
 	density := p.WriteDensity
-	mem := sc.mem[:0]
+	mem := slices.Grow(sc.mem[:0], g.memOps)
 	add := func(pos float64, kind OpKind, addr memsys.Addr) {
-		mem = append(mem, timed{pos: pos, kind: kind, addr: addr})
+		mem = append(mem, timed{pos: pos, op: makeOp(kind, addr, 0)})
 	}
 
 	// Writes, spread over the first WritePhase of the task. Privatized lines
@@ -222,7 +226,7 @@ func (g *Generator) timedOps(index int, sc *taskScratch) (instr int) {
 	}
 	uniqueLines := g.privLines + g.uniqueLines - privLines
 	region := memsys.Addr(index%regionPool) * regionStride
-	written := sc.written[:0]
+	written := slices.Grow(sc.written[:0], g.writes)
 	writeLine := func(base memsys.Addr, line, k int) {
 		la := (base + memsys.Addr(line*memsys.WordsPerLine)).Line()
 		for w := 0; w < density; w++ {
@@ -275,36 +279,32 @@ func (g *Generator) timedOps(index int, sc *taskScratch) (instr int) {
 	return instr
 }
 
-// emit interleaves the ordered memory operations with compute chunks
-// proportional to the gaps between their positions, appending into buf.
-func emit(mem []timed, instr int, buf []Op) []Op {
-	ops := streamBuf(buf, len(mem))
+// emit packs each ordered memory operation with the compute chunk before
+// it, proportional to the gap since the previous operation's position, and
+// appends a trailing compute chunk for the rest of instr, onto ops.
+// Positions ascend, so no chunk is negative.
+func emit(mem []timed, instr int, ops []Op) []Op {
 	emitted := 0
 	prev := 0.0
 	for _, m := range mem {
 		chunk := int(float64(instr) * (m.pos - prev))
-		if chunk > 0 {
-			ops = append(ops, Op{Kind: OpCompute, Instr: chunk})
-			emitted += chunk
-		}
+		emitted += chunk
 		prev = m.pos
-		ops = append(ops, Op{Kind: m.kind, Addr: m.addr})
+		ops = append(ops, m.op|Op(chunk))
 	}
 	if rest := instr - emitted; rest > 0 {
-		ops = append(ops, Op{Kind: OpCompute, Instr: rest})
+		ops = append(ops, makeOp(OpCompute, 0, rest))
 	}
 	return ops
 }
 
-// streamBuf returns buf emptied, ready for the stream of a task with mem
-// memory operations. The stream holds at most one compute chunk before each
-// memory operation plus a trailing one, so a short buf is replaced once, up
-// front, by one of at least that bound (and at least twice its capacity, so
-// a recycled buffer still grows geometrically across tasks) and never
-// regrows mid-stream.
-func streamBuf(buf []Op, mem int) []Op {
-	if need := 2*mem + 1; cap(buf) < need {
-		buf = make([]Op, 0, max(need, 2*cap(buf)))
+// streamBuf returns buf emptied, with room for the longest stream of g's
+// tasks: one op per memory operation plus a trailing compute chunk. A short
+// buf is replaced once, by one of exactly that size, so a stream never
+// regrows and a recycled buffer never grows twice.
+func (g *Generator) streamBuf(buf []Op) []Op {
+	if need := g.memOps + 1; cap(buf) < need {
+		return make([]Op, 0, need)
 	}
 	return buf[:0]
 }
@@ -334,8 +334,12 @@ func (sc *taskScratch) orderByPos() []timed {
 	for i := range mem {
 		counts[key(mem[i].pos)+1]++
 	}
+	// The running sum stays in a register, so no bucket's start waits on
+	// the store of the one before it.
+	var sum int32
 	for k := 1; k <= n; k++ {
-		counts[k] += counts[k-1]
+		sum += counts[k]
+		counts[k] = sum
 	}
 	if cap(sc.sorted) < n {
 		sc.sorted = make([]timed, n)

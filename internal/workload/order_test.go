@@ -60,15 +60,13 @@ func referenceEmit(mem []timed, instr int) []Op {
 	emitted := 0
 	prev := 0.0
 	for _, m := range mem {
-		if chunk := int(float64(instr) * (m.pos - prev)); chunk > 0 {
-			ops = append(ops, Op{Kind: OpCompute, Instr: chunk})
-			emitted += chunk
-		}
+		chunk := int(float64(instr) * (m.pos - prev))
+		emitted += chunk
 		prev = m.pos
-		ops = append(ops, Op{Kind: m.kind, Addr: m.addr})
+		ops = append(ops, makeOp(m.op.Kind(), m.op.Addr(), chunk))
 	}
 	if rest := instr - emitted; rest > 0 {
-		ops = append(ops, Op{Kind: OpCompute, Instr: rest})
+		ops = append(ops, makeOp(OpCompute, 0, rest))
 	}
 	return ops
 }
@@ -122,7 +120,7 @@ func TestOrderTiesAndBoundaries(t *testing.T) {
 	for name, pos := range cases {
 		mem := make([]timed, len(pos))
 		for i, p := range pos {
-			mem[i] = timed{pos: p, kind: OpRead, addr: memsys.Addr(i)}
+			mem[i] = timed{pos: p, op: makeOp(OpRead, memsys.Addr(i), 0)}
 		}
 		checkOrder(t, name, mem)
 	}
@@ -131,7 +129,7 @@ func TestOrderTiesAndBoundaries(t *testing.T) {
 	for round := 0; round < 100; round++ {
 		mem := make([]timed, 1+r.Intn(300))
 		for i := range mem {
-			mem[i] = timed{pos: float64(r.Intn(8)) / 7, addr: memsys.Addr(i)}
+			mem[i] = timed{pos: float64(r.Intn(8)) / 7, op: makeOp(OpRead, memsys.Addr(i), 0)}
 		}
 		checkOrder(t, "random ties", mem)
 	}

@@ -153,7 +153,12 @@ func (p *Profile) LinesWritten() int {
 	return n
 }
 
-// Validate checks internal consistency.
+// maxLinesWritten is the largest footprint, in lines, whose task-private
+// writes stay within MaxAddr from the last region of the pool.
+const maxLinesWritten = int((MaxAddr + 1 - UniqueBase - (regionPool-1)*regionStride) / memsys.WordsPerLine)
+
+// Validate checks internal consistency and that every operation of the
+// profile's streams fits an Op.
 func (p *Profile) Validate() error {
 	switch {
 	case p.Name == "":
@@ -178,6 +183,15 @@ func (p *Profile) Validate() error {
 		return fmt.Errorf("workload %s: dependence reach must be positive", p.Name)
 	case p.TasksPerInvoc < 0:
 		return fmt.Errorf("workload %s: negative tasks per invocation", p.Name)
+	// An Op holds at most MaxChunk instructions before its access and
+	// addresses at most MaxAddr. A task's chunks never exceed its length;
+	// the bound's margin covers the heavy tail's float rounding.
+	case !(float64(p.InstrPerTask)*maxLengthMultiplier(p)*(1+1e-9) <= MaxChunk):
+		return fmt.Errorf("workload %s: a task may run more than %d instructions between memory operations", p.Name, MaxChunk)
+	case p.LinesWritten() > maxLinesWritten:
+		return fmt.Errorf("workload %s: %d written lines reach past word address %#x", p.Name, p.LinesWritten(), MaxAddr)
+	case p.HotReadWords > int(MaxAddr)+1:
+		return fmt.Errorf("workload %s: %d hot read words reach past word address %#x", p.Name, p.HotReadWords, MaxAddr)
 	}
 	return nil
 }

@@ -1,10 +1,9 @@
 package workload
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/memsys"
 )
 
 // Store holds the task streams of the (profile, seed) pairs that a batch of
@@ -13,12 +12,8 @@ import (
 // index), which is what makes replaying a stored copy indistinguishable from
 // generating it again.
 //
-// Streams are kept packed: each memory operation and the compute chunk
-// before it share one uint64 (kind in the top 2 bits, word address in the
-// next 30, chunk instructions in the low 32), and each task keeps its
-// trailing chunk and total instruction count beside them. A task whose
-// stream does not fit that encoding is not stored; its generator produces
-// it afresh on every call.
+// Each stream is kept as generated, 8 bytes per operation (Op), with the
+// task's instruction count beside it.
 //
 // Every user of a pair holds it (Hold) until it is done (Release), and the
 // pair's streams leave the store with its last hold. Streams are stored only
@@ -50,25 +45,13 @@ type streamSet struct {
 	fills atomic.Int32 // tasks generated so far
 }
 
-// storedTask is one task's packed stream. once guards the fill, so
-// concurrent first callers generate the task once and all read the result.
+// storedTask is one task's stream. once guards the fill, so concurrent
+// first callers generate the task once and all read the result.
 type storedTask struct {
-	once   sync.Once
-	fits   bool
-	packed []uint64 // one word per memory operation
-	rest   int      // trailing compute chunk (0 = none)
-	instr  int      // the task's instruction count
-	n      int      // decoded stream length
+	once  sync.Once
+	ops   []Op
+	instr int
 }
-
-// Packing layout of one stored word.
-const (
-	packKindShift = 62
-	packAddrShift = 32
-	packAddrBits  = packKindShift - packAddrShift
-	packAddrMask  = 1<<packAddrBits - 1
-	packChunkMask = 1<<packAddrShift - 1
-)
 
 // storeMinHolds is the fewest users a pair needs to be stored. A figure's
 // grid runs each application's baseline and every scheme (8 to 10 users);
@@ -148,75 +131,20 @@ func (s *Store) Resident(prof Profile, seed uint64) bool {
 	return ok
 }
 
-// replay returns the stream of task index, replayed from the store, and
-// ok; ok is false when index lies outside the section or the task does not
-// fit the encoding, and the caller generates the stream itself. The first
-// caller of a task generates it into buf and packs it; concurrent first
-// callers wait for that and replay it.
-func (set *streamSet) replay(g *Generator, index int, buf []Op) (ops []Op, instr int, ok bool) {
-	if index < 0 || index >= len(set.tasks) {
-		return nil, 0, false
-	}
+// replay returns the stream of task index of the section, copied from the
+// store into buf. The first caller of a task generates it into buf and
+// stores a copy; concurrent first callers wait for that and copy it.
+func (set *streamSet) replay(g *Generator, index int, buf []Op) (ops []Op, instr int) {
 	t := &set.tasks[index]
 	generated := false
 	t.once.Do(func() {
 		set.fills.Add(1)
 		ops, instr = g.generate(index, buf)
-		t.pack(ops, instr)
+		t.ops, t.instr = slices.Clone(ops), instr
 		generated = true
 	})
-	switch {
-	case generated:
-		return ops, instr, true
-	case !t.fits:
-		return nil, 0, false
+	if generated {
+		return ops, instr
 	}
-	return t.decode(buf), t.instr, true
-}
-
-// pack stores a generated stream. It leaves fits false when any operation
-// falls outside the encoding.
-func (t *storedTask) pack(ops []Op, instr int) {
-	n := 0
-	for _, op := range ops {
-		if op.Kind != OpCompute {
-			n++
-		}
-	}
-	packed := make([]uint64, 0, n)
-	chunk := 0
-	for _, op := range ops {
-		switch {
-		case op.Kind == OpCompute:
-			if chunk != 0 || op.Instr <= 0 || op.Instr > packChunkMask {
-				return
-			}
-			chunk = op.Instr
-		case op.Addr > packAddrMask || op.Kind > OpWrite:
-			return
-		default:
-			packed = append(packed, uint64(op.Kind)<<packKindShift|uint64(op.Addr)<<packAddrShift|uint64(chunk))
-			chunk = 0
-		}
-	}
-	t.packed, t.rest, t.instr, t.n, t.fits = packed, chunk, instr, len(ops), true
-}
-
-// decode writes the stored stream into buf, sizing a short buf exactly as
-// emit does.
-func (t *storedTask) decode(buf []Op) []Op {
-	ops := streamBuf(buf, len(t.packed))[:t.n]
-	i := 0
-	for _, w := range t.packed {
-		if chunk := int(w & packChunkMask); chunk > 0 {
-			ops[i] = Op{Kind: OpCompute, Instr: chunk}
-			i++
-		}
-		ops[i] = Op{Kind: OpKind(w >> packKindShift), Addr: memsys.Addr(w >> packAddrShift & packAddrMask)}
-		i++
-	}
-	if t.rest > 0 {
-		ops[i] = Op{Kind: OpCompute, Instr: t.rest}
-	}
-	return ops
+	return append(g.streamBuf(buf), t.ops...), t.instr
 }

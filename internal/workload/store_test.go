@@ -65,7 +65,7 @@ func TestStoreStreamsAreTheCallers(t *testing.T) {
 	want, _ := NewGenerator(p, 2).Task(5, nil)
 	ops, _ := g.Task(5, nil)
 	for i := range ops {
-		ops[i] = Op{Kind: OpWrite, Addr: 0xdead, Instr: -1}
+		ops[i] = makeOp(OpWrite, 0xdead, 777)
 	}
 	again, _ := g.Task(5, ops[:0])
 	if !slices.Equal(again, want) {
@@ -107,26 +107,19 @@ func TestStoreGeneratesEachTaskOnce(t *testing.T) {
 	}
 }
 
-// TestStoreBypassesOverflowingTasks: a chunk too long for the packed
-// encoding leaves the task unstored, and Task still returns its stream.
-func TestStoreBypassesOverflowingTasks(t *testing.T) {
+// TestStoreGeneratesTasksOutsideTheSection: indices past the stored
+// section are generated, not stored.
+func TestStoreGeneratesTasksOutsideTheSection(t *testing.T) {
 	p := StandardScale(Bdna())
 	p.Tasks = 4
-	p.InstrPerTask = 1 << 42
 	g := stored(NewStore(), p, 1)
-	for i := 0; i < p.Tasks; i++ {
-		want, wi := NewGenerator(p, 1).Task(i, nil)
-		got, gi := g.Task(i, nil)
-		if gi != wi || !slices.Equal(got, want) {
-			t.Fatalf("task %d: bypassed stream differs", i)
-		}
-		if st := &g.set.tasks[i]; st.fits || st.packed != nil {
-			t.Fatalf("task %d: stored although a chunk overflows 32 bits", i)
-		}
+	want, wi := NewGenerator(p, 1).Task(p.Tasks+3, nil)
+	got, gi := g.Task(p.Tasks+3, nil)
+	if gi != wi || !slices.Equal(got, want) {
+		t.Fatal("an out-of-section task differs from the generated one")
 	}
-	// Indices outside the section are generated, not stored.
-	if _, instr := g.Task(p.Tasks+3, nil); instr <= 0 {
-		t.Fatal("out-of-section task produced no instructions")
+	if n := g.set.fills.Load(); n != 0 {
+		t.Fatalf("an out-of-section task filled %d stored tasks", n)
 	}
 }
 

@@ -25,8 +25,9 @@ type Trace struct {
 
 // NewTrace builds an explicit workload from per-task operation streams.
 // tasksPerInvoc of 0 means a single invocation. It panics on an empty task
-// list or a task with no operations: an explicit trace with nothing to run
-// is a construction error.
+// list, a task with no operations or an operation of no known kind: an
+// explicit trace with nothing (or nothing valid) to run is a construction
+// error.
 func NewTrace(name string, tasks [][]Op, tasksPerInvoc int) *Trace {
 	if name == "" {
 		name = "trace"
@@ -40,16 +41,17 @@ func NewTrace(name string, tasks [][]Op, tasksPerInvoc int) *Trace {
 			panic(fmt.Sprintf("workload: trace task %d has no operations", i))
 		}
 		n := 0
-		for _, op := range ops {
-			if op.Kind == OpCompute {
-				n += op.Instr
+		for k, op := range ops {
+			if op.Kind() > OpWrite {
+				panic(fmt.Sprintf("workload: trace task %d op %d has kind %d", i, k, op.Kind()))
 			}
+			n += op.Chunk()
 		}
 		if n == 0 {
 			// The simulator needs at least one instruction of work per task
 			// (zero-length tasks would commit at time zero en masse).
 			n = 1
-			ops = append([]Op{{Kind: OpCompute, Instr: 1}}, ops...)
+			ops = append([]Op{makeOp(OpCompute, 0, 1)}, ops...)
 		}
 		t.tasks = append(t.tasks, ops)
 		t.instr[i] = n
@@ -79,30 +81,58 @@ func (t *Trace) Task(index int, buf []Op) ([]Op, int) {
 // back as buf in both modes, which is safe because Task ignores buf.
 func (t *Trace) ConcurrentTaskSafe() bool { return true }
 
-// TraceBuilder accumulates one task's operations fluently.
+// TraceBuilder accumulates one task's operations fluently. A compute
+// chunk rides on the operation after it; Ops flushes a trailing one.
 type TraceBuilder struct {
-	ops []Op
+	ops   []Op
+	chunk int // instructions not yet attached to an operation
 }
 
-// Compute appends n instructions of computation.
+// Compute appends n instructions of computation. It panics if n exceeds
+// MaxChunk.
 func (b *TraceBuilder) Compute(n int) *TraceBuilder {
-	if n > 0 {
-		b.ops = append(b.ops, Op{Kind: OpCompute, Instr: n})
+	if n <= 0 {
+		return b
 	}
+	if n > MaxChunk {
+		panic(fmt.Sprintf("workload: trace compute chunk %d exceeds %d", n, MaxChunk))
+	}
+	b.flush()
+	b.chunk = n
 	return b
 }
 
-// Read appends a load of the given word address.
+// Read appends a load of the given word address. It panics if addr
+// exceeds MaxAddr.
 func (b *TraceBuilder) Read(addr memsys.Addr) *TraceBuilder {
-	b.ops = append(b.ops, Op{Kind: OpRead, Addr: addr})
+	return b.access(OpRead, addr)
+}
+
+// Write appends a store to the given word address. It panics if addr
+// exceeds MaxAddr.
+func (b *TraceBuilder) Write(addr memsys.Addr) *TraceBuilder {
+	return b.access(OpWrite, addr)
+}
+
+func (b *TraceBuilder) access(kind OpKind, addr memsys.Addr) *TraceBuilder {
+	if addr > MaxAddr {
+		panic(fmt.Sprintf("workload: trace address %#x exceeds %#x", addr, MaxAddr))
+	}
+	b.ops = append(b.ops, makeOp(kind, addr, b.chunk))
+	b.chunk = 0
 	return b
 }
 
-// Write appends a store to the given word address.
-func (b *TraceBuilder) Write(addr memsys.Addr) *TraceBuilder {
-	b.ops = append(b.ops, Op{Kind: OpWrite, Addr: addr})
-	return b
+// flush appends the pending chunk as an operation of its own.
+func (b *TraceBuilder) flush() {
+	if b.chunk > 0 {
+		b.ops = append(b.ops, makeOp(OpCompute, 0, b.chunk))
+		b.chunk = 0
+	}
 }
 
 // Ops returns the accumulated stream.
-func (b *TraceBuilder) Ops() []Op { return b.ops }
+func (b *TraceBuilder) Ops() []Op {
+	b.flush()
+	return b.ops
+}

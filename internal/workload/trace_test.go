@@ -14,7 +14,7 @@ func TestTraceBasics(t *testing.T) {
 	if instr != 150 {
 		t.Fatalf("instr = %d, want 150", instr)
 	}
-	if len(ops) != 4 || ops[1].Kind != OpWrite || ops[1].Addr != 4 {
+	if len(ops) != 3 || ops[0] != makeOp(OpWrite, 4, 100) || ops[1] != makeOp(OpRead, 4, 0) || ops[2] != makeOp(OpCompute, 0, 50) {
 		t.Fatalf("ops wrong: %+v", ops)
 	}
 }
@@ -24,7 +24,7 @@ func TestTraceInsertsMinimalCompute(t *testing.T) {
 	b.Write(8)
 	tr := NewTrace("", [][]Op{b.Ops()}, 0)
 	ops, instr := tr.Task(0, nil)
-	if instr != 1 || ops[0].Kind != OpCompute {
+	if instr != 1 || ops[0] != makeOp(OpCompute, 0, 1) {
 		t.Fatal("compute-free task must gain one instruction")
 	}
 	if tr.Name() != "trace" {

@@ -180,12 +180,10 @@ func TestTaskInstructionsMatchStream(t *testing.T) {
 	ops, instr := g.Task(3, nil)
 	sum := 0
 	for _, op := range ops {
-		if op.Kind == OpCompute {
-			if op.Instr <= 0 {
-				t.Fatal("empty compute chunk emitted")
-			}
-			sum += op.Instr
+		if op.Kind() == OpCompute && op.Chunk() <= 0 {
+			t.Fatal("empty compute chunk emitted")
 		}
+		sum += op.Chunk()
 	}
 	if sum != instr {
 		t.Fatalf("compute chunks sum to %d, want %d", sum, instr)
@@ -199,9 +197,9 @@ func TestTaskFootprint(t *testing.T) {
 	written := map[memsys.Addr]bool{}
 	lines := map[memsys.LineAddr]bool{}
 	for _, op := range ops {
-		if op.Kind == OpWrite {
-			written[op.Addr] = true
-			lines[op.Addr.Line()] = true
+		if op.Kind() == OpWrite {
+			written[op.Addr()] = true
+			lines[op.Addr().Line()] = true
 		}
 	}
 	// Written words = footprint words (+1 for the communication channel).
@@ -223,8 +221,8 @@ func TestPrivatizationAddressesShared(t *testing.T) {
 		ops, _ := g.Task(index, nil)
 		out := map[memsys.Addr]bool{}
 		for _, op := range ops {
-			if op.Kind == OpWrite && op.Addr >= PrivBase && op.Addr < UniqueBase {
-				out[op.Addr] = true
+			if op.Kind() == OpWrite && op.Addr() >= PrivBase && op.Addr() < UniqueBase {
+				out[op.Addr()] = true
 			}
 		}
 		return out
@@ -250,8 +248,8 @@ func TestUniqueRegionsDoNotOverlapConcurrently(t *testing.T) {
 		ops, _ := g.Task(index, nil)
 		out := map[memsys.Addr]bool{}
 		for _, op := range ops {
-			if op.Kind == OpWrite && op.Addr >= UniqueBase && op.Addr < CommBase {
-				out[op.Addr] = true
+			if op.Kind() == OpWrite && op.Addr() >= UniqueBase && op.Addr() < CommBase {
+				out[op.Addr()] = true
 			}
 		}
 		return out
@@ -319,17 +317,13 @@ func TestWritePhaseEarlyForPrivApps(t *testing.T) {
 	// fraction of the instruction stream (plus the late channel publish).
 	executed := 0
 	for _, op := range ops {
-		switch op.Kind {
-		case OpCompute:
-			executed += op.Instr
-		case OpWrite:
-			if op.Addr >= CommBase {
-				continue // channel publish is late by design
-			}
-			if frac := float64(executed) / float64(instr); frac > p.WritePhase+0.02 {
-				t.Fatalf("write at %.0f%% of task, want within write phase %.0f%%",
-					frac*100, p.WritePhase*100)
-			}
+		executed += op.Chunk()
+		if op.Kind() != OpWrite || op.Addr() >= CommBase {
+			continue // the channel publish is late by design
+		}
+		if frac := float64(executed) / float64(instr); frac > p.WritePhase+0.02 {
+			t.Fatalf("write at %.0f%% of task, want within write phase %.0f%%",
+				frac*100, p.WritePhase*100)
 		}
 	}
 }
@@ -341,8 +335,8 @@ func TestCommunicationOps(t *testing.T) {
 	for i := 0; i < p.Tasks; i++ {
 		ops, _ := g.Task(i, nil)
 		for _, op := range ops {
-			if op.Addr >= CommBase {
-				if op.Kind == OpWrite {
+			if op.Addr() >= CommBase {
+				if op.Kind() == OpWrite {
 					publishes++
 				} else {
 					consumes++
@@ -365,7 +359,7 @@ func TestNoCommunicationWithoutDeps(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		ops, _ := g.Task(i, nil)
 		for _, op := range ops {
-			if op.Kind == OpRead && op.Addr >= CommBase {
+			if op.Kind() == OpRead && op.Addr() >= CommBase {
 				t.Fatal("dependence-free app issued a communication read")
 			}
 		}

@@ -149,7 +149,8 @@ type (
 	Trace = workload.Trace
 	// TraceBuilder accumulates one task's operations fluently.
 	TraceBuilder = workload.TraceBuilder
-	// Op is one operation of a task stream.
+	// Op is one 8-byte operation of a task stream: a memory access with
+	// the compute chunk before it, or a compute chunk alone.
 	Op = workload.Op
 	// Addr is a word address.
 	Addr = memsys.Addr
