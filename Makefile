@@ -1,12 +1,6 @@
 GO ?= go
 
-# BENCH overrides the benchmark-baseline document (make bench
-# BENCH=BENCH_3.json); left empty, tlsbench's -baseline default names the
-# checked-in one, and that default is the only place that does.
-BENCH ?=
-BENCHFLAGS = $(if $(BENCH),-baseline $(BENCH))
-
-.PHONY: build test fmt vet race race-short chaos cluster cluster-chaos fsck-drill verify report bench bench-baseline trace fleet-trace
+.PHONY: build test fmt vet race race-short chaos cluster cluster-chaos fsck-drill verify report bench trace fleet-trace
 
 build:
 	$(GO) build ./...
@@ -97,16 +91,11 @@ trace:
 fleet-trace:
 	GO="$(GO)" sh ./scripts/fleet_trace_drill.sh
 
-# bench runs the tlsbench hot-path suite and gates allocs/op against the
-# checked-in baseline (±30% band); ns/op and events/sec are informational.
-# The log is tee'd to bench-report.txt — it carries the serial-vs-parallel
-# full-run wall times and the "parallel speedup" line CI archives.
+# bench runs the simulator's hot-path benchmarks with allocation counts
+# and copies the log to bench-report.txt, an informational ns/op record.
+# Allocations are gated by the TestAllocBudgets test beside each package's
+# benchmarks, which `make test` runs.
 bench:
-	@$(GO) run ./cmd/tlsbench $(BENCHFLAGS) -compare > bench-report.txt 2>&1; \
+	@$(GO) test -run '^$$' -bench . -benchmem ./internal/event ./internal/coherence \
+		./internal/memsys ./internal/workload ./internal/sim > bench-report.txt 2>&1; \
 	st=$$?; cat bench-report.txt; exit $$st
-
-# bench-baseline refreshes the checked-in baseline after an intentional
-# performance change (run on a quiet machine, then commit the file written).
-bench-baseline:
-	$(GO) run ./cmd/tlsbench $(BENCHFLAGS) -out \
-		-note "baseline after task streams became 8-byte ops (each memory op carries the compute chunk before it) from generator to store to simulator; previous baseline BENCH_28.json"

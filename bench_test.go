@@ -291,16 +291,6 @@ func BenchmarkAblationLogging(b *testing.B) {
 	}
 }
 
-// BenchmarkSingleRun measures simulator throughput on one mid-size run
-// (events and cycles per second of host time).
-func BenchmarkSingleRun(b *testing.B) {
-	prof := repro.Bdna().Scale(0.25, 0.25, 0.25)
-	for i := 0; i < b.N; i++ {
-		r := repro.Run(repro.NUMA16(), repro.MultiTMVLazy, prof, uint64(i+1))
-		b.ReportMetric(float64(r.ExecCycles), "simCycles")
-	}
-}
-
 // BenchmarkScalability sweeps NUMA machine sizes (4-32 processors) and
 // reports how the two supports' reductions scale — the paper's
 // "in large machines, their effect is nearly fully additive" claim. The

@@ -2,20 +2,49 @@ package event
 
 import "testing"
 
-func BenchmarkScheduleAndFire(b *testing.B) {
+// Each hot path below is measured once: its op constructor sets up the
+// state, its Benchmark times the op, and TestAllocBudgets holds the op's
+// allocations to a budget in every plain `go test` run.
+
+// scheduleAndFireOp schedules one event up to 255 cycles ahead and fires the
+// earliest.
+func scheduleAndFireOp() func() {
 	var q Queue
 	fn := func(Time) {}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	i := 0
+	return func() {
 		q.At(q.Now()+Time(i%256), fn)
 		q.Step()
+		i++
 	}
 }
 
+func BenchmarkScheduleAndFire(b *testing.B) { bench(b, scheduleAndFireOp()) }
+
 func BenchmarkResourceAcquire(b *testing.B) {
 	var r Resource
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	i := 0
+	bench(b, func() {
 		r.Acquire(Time(i), 4)
+		i++
+	})
+}
+
+func bench(b *testing.B, op func()) {
+	b.ReportAllocs()
+	b.ResetTimer() // op's set-up ran before this call
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+}
+
+// TestAllocBudgets: the schedule+fire steady state never touches the
+// allocator.
+func TestAllocBudgets(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	if n := testing.AllocsPerRun(1000, scheduleAndFireOp()); n != 0 {
+		t.Fatalf("schedule+fire: %v allocs/op, budget 0", n)
 	}
 }

@@ -72,23 +72,6 @@ func TestAtNeverPanics(t *testing.T) {
 	q.At(Never, func(Time) {})
 }
 
-// TestScheduleFireAllocFree locks the value heap: after warm-up, the
-// schedule+fire steady state must not touch the allocator.
-func TestScheduleFireAllocFree(t *testing.T) {
-	var q Queue
-	fn := func(Time) {}
-	for i := 0; i < 64; i++ {
-		q.At(q.Now()+Time(i%8), fn)
-	}
-	q.Run(0)
-	if n := testing.AllocsPerRun(1000, func() {
-		q.At(q.Now()+4, fn)
-		q.Step()
-	}); n != 0 {
-		t.Fatalf("schedule+fire allocates %.1f allocs/op in steady state, want 0", n)
-	}
-}
-
 func TestRunLimit(t *testing.T) {
 	var q Queue
 	count := 0

@@ -1,6 +1,7 @@
 // Package profiling wires the standard runtime/pprof CPU and heap profiles
-// into the CLIs behind -cpuprofile/-memprofile flags, so any slow
-// tlssim/tlsreport/tlsbench invocation can be profiled without recompiling.
+// into tlssim and tlsreport behind -cpuprofile/-memprofile flags, so a slow
+// invocation can be profiled without recompiling. Benchmarks take the same
+// flags from go test.
 package profiling
 
 import (

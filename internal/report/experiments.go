@@ -8,8 +8,6 @@ package report
 import (
 	"context"
 	"fmt"
-	"sort"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -40,10 +38,6 @@ type Options struct {
 	// inputs (machine, profile, scheme, seed, knobs) changed. A directory
 	// that cannot be opened fails every job of the batch with the error.
 	CacheDir string
-	// JobTimeout, when positive, arms exp's per-job watchdog: a simulation
-	// still running after this long is abandoned and reported in the
-	// grid's failure manifest instead of hanging the sweep.
-	JobTimeout time.Duration
 	// Context, when non-nil, bounds every sweep run with these options:
 	// cancelling it makes in-flight simulations halt at their next commit
 	// (the graceful-shutdown path). Nil means background.
@@ -55,14 +49,10 @@ type Options struct {
 	// PostMortemDir): quarantine manifests and watchdog progress reports
 	// land there. Simulations are never checkpointed mid-run.
 	CheckpointDir string
-	// Resume is a previous campaign's replayed journal (exp.LoadCampaign):
-	// completed jobs are served from it or the cache, every other job runs
-	// from its start.
-	Resume exp.CampaignState
 	// Batcher, when non-nil, executes job batches instead of a locally
 	// built cluster.Local — the hook `-coordinator URL` uses to run a sweep on
 	// a distributed fleet. Execution options (cache, journal, post-mortems,
-	// timeout, worker count) are then the executor's business and ignored
+	// worker count) are then the executor's business and ignored
 	// here; JobObserver still fires for every result.
 	Batcher Batcher
 }
@@ -86,8 +76,8 @@ func (o *Options) ctx() context.Context {
 // runner builds the local executor these options describe.
 func (o *Options) runner() (*cluster.Local, error) {
 	r := &cluster.Local{
-		Workers: o.Jobs, Journal: o.Journal, Resume: o.Resume,
-		Runner: exp.Runner{JobTimeout: o.JobTimeout, PostMortemDir: o.CheckpointDir},
+		Workers: o.Jobs, Journal: o.Journal,
+		Runner: exp.Runner{PostMortemDir: o.CheckpointDir},
 	}
 	if o.CacheDir != "" {
 		c, err := exp.NewCache(o.CacheDir)
@@ -177,10 +167,6 @@ type Grid struct {
 	// reproduction. Render with exp.RenderFailureManifest.
 	Failures []exp.Failure
 }
-
-// Degraded reports whether the sweep lost any jobs; a degraded grid still
-// renders, with zero cells for the missing measurements.
-func (g *Grid) Degraded() bool { return len(g.Failures) > 0 }
 
 // Cell returns the measurement for (app, scheme).
 func (g *Grid) Cell(app string, scheme core.Scheme) Cell {
@@ -386,18 +372,6 @@ func Summarize(g *Grid) Summary {
 			reduction(core.MultiTSVEager, core.MultiTSVLazy)) / 2,
 		LazinessMultiTMVPct: reduction(core.MultiTMVEager, core.MultiTMVLazy),
 	}
-}
-
-// SortedSchemes returns the grid's schemes ordered as in the figures.
-func (g *Grid) SortedSchemes() []core.Scheme {
-	out := append([]core.Scheme(nil), g.Schemes...)
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Sep != out[j].Sep {
-			return out[i].Sep < out[j].Sep
-		}
-		return out[i].Merge < out[j].Merge
-	})
-	return out
 }
 
 // ExpectationCheck verifies one qualitative claim of the paper against a

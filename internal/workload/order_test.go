@@ -135,25 +135,6 @@ func TestOrderTiesAndBoundaries(t *testing.T) {
 	}
 }
 
-func TestTaskAllocsWithReusedBuffer(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector makes sync.Pool drop items at random")
-	}
-	g := NewGenerator(Bdna(), 1)
-	var buf []Op
-	for i := 0; i < 4; i++ {
-		buf, _ = g.Task(i, buf)
-	}
-	i := 0
-	allocs := testing.AllocsPerRun(20, func() {
-		buf, _ = g.Task(i%4, buf)
-		i++
-	})
-	if allocs > 1 {
-		t.Fatalf("Task made %.1f allocations per call with a reused buffer, want <= 1", allocs)
-	}
-}
-
 // TestTaskNilBufferAllocatesOnce: with no buffer to reuse, Task sizes the
 // op stream once up front instead of doubling it mid-stream, and the stream
 // is the one plain appends build.

@@ -15,6 +15,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/memsys"
 )
@@ -171,14 +172,22 @@ func (p *Profile) Validate() error {
 		return fmt.Errorf("workload %s: empty footprint", p.Name)
 	case p.WriteDensity < 1 || p.WriteDensity > memsys.WordsPerLine:
 		return fmt.Errorf("workload %s: write density %d out of [1,16]", p.Name, p.WriteDensity)
-	case p.PrivFrac < 0 || p.PrivFrac > 1:
+	// Float checks are written so that NaN, which fails every comparison,
+	// fails them too.
+	case !(p.PrivFrac >= 0 && p.PrivFrac <= 1):
 		return fmt.Errorf("workload %s: priv fraction %v out of [0,1]", p.Name, p.PrivFrac)
-	case p.WritePhase <= 0 || p.WritePhase > 1:
+	case !(p.WritePhase > 0 && p.WritePhase <= 1):
 		return fmt.Errorf("workload %s: write phase %v out of (0,1]", p.Name, p.WritePhase)
-	case p.SharedReadFrac < 0 || p.SharedReadFrac > 1:
+	case !(p.SharedReadFrac >= 0 && p.SharedReadFrac <= 1):
 		return fmt.Errorf("workload %s: shared read fraction out of [0,1]", p.Name)
-	case p.DepProb < 0 || p.DepProb > 1:
+	case !(p.DepProb >= 0 && p.DepProb <= 1):
 		return fmt.Errorf("workload %s: dependence probability out of [0,1]", p.Name)
+	case !(p.HeavyTailFrac >= 0 && p.HeavyTailFrac <= 1):
+		return fmt.Errorf("workload %s: heavy-tail fraction out of [0,1]", p.Name)
+	case math.IsNaN(p.ImbalanceCV) || math.IsNaN(p.HeavyTailMax) || math.IsNaN(p.ReadsPerWrite):
+		return fmt.Errorf("workload %s: NaN task length or read count", p.Name)
+	case math.IsNaN(p.PctTseq) || math.IsNaN(p.PaperCENuma) || math.IsNaN(p.PaperCECmp) || math.IsNaN(p.PaperSquash):
+		return fmt.Errorf("workload %s: NaN paper reference value", p.Name)
 	case p.DepProb > 0 && p.DepReach < 1:
 		return fmt.Errorf("workload %s: dependence reach must be positive", p.Name)
 	case p.TasksPerInvoc < 0:

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/memsys"
@@ -110,6 +111,24 @@ func TestValidateRejects(t *testing.T) {
 		mutate(&p)
 		if err := p.Validate(); err == nil {
 			t.Errorf("case %d: invalid profile accepted", i)
+		}
+	}
+}
+
+// TestValidateRejectsNaN: a NaN in any float field fails validation. NaN
+// fails every comparison, so a check written "x < 0 || x > 1" lets it
+// through; a NaN WritePhase then made Task index out of range.
+func TestValidateRejectsNaN(t *testing.T) {
+	good := StandardScale(Euler())
+	v := reflect.ValueOf(&good).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		if v.Field(i).Kind() != reflect.Float64 {
+			continue
+		}
+		p := good
+		reflect.ValueOf(&p).Elem().Field(i).SetFloat(math.NaN())
+		if err := p.Validate(); err == nil {
+			t.Errorf("%s = NaN accepted", v.Type().Field(i).Name)
 		}
 	}
 }
