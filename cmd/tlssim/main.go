@@ -5,7 +5,7 @@
 // Usage:
 //
 //	tlssim -app Bdna -machine numa -scheme "MultiT&MV Lazy AMM" [-seed 1]
-//	       [-full] [-tasks 0.5 -instr 0.25 -foot 0.25] [-parallel 8]
+//	       [-full] [-tasks 0.5 -instr 0.25 -foot 0.25]
 package main
 
 import (
@@ -28,7 +28,6 @@ func main() {
 		tasks    = flag.Float64("tasks", 0.5, "task-count scale factor")
 		instr    = flag.Float64("instr", 0.25, "instruction scale factor")
 		foot     = flag.Float64("foot", 0.25, "footprint scale factor")
-		par      = flag.Int("parallel", 1, "worker goroutines for the parallel simulation core (1 = serial loop; results are identical)")
 		list     = flag.Bool("list", false, "list schemes and applications, then exit")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file at exit")
@@ -76,17 +75,9 @@ func main() {
 	}
 
 	seq := repro.RunSequential(mach, prof, *seed)
-	var r repro.Result
-	if *par > 1 {
-		r = repro.RunParallel(mach, scheme, prof, *seed, *par)
-	} else {
-		r = repro.Run(mach, scheme, prof, *seed)
-	}
+	r := repro.Run(mach, scheme, prof, *seed)
 
 	fmt.Printf("%s on %s under %s (seed %d)\n\n", prof.Name, mach.Name, scheme, *seed)
-	if *par > 1 {
-		fmt.Printf("  parallel core          %d workers (results identical to serial)\n", *par)
-	}
 	fmt.Printf("  tasks                  %d (%d squash events, %d task executions squashed)\n",
 		r.Tasks, r.SquashEvents, r.TasksSquashed)
 	fmt.Printf("  execution              %d cycles (sequential %d; speedup %.2fx)\n",

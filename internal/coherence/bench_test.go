@@ -8,10 +8,6 @@ import (
 	"repro/internal/workload"
 )
 
-// Each hot path below is measured once: its op constructor sets up the
-// directory, its Benchmark times the op, and TestAllocBudgets holds the
-// op's allocations to a budget in every plain `go test` run.
-
 // recordWriteReadOp writes a word and has the next task read it, cycling 64
 // tasks over 4096 words; every 64 ops all 65 tasks commit.
 func recordWriteReadOp() func() {
@@ -125,9 +121,6 @@ func bench(b *testing.B, op func()) {
 // TestAllocBudgets holds each benchmarked op to its allocations per op. A
 // budget changes only with the code it measures, in the same change.
 func TestAllocBudgets(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector changes allocation counts")
-	}
 	for _, c := range []struct {
 		name   string
 		op     func() func()

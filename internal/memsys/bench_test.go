@@ -6,10 +6,6 @@ import (
 	"repro/internal/ids"
 )
 
-// Each hot path below is measured once: its op constructor sets up the
-// structure, its Benchmark times the op, and TestAllocBudgets holds the
-// op's allocations to a budget in every plain `go test` run.
-
 // cacheProbeHitOp probes a 512-KB 4-way L2 for a line it holds.
 func cacheProbeHitOp() func() {
 	c := NewCache(Config{Name: "L2", SizeBytes: 512 << 10, Ways: 4})
@@ -120,9 +116,6 @@ func bench(b *testing.B, op func()) {
 // per op. A budget changes only with the code it measures, in the same
 // change.
 func TestAllocBudgets(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector changes allocation counts")
-	}
 	for _, c := range []struct {
 		name   string
 		op     func() func()

@@ -5,13 +5,10 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/machine"
+	"repro/internal/memsys"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
-
-// The full-run measurements, each measured once: its Benchmark times the
-// run and reports simulated events per op, and TestAllocBudgets holds the
-// run's allocations to a budget in every plain `go test` run.
 
 // benchProfile is quarter-size Bdna: a mid-size run of the serial event
 // loop, the version directory and the caches with no squashes.
@@ -62,14 +59,13 @@ func benchRuns(b *testing.B, run func() sim.Result) {
 // TestAllocBudgets holds each run above to its allocations per run. A
 // budget changes only with the code it measures, in the same change.
 // AllocsPerRun's first, unmeasured run parks the storage the recycled
-// runs build on. A recycled run allocates mostly as its workload's directory
-// lists outgrow their carved capacity, so its budget sits 40 above its
-// count and one allocation per commit (75 per run) exceeds it. Fresh runs
-// also allocate the storage itself, whose count moves with the toolchain's
-// map and slice layouts; they keep a 30% margin.
+// runs build on. Every budget sits 30% above its count: the count moves
+// with the toolchain's map and slice layouts and with the garbage
+// collections that empty the generator's scratch pool. TestCommitAllocs
+// sees what a per-run budget that wide cannot, one allocation per commit.
 func TestAllocBudgets(t *testing.T) {
 	if raceEnabled {
-		t.Skip("the race detector changes allocation counts")
+		t.Skip("the race detector makes sync.Pool drop items at random")
 	}
 	for _, c := range []struct {
 		name   string
@@ -77,12 +73,45 @@ func TestAllocBudgets(t *testing.T) {
 		budget float64
 	}{
 		{"full-run", fullRun, 12056},
-		{"recycled-run", recycledRun, 7955},
+		{"recycled-run", recycledRun, 10280},
 		{"parallel-run", parallelRun, 12285},
 	} {
 		n := testing.AllocsPerRun(2, func() { c.run() })
 		if n > c.budget {
 			t.Errorf("%s: %v allocs/op, budget %v", c.name, n, c.budget)
 		}
+	}
+}
+
+// commitTrace is n tasks that each read one of 8 words no task writes and
+// then write one of 64 others: every task commits and none squashes.
+func commitTrace(n int) *workload.Trace {
+	base := memsys.Addr(1 << 16)
+	streams := make([][]workload.Op, n)
+	for i := range streams {
+		var b workload.TraceBuilder
+		b.Compute(2000).Read(base + memsys.Addr(64+i%8)*memsys.WordsPerLine)
+		b.Compute(1000).Write(base + memsys.Addr(i%64)*memsys.WordsPerLine)
+		streams[i] = b.Ops()
+	}
+	return workload.NewTrace("commits", streams, 0)
+}
+
+// TestCommitAllocs holds what each task adds to a recycled run's
+// allocations to one, its task record. The count is the difference
+// between runs of 1,024 and 512 tasks, in which every fixed cost cancels
+// whatever the toolchain, so one more allocation per commit fails it.
+func TestCommitAllocs(t *testing.T) {
+	perRun := func(n int) float64 {
+		tr := commitTrace(n)
+		return testing.AllocsPerRun(4, func() {
+			s := sim.New(machine.NUMA16(), core.MultiTMVLazy, tr)
+			s.Run()
+			s.Release()
+		})
+	}
+	const n = 512
+	if perTask := (perRun(2*n) - perRun(n)) / n; perTask > 1.25 {
+		t.Errorf("%.2f allocs per committed task, budget 1.25 (its task record is 1)", perTask)
 	}
 }

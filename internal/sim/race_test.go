@@ -2,6 +2,6 @@
 
 package sim_test
 
-// raceEnabled reports a -race build, whose instrumentation changes
-// allocation counts.
+// raceEnabled reports a -race build, where sync.Pool drops items at random
+// and allocation counts of pooled paths mean nothing.
 const raceEnabled = true

@@ -2,10 +2,6 @@ package workload
 
 import "testing"
 
-// Each hot path below is measured once: its op constructor sets up the
-// generator, its Benchmark times the op, and TestAllocBudgets holds the
-// op's allocations to a budget in every plain `go test` run.
-
 // taskGenOp generates one full-size Bdna task stream into a reused buffer.
 func taskGenOp() func() {
 	g := NewGenerator(Bdna(), 1)

@@ -225,16 +225,6 @@ func RunSequential(cfg *Machine, prof Profile, seed uint64) Result {
 	return sim.RunSequential(cfg, prof, seed)
 }
 
-// RunParallel simulates one combination on the parallel simulation core
-// with n worker goroutines (n <= 1 selects the serial loop). The Result is
-// reflect.DeepEqual-identical to Run's: parallel mode only changes where
-// the work is computed, never what it computes. See DESIGN.md §15.
-func RunParallel(cfg *Machine, scheme Scheme, prof Profile, seed uint64, n int) Result {
-	s := sim.New(cfg, scheme, workload.NewGenerator(prof, seed))
-	s.SetParallel(n)
-	return s.Run()
-}
-
 // NewSimulator builds a simulator for one run (e.g. to EnableTrace).
 func NewSimulator(cfg *Machine, scheme Scheme, prof Profile, seed uint64) *Simulator {
 	return sim.New(cfg, scheme, workload.NewGenerator(prof, seed))
